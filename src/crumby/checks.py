@@ -189,7 +189,7 @@ def _claims(quick: bool) -> Iterator[CheckResult]:
             report.passed,
             report.human(),
         )
-    composition = verify_theorem1_composition(use_exhaustive=not quick)
+    composition = verify_theorem1_composition()
     yield CheckResult(
         "claim", "theorem1-composition", composition.passed, composition.note
     )
@@ -311,7 +311,7 @@ def _regressions() -> Iterator[CheckResult]:
         counts == LEMMA_FEASIBLE_COUNTS,
         f"{sorted(counts.values())}",
     )
-    composition = verify_theorem1_composition(use_exhaustive=False)
+    composition = verify_theorem1_composition()
     yield CheckResult(
         "regression",
         "composition-counts",

@@ -4,13 +4,14 @@ Exit codes are a stable contract across all subcommands:
 
   0  Sat / check passed
   1  Unsat / check failed (an answer, not an error)
-  2  error, refused input, or indeterminate (budget ran out)
+  2  error, refused input, indeterminate (budget ran out), or a crash
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .certs import (
@@ -107,8 +108,6 @@ def cmd_gadget(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    if args.parallel and args.method != "backtracking":
-        raise ValueError("--parallel only applies to the backtracking method")
     if args.no_propagation and args.method != "backtracking":
         raise ValueError("--no-propagation only applies to the backtracking method")
     if args.method == "exhaustive":
@@ -117,10 +116,7 @@ def cmd_solve(args) -> int:
         result = dpll_solve(g, budget=args.budget)
     else:
         result = backtracking_solve(
-            g,
-            budget=args.budget,
-            propagate=not args.no_propagation,
-            parallel=args.parallel,
+            g, budget=args.budget, propagate=not args.no_propagation
         )
     sys.stdout.write(emit_solve_certificate(result))
     return EXIT_PASS if result.status is Status.SAT else EXIT_FAIL
@@ -225,22 +221,24 @@ def cmd_elim_order(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    reports = all_lemma_reports(use_exhaustive=not args.quick)
+    reports = all_lemma_reports()
+    rg = GADGETS["R"]()
+    s = next(v for v, role in rg.role_labels.items() if role == "s")
     for report in reports:
+        rows = []
+        for c in report.colorings if args.verbose else ():
+            row = c.to_text()
+            if report.lemma == "2":
+                path = richness_witness(rg.graph, c, s)
+                row += "  red-path " + ("-".join(map(str, path)) if path else "none")
+            rows.append(row)
         if args.machine:
-            print("\n".join(report.machine_lines()))
+            print("\n".join(report.machine_lines() + [f"coloring={row}" for row in rows]))
             print()
         else:
             print(report.human())
-        if args.verbose and report.lemma == "2" and report.scenario == "s-red rich":
-            from .gadgets import build_R
-
-            rg = build_R()
-            s = next(v for v, role in rg.role_labels.items() if role == "s")
-            for c in report.colorings:
-                path = richness_witness(rg.graph, c, s)
-                spot = "-".join(map(str, path)) if path else "none"
-                print(f"  {c.to_text()}  red-path {spot}")
+            for row in rows:
+                print(f"  {row}")
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -305,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="backtracking",
     )
     p.add_argument("--budget", type=int, default=None, help="node limit")
-    p.add_argument("--parallel", action="store_true",
-                   help="split the root branch across two processes")
     p.add_argument("--no-propagation", action="store_true",
                    help="disable forced-move propagation (debug)")
     p.set_defaults(func=cmd_solve)
@@ -356,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true",
                    help="line-oriented key=value output")
     p.add_argument("--verbose", action="store_true",
-                   help="list richness witnesses per feasible coloring")
-    p.add_argument("--quick", action="store_true",
-                   help="compare the composition against backtracking only")
+                   help="list every feasible coloring, with richness witnesses"
+                        " for lemma 2")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("search", help="survey a graph6 stream")
@@ -396,6 +391,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ValueError, OSError, CrossCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash is never a negative answer
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

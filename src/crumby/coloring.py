@@ -22,7 +22,7 @@ budget raises BudgetExhausted instead of returning an answer.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -97,23 +97,69 @@ class Violation:
         return f"all-red path {'-'.join(map(str, self.path or ()))}"
 
 
+# -- the compiled constraint model ----------------------------------------------
+#
+# A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
+# masks upward enumerates color vectors in lexicographic order with B < R.
+
+
+@dataclass(frozen=True)
+class _Model:
+    """Conditions (a)-(c) of one graph, compiled once for every checker.
+
+    `p4s` is enumerate_p4(g), `p4masks[i]` the red-set mask of path i, and
+    `p4_of[v]` the indices of the paths through v.
+    """
+
+    g: Graph
+    bit: tuple[int, ...]
+    nbmask: tuple[int, ...]
+    p4s: list[tuple[int, int, int, int]]
+    p4masks: tuple[int, ...]
+    p4_of: tuple[tuple[int, ...], ...]
+
+    def red_mask(self, c: Coloring) -> int:
+        return sum(b for b, color in zip(self.bit, c.colors) if color is RED)
+
+
+def _compile(g: Graph) -> _Model:
+    n = g.n
+    bit = tuple(1 << (n - 1 - v) for v in range(n))
+    p4s = enumerate_p4(g)
+    p4_of: list[list[int]] = [[] for _ in range(n)]
+    for idx, path in enumerate(p4s):
+        for v in path:
+            p4_of[v].append(idx)
+    return _Model(
+        g,
+        bit,
+        tuple(sum(bit[u] for u in g.adj[v]) for v in range(n)),
+        p4s,
+        tuple(sum(bit[p] for p in path) for path in p4s),
+        tuple(map(tuple, p4_of)),
+    )
+
+
+def _violations(model: _Model, c: Coloring) -> list[Violation]:
+    red = model.red_mask(c)
+    violations = []
+    for v, (b, nb) in enumerate(zip(model.bit, model.nbmask)):
+        if red & b:
+            if not red & nb:
+                violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
+        elif (~red & nb).bit_count() >= 2:
+            violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
+    for path, m in zip(model.p4s, model.p4masks):
+        if red & m == m:
+            violations.append(Violation(ViolationKind.RED_P4, path=path))
+    return violations
+
+
 def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
     """Check (a)-(c) directly; returns all violations, deterministic order."""
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    red = c.red_set()
-    violations = []
-    for v in range(g.n):
-        if v in red:
-            if not any(u in red for u in g.adj[v]):
-                violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
-        else:
-            blue_nbrs = sum(1 for u in g.adj[v] if u not in red)
-            if blue_nbrs >= 2:
-                violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
-    for path in enumerate_p4(g):
-        if all(p in red for p in path):
-            violations.append(Violation(ViolationKind.RED_P4, path=path))
+    violations = _violations(_compile(g), c)
     return not violations, violations
 
 
@@ -147,9 +193,6 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
 
 
 # -- vectorized exhaustive core ----------------------------------------------
-#
-# A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
-# masks upward enumerates color vectors in lexicographic order with B < R.
 
 _popcount16_table: np.ndarray | None = None
 
@@ -165,27 +208,42 @@ def _popcount16() -> np.ndarray:
     return _popcount16_table
 
 
-def _feasible_chunks(g: Graph):
-    """Yield (offset, ok) with ok[i] true iff red-mask offset+i is crumby."""
-    n = g.n
-    bit = [1 << (n - 1 - v) for v in range(n)]
-    nbmask = [sum(bit[u] for u in g.adj[v]) for v in range(n)]
-    p4masks = sorted({sum(bit[p] for p in path) for path in enumerate_p4(g)})
+def _feasible(
+    model: _Model,
+    red: np.ndarray,
+    exempt: int = 0,
+    extra: tuple[int, ...] = (),
+    fixed_mask: int = 0,
+    fixed_red: int = 0,
+) -> np.ndarray:
+    """ok[i] true iff red-mask red[i] passes (a)-(c), relaxed by data.
+
+    Red vertices in `exempt` need no Red neighbor, every mask in `extra` is
+    forbidden all-Red like a P4, and the bits in `fixed_mask` must read
+    `fixed_red`.  With the defaults this is plain crumbiness.
+    """
     pc = _popcount16()
+    ok = (red & fixed_mask) == fixed_red
+    for b, nb in zip(model.bit, model.nbmask):
+        is_red = (red & b) != 0
+        if not exempt & b:
+            ok &= ~is_red | ((red & nb) != 0)
+        blue_nb = ~red & nb
+        cnt = pc[blue_nb & 0xFFFF] + pc[(blue_nb >> 16) & 0xFFFF]
+        ok &= is_red | (cnt <= 1)
+    for m in sorted(set(model.p4masks).union(extra)):
+        ok &= (red & m) != m
+    return ok
+
+
+def _feasible_chunks(model: _Model, **relaxation):
+    """Yield (offset, ok) with ok[i] = _feasible(model, offset+i, ...)."""
+    n = model.g.n
     total = 1 << n
     chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, total, chunk):
         red = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ok = np.ones(red.shape, dtype=bool)
-        for v in range(n):
-            is_red = (red >> (n - 1 - v) & 1).astype(bool)
-            ok &= ~is_red | ((red & nbmask[v]) != 0)
-            blue_nb = ~red & nbmask[v]
-            cnt = pc[blue_nb & 0xFFFF] + pc[(blue_nb >> 16) & 0xFFFF]
-            ok &= is_red | (cnt <= 1)
-        for m in p4masks:
-            ok &= (red & m) != m
-        yield start, ok
+        yield start, _feasible(model, red, **relaxation)
 
 
 def _mask_to_coloring(n: int, mask: int) -> Coloring:
@@ -195,15 +253,14 @@ def _mask_to_coloring(n: int, mask: int) -> Coloring:
 def _check_exhaustive_cap(g: Graph) -> None:
     if g.n > EXHAUSTIVE_CAP:
         raise CapExceeded(
-            f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}; "
-            "use backtracking or dpll instead"
+            f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
         )
 
 
 def count_crumby(g: Graph) -> int:
     """Exact number of crumby colorings of g (n <= 24)."""
     _check_exhaustive_cap(g)
-    return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(g))
+    return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(_compile(g)))
 
 
 class Status(Enum):
@@ -229,7 +286,7 @@ def exhaustive_solve(g: Graph) -> SolveResult:
     """
     _check_exhaustive_cap(g)
     t0 = time.perf_counter()
-    for start, ok in _feasible_chunks(g):
+    for start, ok in _feasible_chunks(_compile(g)):
         hits = np.nonzero(ok)[0]
         if hits.size:
             mask = start + int(hits[0])
@@ -312,6 +369,7 @@ class _GraphSearch:
 
     def __init__(self, g: Graph, budget: int | None, propagate: bool) -> None:
         self.g = g
+        self.model = _compile(g)
         self.budget = budget
         self.propagate = propagate
         n = g.n
@@ -319,11 +377,8 @@ class _GraphSearch:
         self.red_nb = [0] * n
         self.blue_nb = [0] * n
         self.un_nb = [g.degree(v) for v in range(n)]
-        self.p4s = enumerate_p4(g)
-        self.p4_of: list[list[int]] = [[] for _ in range(n)]
-        for idx, path in enumerate(self.p4s):
-            for v in path:
-                self.p4_of[v].append(idx)
+        self.p4s = self.model.p4s
+        self.p4_of = self.model.p4_of
         self.p4_red = [0] * len(self.p4s)
         self.p4_blue = [0] * len(self.p4s)
         self.trail: list[int] = []
@@ -391,10 +446,10 @@ class _GraphSearch:
         return True, forces
 
     def set_and_propagate(self, v: int, color: int) -> bool:
-        queue = [(v, color)]
+        queue = deque([(v, color)])
         first = True
         while queue:
-            w, c = queue.pop(0)
+            w, c = queue.popleft()
             if self.assign[w] != _UNSET:
                 if self.assign[w] != c:
                     return False
@@ -451,14 +506,6 @@ class _GraphSearch:
             self.undo_to(mark)
         return False
 
-    def solve_from(self, preset: list[tuple[int, int]]) -> tuple[bool, bool]:
-        """Returns (rooted, sat): rooted is False when the preset conflicts."""
-        for v, color in preset:
-            self.nodes += 1
-            if not self.set_and_propagate(v, color):
-                return False, False
-        return True, self.dfs()
-
     def coloring(self) -> Coloring:
         assert self.unassigned == 0
         return Coloring(tuple(RED if a == _RED else BLUE for a in self.assign))
@@ -467,8 +514,7 @@ class _GraphSearch:
 def _finish(search: _GraphSearch, sat: bool, solver: str, t0: float) -> SolveResult:
     if sat:
         coloring = search.coloring()
-        ok, _ = verify_crumby(search.g, coloring)
-        if not ok:
+        if _violations(search.model, coloring):
             raise AssertionError("solver produced a non-crumby coloring")
         return SolveResult(
             Status.SAT, coloring, solver,
@@ -480,41 +526,16 @@ def _finish(search: _GraphSearch, sat: bool, solver: str, t0: float) -> SolveRes
     )
 
 
-def _solve_branch(
-    g: Graph, color: int, budget: int | None, propagate: bool
-) -> SolveResult:
-    t0 = time.perf_counter()
-    search = _GraphSearch(g, budget, propagate)
-    rooted, sat = search.solve_from([(0, color)])
-    return _finish(search, rooted and sat, "backtracking", t0)
-
-
 def backtracking_solve(
     g: Graph,
     budget: int | None = None,
     propagate: bool = True,
-    parallel: bool = False,
 ) -> SolveResult:
     """Complete DFS on vertex colors.
 
     propagate=False disables forced moves (conflicts are still detected) and
-    must reach the same status.  parallel=True farms the two top-level
-    branches (vertex 0 Red / Blue) out to two processes; status and coloring
-    are identical to the sequential run, the budget applies per branch.
+    must reach the same status.
     """
-    if parallel and g.n > 0:
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            fut_red = pool.submit(_solve_branch, g, _RED, budget, propagate)
-            fut_blue = pool.submit(_solve_branch, g, _BLUE, budget, propagate)
-            red, blue = fut_red.result(), fut_blue.result()
-        if red.status is Status.SAT:
-            return red
-        return SolveResult(
-            blue.status, blue.coloring, "backtracking",
-            red.nodes + blue.nodes,
-            red.propagations + blue.propagations,
-            max(red.elapsed, blue.elapsed),
-        )
     t0 = time.perf_counter()
     search = _GraphSearch(g, budget, propagate)
     return _finish(search, search.dfs(), "backtracking", t0)
@@ -564,9 +585,9 @@ class _Dpll:
         raise AssertionError("unit clause without a free literal")
 
     def _propagate_units(self, seed_vars: list[int]) -> bool:
-        queue = list(seed_vars)
+        queue = deque(seed_vars)
         while queue:
-            var = queue.pop(0)
+            var = queue.popleft()
             for ci in self.pos_occ[var] + self.neg_occ[var]:
                 if self.n_sat[ci] == 0 and self.n_free[ci] == 1:
                     lit = self._unit_literal(ci)

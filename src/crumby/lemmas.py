@@ -24,22 +24,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .coloring import (
     BLUE,
     RED,
     Color,
     Coloring,
-    SolveResult,
     Status,
-    backtracking_solve,
-    exhaustive_solve,
+    _check_exhaustive_cap,
+    _compile,
+    _feasible,
+    _feasible_chunks,
+    _mask_to_coloring,
+    _Model,
+    dpll_solve,
     verify_crumby_by_components,
 )
-from .errors import BoundarySpecError, CapExceeded
+from .errors import BoundarySpecError
 from .gadgets import LabeledGraph, build_F, build_G18, build_R
-from .graphs import Graph, enumerate_p4
-
-ENUMERATION_CAP = 16
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -76,38 +80,25 @@ def _validate_spec(g: Graph, spec: BoundarySpec) -> dict[int, Color]:
     return fixed
 
 
-def _red_path_from(g: Graph, red: frozenset[int], v: int) -> tuple[int, int, int] | None:
-    """A Red path v-p-q on three distinct vertices, or None."""
-    for p in g.adj[v]:
-        if p not in red:
-            continue
-        for q in g.adj[p]:
-            if q != v and q in red:
-                return (v, p, q)
-    return None
+def _relaxation(model: _Model, spec: BoundarySpec, fixed: dict[int, Color]) -> dict:
+    """C1-C4 and the assumptions as data for the exhaustive core.
 
-
-def _feasible(
-    g: Graph,
-    spec: BoundarySpec,
-    p4s: list[tuple[int, int, int, int]],
-    c: Coloring,
-) -> bool:
-    red = c.red_set()
-    for v in range(g.n):
-        if v in red:
-            if v not in spec.boundary and not any(u in red for u in g.adj[v]):
-                return False  # C2
-        else:
-            if sum(1 for u in g.adj[v] if u not in red) >= 2:
-                return False  # C1
-    for path in p4s:
-        if all(p in red for p in path):
-            return False  # C3
-    for v in spec.outside_red:
-        if v in red and _red_path_from(g, red, v) is not None:
-            return False  # C4
-    return True
+    C2: boundary vertices are exempt from the Red-support test.  C4: every
+    path v-p-q from an outside-red v is forbidden all-Red, like a P4.
+    """
+    g, bit = model.g, model.bit
+    return dict(
+        exempt=sum(bit[v] for v in spec.boundary),
+        extra=tuple(
+            bit[v] | bit[p] | bit[q]
+            for v in spec.outside_red
+            for p in g.adj[v]
+            for q in g.adj[p]
+            if q != v
+        ),
+        fixed_mask=sum(bit[v] for v in fixed),
+        fixed_red=sum(bit[v] for v, color in fixed.items() if color is RED),
+    )
 
 
 def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
@@ -124,7 +115,9 @@ def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
                 f"coloring assigns vertex {v} {c.colors[v].value},"
                 f" spec fixes it to {color.value}"
             )
-    return _feasible(g, spec, enumerate_p4(g), c)
+    model = _compile(g)
+    red = np.array([model.red_mask(c)], dtype=np.int64)
+    return bool(_feasible(model, red, **_relaxation(model, spec, fixed))[0])
 
 
 @dataclass(frozen=True)
@@ -142,28 +135,13 @@ class FeasibleSet:
 
 
 def enumerate_feasible(g: Graph, spec: BoundarySpec) -> FeasibleSet:
-    """Filter all colorings of the non-fixed vertices through C1-C4."""
-    if g.n > ENUMERATION_CAP:
-        raise CapExceeded(
-            f"feasibility enumeration is capped at {ENUMERATION_CAP} vertices,"
-            f" got {g.n}"
-        )
+    """Every coloring that agrees with the assumptions and passes C1-C4."""
+    _check_exhaustive_cap(g)
     fixed = _validate_spec(g, spec)
-    p4s = enumerate_p4(g)
-    free = [v for v in range(g.n) if v not in fixed]
-    k = len(free)
-    base: list[Color] = [BLUE] * g.n
-    for v, color in fixed.items():
-        base[v] = color
+    model = _compile(g)
     out = []
-    for mask in range(1 << k):
-        colors = list(base)
-        for i, v in enumerate(free):
-            if mask >> (k - 1 - i) & 1:
-                colors[v] = RED
-        c = Coloring(tuple(colors))
-        if _feasible(g, spec, p4s, c):
-            out.append(c)
+    for start, ok in _feasible_chunks(model, **_relaxation(model, spec, fixed)):
+        out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
     return FeasibleSet(spec, tuple(out))
 
 
@@ -293,7 +271,13 @@ def richness_witness(
     red = c.red_set()
     if v not in red:
         return None
-    return _red_path_from(g, red, v)
+    for p in g.adj[v]:
+        if p not in red:
+            continue
+        for q in g.adj[p]:
+            if q != v and q in red:
+                return (v, p, q)
+    return None
 
 
 def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:
@@ -340,7 +324,7 @@ def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:
     return reports
 
 
-def verify_theorem1_composition(use_exhaustive: bool = True) -> LemmaReport:
+def verify_theorem1_composition() -> LemmaReport:
     """Re-derive unsatisfiability of G18 from gadget enumerations alone.
 
     In G18 only the two roots see the other copy, so each copy's coloring
@@ -348,7 +332,8 @@ def verify_theorem1_composition(use_exhaustive: bool = True) -> LemmaReport:
     feasible set must be empty (so both roots are Red, and each root then
     has a Red outside neighbor: the other root).  Every pair of flagged
     x-Red feasible colorings, joined along the root edge, must fail the
-    crumby conditions.  The verdict is compared against a direct solver run.
+    crumby conditions.  The verdict is compared against DPLL, which shares
+    no code with the enumeration core.
     """
     lg = build_F()
     roles = _roles(lg)
@@ -371,9 +356,7 @@ def verify_theorem1_composition(use_exhaustive: bool = True) -> LemmaReport:
                 break
         if joined_ok is not None:
             break
-    result: SolveResult = (
-        exhaustive_solve(g18) if use_exhaustive else backtracking_solve(g18)
-    )
+    result = dpll_solve(g18)
     passed = (
         len(s_blue) == 0
         and joined_ok is None
@@ -393,10 +376,10 @@ def verify_theorem1_composition(use_exhaustive: bool = True) -> LemmaReport:
     )
 
 
-def all_lemma_reports(use_exhaustive: bool = True) -> list[LemmaReport]:
+def all_lemma_reports() -> list[LemmaReport]:
     """Every stock scenario, in a fixed order, for the CLI and the test gate."""
     reports = [verify_lemma1_i(r_role="a"), verify_lemma1_i(r_role="b")]
     reports.extend(verify_lemma1_ii())
     reports.extend(verify_lemma2())
-    reports.append(verify_theorem1_composition(use_exhaustive=use_exhaustive))
+    reports.append(verify_theorem1_composition())
     return reports

@@ -354,7 +354,7 @@ def test_criterion_10c_survey_with_frozen_negative_list():
 
 
 def test_criterion_11_composition(g18):
-    report = verify_theorem1_composition(use_exhaustive=True)
+    report = verify_theorem1_composition()
     ok = (
         report.passed
         and "x-blue-feasible=0" in report.note

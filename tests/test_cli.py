@@ -98,10 +98,27 @@ def test_budget_exhaustion_exit_code(capsys):
 
 
 def test_solver_flags_must_match_the_method(capsys):
-    code, _, err = run(capsys, "solve", "F", "--method", "dpll", "--parallel")
+    code, _, err = run(capsys, "solve", "F", "--method", "exhaustive", "--no-propagation")
     assert code == 2 and "backtracking" in err
-    code2, _, err2 = run(capsys, "solve", "F", "--method", "exhaustive", "--no-propagation")
-    assert code2 == 2 and "backtracking" in err2
+
+
+def test_solver_crash_is_an_error_not_a_negative_answer(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("crumby.cli.backtracking_solve", crash)
+    code, out, err = run(capsys, "solve", "F")
+    assert code == 2 and out == ""
+    assert "internal error" in err and "boom" in err
+
+
+@pytest.mark.parametrize("method", ["backtracking", "dpll"])
+def test_deep_search_never_reads_as_unsat(tmp_path, capsys, method):
+    path = tmp_path / "p3000.txt"
+    edges = "\n".join(f"{i} {i + 1}" for i in range(2999))
+    path.write_text(f"3000 2999\n{edges}\n")
+    code, _, _ = run(capsys, "solve", str(path), "--method", method)
+    assert code != 1
 
 
 def test_verify_accepts_a_solver_answer(tmp_path, capsys):
@@ -192,15 +209,31 @@ def test_elim_order_success_and_failure(tmp_path, capsys):
 
 
 def test_lemmas_machine_output(capsys):
-    code, out, _ = run(capsys, "lemmas", "--machine", "--quick")
+    code, out, _ = run(capsys, "lemmas", "--machine")
     assert code == 0
     assert "lemma=1(i)" in out
     assert out.count("pass=true") == 9
 
 
 def test_lemmas_human_output(capsys):
-    code, out, _ = run(capsys, "lemmas", "--quick")
+    code, out, _ = run(capsys, "lemmas")
     assert code == 0 and "feasible" in out
+
+
+def test_lemmas_verbose_lists_every_feasible_coloring(capsys):
+    code, out, _ = run(capsys, "lemmas", "--verbose")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.startswith("  ")]
+    # 4 + 4 + 10 + 4 + 10 + 4 + 8 + 0; the composition report keeps none
+    assert len(rows) == 44
+    assert rows[0] == "B R B B R B R R R".split()
+    rich = [row for row in rows if "red-path" in row]
+    assert len(rich) == 8
+    assert rich[0][-2:] == ["red-path", "0-2-4"]
+    code, out, _ = run(capsys, "lemmas", "--machine", "--verbose")
+    records = [block.splitlines() for block in out.strip().split("\n\n")]
+    assert code == 0 and len(records) == 9
+    assert sum(line.startswith("coloring=") for r in records for line in r) == 44
 
 
 def test_search_generate(capsys):

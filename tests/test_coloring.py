@@ -95,8 +95,11 @@ def test_blue_vertex_with_two_blue_neighbors_is_flagged():
 @PROPERTY
 def test_verifier_matches_naive_oracle(pair):
     g, c = pair
-    ok, _ = verify_crumby(g, c)
+    ok, violations = verify_crumby(g, c)
     assert ok == oracles.naive_is_crumby(g, c)
+    red = c.red_set()
+    red_paths = sorted(p for p in oracles.naive_p4_set(g) if red.issuperset(p))
+    assert [v.path for v in violations if v.kind is ViolationKind.RED_P4] == red_paths
 
 
 @given(strategies.graph_coloring_pairs(max_n=9))
@@ -224,15 +227,6 @@ def test_propagation_toggle_does_not_change_answers(census, f_gadget):
         assert slow.nodes >= fast.nodes
         if slow.status is Status.SAT:
             assert verify_crumby(g, slow.coloring)[0]
-
-
-def test_parallel_mode_matches_sequential(f_gadget, g18):
-    for g in (f_gadget.graph, g18.graph):
-        seq = backtracking_solve(g)
-        par = backtracking_solve(g, parallel=True)
-        assert par.status == seq.status
-        if seq.status is Status.SAT:
-            assert verify_crumby(g, par.coloring)[0]
 
 
 def test_budget_exhaustion_raises(g40):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crumby import (
     BoundarySpec,
@@ -20,8 +21,8 @@ from crumby import (
     verify_theorem1_composition,
 )
 from crumby.coloring import Color
-from crumby.lemmas import ENUMERATION_CAP, all_lemma_reports, richness_witness
-from tests import strategies
+from crumby.lemmas import all_lemma_reports, richness_witness
+from tests import oracles, strategies
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -97,8 +98,8 @@ def test_enumeration_is_lexicographic_and_capped():
     fs = enumerate_feasible(K2, BoundarySpec(frozenset()))
     texts = [c.to_text() for c in fs]
     assert texts == sorted(texts)
-    with pytest.raises(CapExceeded, match=str(ENUMERATION_CAP)):
-        enumerate_feasible(graph_from_edge_list(17, []), BoundarySpec(frozenset()))
+    with pytest.raises(CapExceeded, match="24"):
+        enumerate_feasible(graph_from_edge_list(25, []), BoundarySpec(frozenset()))
 
 
 @given(strategies.graph_coloring_pairs(min_n=1, max_n=7))
@@ -107,6 +108,38 @@ def test_crumby_colorings_are_always_feasible(pair):
     g, c = pair
     if verify_crumby(g, c)[0]:
         assert relaxed_feasible(g, BoundarySpec(frozenset()), c)
+
+
+@st.composite
+def relaxed_instances(draw, max_n: int = 10):
+    """A graph with a random boundary, outside-red flags and assumptions."""
+    g = draw(strategies.graphs(min_n=1, max_n=max_n))
+
+    def subset() -> set[int]:
+        bits = draw(st.integers(0, (1 << g.n) - 1))
+        return {v for v in range(g.n) if bits >> v & 1}
+
+    boundary = subset()
+    flags = subset() & boundary
+    reds = subset()
+    assumptions = tuple(
+        (v, Color.RED if v in reds else Color.BLUE) for v in sorted(subset())
+    )
+    return g, BoundarySpec(frozenset(boundary), assumptions, frozenset(flags))
+
+
+@given(relaxed_instances())
+@PROPERTY
+def test_enumeration_matches_the_naive_oracle(instance):
+    g, spec = instance
+    fixed = dict(spec.assumptions)
+    expected = []
+    for bits in range(1 << g.n):
+        c = Coloring.from_red_set(g.n, {v for v in range(g.n) if bits >> (g.n - 1 - v) & 1})
+        if all(c.colors[v] is color for v, color in fixed.items()):
+            if oracles.naive_relaxed_feasible(g, spec, c):
+                expected.append(c)
+    assert enumerate_feasible(g, spec).colorings == tuple(expected)
 
 
 # -- soundness against whole-graph colorings ---------------------------------
@@ -187,7 +220,7 @@ def test_richness_witness_requires_a_red_start():
 
 
 def test_composition_report_mentions_both_sides():
-    report = verify_theorem1_composition(use_exhaustive=False)
+    report = verify_theorem1_composition()
     assert report.passed
     assert "x-blue-feasible=0" in report.note
     assert "x-red-feasible=4" in report.note
@@ -195,7 +228,7 @@ def test_composition_report_mentions_both_sides():
 
 
 def test_all_reports_pass_without_the_exhaustive_oracle():
-    reports = all_lemma_reports(use_exhaustive=False)
+    reports = all_lemma_reports()
     assert len(reports) == 9
     assert all(isinstance(r, LemmaReport) and r.passed for r in reports)
 
