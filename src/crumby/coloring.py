@@ -87,7 +87,7 @@ class ViolationKind(Enum):
 class Violation:
     kind: ViolationKind
     vertex: int | None = None
-    path: tuple[int, int, int, int] | None = None
+    path: tuple[int, ...] | None = None
 
     def describe(self) -> str:
         if self.kind is ViolationKind.BLUE_DEGREE:
@@ -98,59 +98,53 @@ class Violation:
 
 
 # -- the compiled constraint model ----------------------------------------------
-#
-# A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
-# masks upward enumerates color vectors in lexicographic order with B < R.
 
 
 @dataclass(frozen=True)
 class _Model:
     """Conditions (a)-(c) of one graph, compiled once for every checker.
 
-    `p4s` is enumerate_p4(g), `p4masks[i]` the red-set mask of path i, and
-    `p4_of[v]` the indices of the paths through v.
+    `p4s` is enumerate_p4(g) and `p4_of[v]` the indices of the paths through
+    v.  Both grow linearly with a subcubic graph; bitmasks are built only by
+    the capped exhaustive core.
     """
 
     g: Graph
-    bit: tuple[int, ...]
-    nbmask: tuple[int, ...]
     p4s: list[tuple[int, int, int, int]]
-    p4masks: tuple[int, ...]
     p4_of: tuple[tuple[int, ...], ...]
-
-    def red_mask(self, c: Coloring) -> int:
-        return sum(b for b, color in zip(self.bit, c.colors) if color is RED)
 
 
 def _compile(g: Graph) -> _Model:
-    n = g.n
-    bit = tuple(1 << (n - 1 - v) for v in range(n))
     p4s = enumerate_p4(g)
-    p4_of: list[list[int]] = [[] for _ in range(n)]
+    p4_of: list[list[int]] = [[] for _ in range(g.n)]
     for idx, path in enumerate(p4s):
         for v in path:
             p4_of[v].append(idx)
-    return _Model(
-        g,
-        bit,
-        tuple(sum(bit[u] for u in g.adj[v]) for v in range(n)),
-        p4s,
-        tuple(sum(bit[p] for p in path) for path in p4s),
-        tuple(map(tuple, p4_of)),
-    )
+    return _Model(g, p4s, tuple(map(tuple, p4_of)))
 
 
-def _violations(model: _Model, c: Coloring) -> list[Violation]:
-    red = model.red_mask(c)
+def _violations(
+    model: _Model,
+    red: frozenset[int],
+    exempt: frozenset[int] = frozenset(),
+    extra: tuple[tuple[int, ...], ...] = (),
+) -> list[Violation]:
+    """Violations of (a)-(c) by the red set `red`, relaxed by data.
+
+    Red vertices in `exempt` need no Red neighbor, and every path in `extra`
+    is forbidden all-Red like a P4.  With the defaults this is plain
+    crumbiness.
+    """
+    adj = model.g.adj
     violations = []
-    for v, (b, nb) in enumerate(zip(model.bit, model.nbmask)):
-        if red & b:
-            if not red & nb:
+    for v in range(model.g.n):
+        if v in red:
+            if v not in exempt and not any(u in red for u in adj[v]):
                 violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
-        elif (~red & nb).bit_count() >= 2:
+        elif sum(1 for u in adj[v] if u not in red) >= 2:
             violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
-    for path, m in zip(model.p4s, model.p4masks):
-        if red & m == m:
+    for path in (*model.p4s, *extra):
+        if all(p in red for p in path):
             violations.append(Violation(ViolationKind.RED_P4, path=path))
     return violations
 
@@ -159,7 +153,7 @@ def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
     """Check (a)-(c) directly; returns all violations, deterministic order."""
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    violations = _violations(_compile(g), c)
+    violations = _violations(_compile(g), c.red_set())
     return not violations, violations
 
 
@@ -208,42 +202,43 @@ def _popcount16() -> np.ndarray:
     return _popcount16_table
 
 
-def _feasible(
+def _feasible_chunks(
     model: _Model,
-    red: np.ndarray,
-    exempt: int = 0,
-    extra: tuple[int, ...] = (),
-    fixed_mask: int = 0,
-    fixed_red: int = 0,
-) -> np.ndarray:
-    """ok[i] true iff red-mask red[i] passes (a)-(c), relaxed by data.
+    exempt: frozenset[int] = frozenset(),
+    extra: tuple[tuple[int, ...], ...] = (),
+    fixed: dict[int, Color] | None = None,
+):
+    """Yield (offset, ok): ok[i] true iff red-mask offset+i agrees with the
+    vertex colors in `fixed` and has no _violations(model, ..., exempt, extra).
 
-    Red vertices in `exempt` need no Red neighbor, every mask in `extra` is
-    forbidden all-Red like a P4, and the bits in `fixed_mask` must read
-    `fixed_red`.  With the defaults this is plain crumbiness.
+    A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
+    masks upward enumerates color vectors in lexicographic order with B < R.
+    Callers keep n <= EXHAUSTIVE_CAP, so every mask fits the 32 bits that the
+    Blue-degree popcount reads.
     """
+    g, n = model.g, model.g.n
+    fixed = fixed or {}
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    nbmask = [sum(bit[u] for u in g.adj[v]) for v in range(n)]
+    forbidden = sorted({sum(bit[p] for p in path) for path in (*model.p4s, *extra)})
+    fixed_mask = sum(bit[v] for v in fixed)
+    fixed_red = sum(bit[v] for v, color in fixed.items() if color is RED)
     pc = _popcount16()
-    ok = (red & fixed_mask) == fixed_red
-    for b, nb in zip(model.bit, model.nbmask):
-        is_red = (red & b) != 0
-        if not exempt & b:
-            ok &= ~is_red | ((red & nb) != 0)
-        blue_nb = ~red & nb
-        cnt = pc[blue_nb & 0xFFFF] + pc[(blue_nb >> 16) & 0xFFFF]
-        ok &= is_red | (cnt <= 1)
-    for m in sorted(set(model.p4masks).union(extra)):
-        ok &= (red & m) != m
-    return ok
-
-
-def _feasible_chunks(model: _Model, **relaxation):
-    """Yield (offset, ok) with ok[i] = _feasible(model, offset+i, ...)."""
-    n = model.g.n
     total = 1 << n
     chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, total, chunk):
         red = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield start, _feasible(model, red, **relaxation)
+        ok = (red & fixed_mask) == fixed_red
+        for v in range(n):
+            is_red = (red & bit[v]) != 0
+            if v not in exempt:
+                ok &= ~is_red | ((red & nbmask[v]) != 0)
+            blue_nb = ~red & nbmask[v]
+            cnt = pc[blue_nb & 0xFFFF] + pc[(blue_nb >> 16) & 0xFFFF]
+            ok &= is_red | (cnt <= 1)
+        for m in forbidden:
+            ok &= (red & m) != m
+        yield start, ok
 
 
 def _mask_to_coloring(n: int, mask: int) -> Coloring:
@@ -255,6 +250,31 @@ def _check_exhaustive_cap(g: Graph) -> None:
         raise CapExceeded(
             f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
         )
+
+
+def _relaxed_colorings(
+    g: Graph,
+    exempt: frozenset[int],
+    extra: tuple[tuple[int, ...], ...],
+    fixed: dict[int, Color],
+) -> tuple[Coloring, ...]:
+    """Every coloring that agrees with `fixed` and passes (a)-(c) relaxed by
+    `exempt` and `extra` (see _violations), in lexicographic order, B < R."""
+    _check_exhaustive_cap(g)
+    out = []
+    for start, ok in _feasible_chunks(_compile(g), exempt, extra, fixed):
+        out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
+    return tuple(out)
+
+
+def _relaxed_ok(
+    g: Graph,
+    c: Coloring,
+    exempt: frozenset[int],
+    extra: tuple[tuple[int, ...], ...],
+) -> bool:
+    """One coloring against the same relaxed conditions, for any n."""
+    return not _violations(_compile(g), c.red_set(), exempt, extra)
 
 
 def count_crumby(g: Graph) -> int:
@@ -514,7 +534,7 @@ class _GraphSearch:
 def _finish(search: _GraphSearch, sat: bool, solver: str, t0: float) -> SolveResult:
     if sat:
         coloring = search.coloring()
-        if _violations(search.model, coloring):
+        if _violations(search.model, coloring.red_set()):
             raise AssertionError("solver produced a non-crumby coloring")
         return SolveResult(
             Status.SAT, coloring, solver,

@@ -24,20 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .coloring import (
     BLUE,
     RED,
     Color,
     Coloring,
     Status,
-    _check_exhaustive_cap,
-    _compile,
-    _feasible,
-    _feasible_chunks,
-    _mask_to_coloring,
-    _Model,
+    _relaxed_colorings,
+    _relaxed_ok,
     dpll_solve,
     verify_crumby_by_components,
 )
@@ -80,25 +74,22 @@ def _validate_spec(g: Graph, spec: BoundarySpec) -> dict[int, Color]:
     return fixed
 
 
-def _relaxation(model: _Model, spec: BoundarySpec, fixed: dict[int, Color]) -> dict:
-    """C1-C4 and the assumptions as data for the exhaustive core.
+def _relaxation(
+    g: Graph, spec: BoundarySpec
+) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """C2 and C4 as data for the coloring checkers.
 
     C2: boundary vertices are exempt from the Red-support test.  C4: every
     path v-p-q from an outside-red v is forbidden all-Red, like a P4.
     """
-    g, bit = model.g, model.bit
-    return dict(
-        exempt=sum(bit[v] for v in spec.boundary),
-        extra=tuple(
-            bit[v] | bit[p] | bit[q]
-            for v in spec.outside_red
-            for p in g.adj[v]
-            for q in g.adj[p]
-            if q != v
-        ),
-        fixed_mask=sum(bit[v] for v in fixed),
-        fixed_red=sum(bit[v] for v, color in fixed.items() if color is RED),
+    extra = tuple(
+        (v, p, q)
+        for v in sorted(spec.outside_red)
+        for p in g.adj[v]
+        for q in g.adj[p]
+        if q != v
     )
+    return spec.boundary, extra
 
 
 def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
@@ -115,9 +106,7 @@ def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
                 f"coloring assigns vertex {v} {c.colors[v].value},"
                 f" spec fixes it to {color.value}"
             )
-    model = _compile(g)
-    red = np.array([model.red_mask(c)], dtype=np.int64)
-    return bool(_feasible(model, red, **_relaxation(model, spec, fixed))[0])
+    return _relaxed_ok(g, c, *_relaxation(g, spec))
 
 
 @dataclass(frozen=True)
@@ -136,13 +125,8 @@ class FeasibleSet:
 
 def enumerate_feasible(g: Graph, spec: BoundarySpec) -> FeasibleSet:
     """Every coloring that agrees with the assumptions and passes C1-C4."""
-    _check_exhaustive_cap(g)
     fixed = _validate_spec(g, spec)
-    model = _compile(g)
-    out = []
-    for start, ok in _feasible_chunks(model, **_relaxation(model, spec, fixed)):
-        out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
-    return FeasibleSet(spec, tuple(out))
+    return FeasibleSet(spec, _relaxed_colorings(g, *_relaxation(g, spec), fixed))
 
 
 # -- lemma reports --------------------------------------------------------------

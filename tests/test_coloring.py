@@ -21,7 +21,7 @@ from crumby import (
     verify_crumby,
     verify_crumby_by_components,
 )
-from crumby.coloring import ViolationKind
+from crumby.coloring import Violation, ViolationKind
 from tests import oracles, strategies
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -89,6 +89,15 @@ def test_blue_vertex_with_two_blue_neighbors_is_flagged():
     ok, violations = verify_crumby(path_graph(3), Coloring.from_text("B B B"))
     assert not ok
     assert violations[0].kind is ViolationKind.BLUE_DEGREE
+
+
+def test_verifier_handles_long_paths():
+    n = 5000
+    pairs = {v for v in range(n) if v % 4 in (1, 2)}
+    assert verify_crumby(path_graph(n), Coloring.from_red_set(n, pairs)) == (True, [])
+    ok, violations = verify_crumby(path_graph(n), Coloring.from_red_set(n, pairs - {1, 2}))
+    assert not ok
+    assert violations == [Violation(ViolationKind.BLUE_DEGREE, vertex=v) for v in (1, 2, 3)]
 
 
 @given(strategies.graph_coloring_pairs(max_n=8))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from crumby import (
     CapExceeded,
     Coloring,
     LemmaReport,
+    backtracking_solve,
     complete_graph,
     enumerate_feasible,
     graph_from_edge_list,
@@ -92,6 +95,57 @@ def test_blue_constraint_applies_on_the_boundary_too():
     spec = BoundarySpec(frozenset({1}))
     assert not relaxed_feasible(p3, spec, Coloring.from_text("B B B"))
     assert relaxed_feasible(p3, spec, Coloring.from_text("R R B"))
+
+
+def red_pairs_after_blue_path(n: int) -> tuple:
+    """Blue path 0-1-2 (vertex 1 breaks C1) plus Red edges covering 3..n-1."""
+    g = graph_from_edge_list(n, [(0, 1), (1, 2)] + [(v, v + 1) for v in range(3, n - 1, 2)])
+    return g, Coloring.from_red_set(n, set(range(3, n)))
+
+
+@pytest.mark.parametrize("n", [33, 40, 63, 64, 71])
+def test_relaxed_feasible_is_exact_on_large_graphs(n):
+    g, c = red_pairs_after_blue_path(n)
+    spec = BoundarySpec(frozenset({0, n - 1}), outside_red=frozenset({n - 1}))
+    assert not relaxed_feasible(g, spec, c)
+    assert not oracles.naive_relaxed_feasible(g, spec, c)
+    fixed = Coloring.from_red_set(n, set(range(3, n)) | {1})
+    assert relaxed_feasible(g, spec, fixed) == oracles.naive_relaxed_feasible(g, spec, fixed)
+
+
+@st.composite
+def large_relaxed_instances(draw):
+    """A subcubic graph on 33..56 vertices, a near-crumby coloring and a spec.
+
+    Random colorings of graphs this size break C1 almost everywhere, so the
+    coloring is a crumby one (when the graph has one) with one or two flips.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(33, 56)
+    deg = [0] * n
+    edges = set()
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < 3 and deg[v] < 3:
+            deg[u] += 1
+            deg[v] += 1
+            edges.add(e)
+    g = graph_from_edge_list(n, sorted(edges))
+    result = backtracking_solve(g)
+    reds = set(result.coloring.red_set()) if result.coloring else set()
+    reds ^= set(rng.sample(range(n), rng.randint(1, 2)))
+    boundary = set(rng.sample(range(n), rng.randint(0, 6)))
+    flags = {v for v in boundary if rng.random() < 0.5}
+    spec = BoundarySpec(frozenset(boundary), outside_red=frozenset(flags))
+    return g, spec, Coloring.from_red_set(n, reds)
+
+
+@given(large_relaxed_instances())
+@PROPERTY
+def test_relaxed_feasible_matches_the_naive_oracle_on_large_graphs(instance):
+    g, spec, c = instance
+    assert relaxed_feasible(g, spec, c) == oracles.naive_relaxed_feasible(g, spec, c)
 
 
 def test_enumeration_is_lexicographic_and_capped():
