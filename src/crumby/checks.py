@@ -55,10 +55,11 @@ from .graphs import (
     verify_ear_decomposition,
 )
 from .lemmas import (
+    LemmaReport,
+    all_lemma_reports,
     verify_lemma1_i,
     verify_lemma1_ii,
     verify_lemma2,
-    verify_theorem1_composition,
 )
 from .minorfree import (
     EliminationOrder,
@@ -134,7 +135,7 @@ def _odd_cycle_valid(g: Graph, cycle: list[int]) -> bool:
     return all(g.has_edge(u, v) for u, v in zip(closed, closed[1:]))
 
 
-def _claims(quick: bool) -> Iterator[CheckResult]:
+def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
     g18 = build_G18().graph
     g40 = build_G40().graph
 
@@ -163,8 +164,7 @@ def _claims(quick: bool) -> Iterator[CheckResult]:
             f"{result.status.value} after {result.nodes} nodes",
         )
 
-    report_a = verify_lemma1_i(r_role="a")
-    report_b = verify_lemma1_i(r_role="b")
+    report_a, report_b, *scenarios, composition = reports
     for report in (report_a, report_b):
         yield CheckResult(
             "claim",
@@ -182,14 +182,13 @@ def _claims(quick: bool) -> Iterator[CheckResult]:
         mapped == set(report_b.colorings) and report_a.passed == report_b.passed,
         "r=a and r=b feasible sets correspond under the a/b swap",
     )
-    for report in verify_lemma1_ii() + verify_lemma2():
+    for report in scenarios:
         yield CheckResult(
             "claim",
             f"lemma-{report.lemma} {report.scenario}",
             report.passed,
             report.human(),
         )
-    composition = verify_theorem1_composition()
     yield CheckResult(
         "claim", "theorem1-composition", composition.passed, composition.note
     )
@@ -298,20 +297,15 @@ def _claims(quick: bool) -> Iterator[CheckResult]:
         )
 
 
-def _regressions() -> Iterator[CheckResult]:
-    reports = (
-        [verify_lemma1_i(r_role="a"), verify_lemma1_i(r_role="b")]
-        + verify_lemma1_ii()
-        + verify_lemma2()
-    )
-    counts = {(r.lemma, r.scenario): r.feasible_count for r in reports}
+def _regressions(reports: list[LemmaReport]) -> Iterator[CheckResult]:
+    *scenarios, composition = reports
+    counts = {(r.lemma, r.scenario): r.feasible_count for r in scenarios}
     yield CheckResult(
         "regression",
         "lemma-feasible-counts",
         counts == LEMMA_FEASIBLE_COUNTS,
         f"{sorted(counts.values())}",
     )
-    composition = verify_theorem1_composition()
     yield CheckResult(
         "regression",
         "composition-counts",
@@ -368,4 +362,5 @@ def _regressions() -> Iterator[CheckResult]:
 
 
 def run_paper_checks(quick: bool = False) -> list[CheckResult]:
-    return list(_claims(quick)) + list(_regressions())
+    reports = all_lemma_reports()  # shared by both sections
+    return list(_claims(quick, reports)) + list(_regressions(reports))

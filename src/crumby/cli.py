@@ -100,6 +100,13 @@ def _emit(g: Graph, fmt: str, labels=None, coloring=None) -> str:
     return emit_dot(g, labels=labels, coloring=coloring)
 
 
+def _check_certificate(g: Graph, path: str) -> int:
+    """Validate a certificate file against g instead of searching."""
+    ok, detail = validate_certificate(g, parse_certificate(_read_text(path)))
+    print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
 def cmd_gadget(args) -> int:
     lg = GADGETS[args.name]()
     sys.stdout.write(_emit(lg.graph, args.format, labels=lg.role_labels))
@@ -149,10 +156,7 @@ def cmd_cnf(args) -> int:
 def cmd_check_tw2(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        cert = parse_certificate(_read_text(args.certificate))
-        ok, detail = validate_certificate(g, cert)
-        print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _check_certificate(g, args.certificate)
     accepted, trace = recognize_tw2(g)
     order = find_elimination_order(g)
     if accepted != (order is not None):
@@ -172,10 +176,7 @@ def cmd_check_tw2(args) -> int:
 def cmd_check_biconnected(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        cert = parse_certificate(_read_text(args.certificate))
-        ok, detail = validate_certificate(g, cert)
-        print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _check_certificate(g, args.certificate)
     ok = is_biconnected(g)
     print(f"biconnected: {'yes' if ok else 'no'}")
     if not ok:
@@ -197,10 +198,7 @@ def cmd_check_bipartite(args) -> int:
 def cmd_check_minor(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        cert = parse_certificate(_read_text(args.certificate))
-        ok, detail = validate_certificate(g, cert)
-        print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _check_certificate(g, args.certificate)
     pattern = _load_pattern(args.pattern)
     found, witness = has_minor(g, pattern, budget=args.budget)
     if witness is not None:
@@ -208,16 +206,6 @@ def cmd_check_minor(args) -> int:
     else:
         print("minor: no")
     return EXIT_PASS if found else EXIT_FAIL
-
-
-def cmd_elim_order(args) -> int:
-    g = load_graph(args.graph)
-    order = find_elimination_order(g)
-    if order is None:
-        print("no width-2 elimination order exists")
-        return EXIT_FAIL
-    sys.stdout.write(emit_elimination_order(order))
-    return EXIT_PASS
 
 
 def cmd_lemmas(args) -> int:
@@ -343,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", default=None,
                    help="validate a minor-witness certificate")
     p.set_defaults(func=cmd_check_minor)
-
-    p = sub.add_parser("elim-order", help="emit a width-2 elimination order")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_elim_order)
 
     p = sub.add_parser("lemmas", help="run the gadget lemma enumerations")
     p.add_argument("--machine", action="store_true",

@@ -188,20 +188,6 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
 
 # -- vectorized exhaustive core ----------------------------------------------
 
-_popcount16_table: np.ndarray | None = None
-
-
-def _popcount16() -> np.ndarray:
-    global _popcount16_table
-    if _popcount16_table is None:
-        t = np.arange(1 << 16, dtype=np.int64)
-        pc = np.zeros(1 << 16, dtype=np.int64)
-        for k in range(16):
-            pc += (t >> k) & 1
-        _popcount16_table = pc
-    return _popcount16_table
-
-
 def _feasible_chunks(
     model: _Model,
     exempt: frozenset[int] = frozenset(),
@@ -213,8 +199,6 @@ def _feasible_chunks(
 
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
-    Callers keep n <= EXHAUSTIVE_CAP, so every mask fits the 32 bits that the
-    Blue-degree popcount reads.
     """
     g, n = model.g, model.g.n
     fixed = fixed or {}
@@ -223,7 +207,6 @@ def _feasible_chunks(
     forbidden = sorted({sum(bit[p] for p in path) for path in (*model.p4s, *extra)})
     fixed_mask = sum(bit[v] for v in fixed)
     fixed_red = sum(bit[v] for v, color in fixed.items() if color is RED)
-    pc = _popcount16()
     total = 1 << n
     chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, total, chunk):
@@ -234,8 +217,7 @@ def _feasible_chunks(
             if v not in exempt:
                 ok &= ~is_red | ((red & nbmask[v]) != 0)
             blue_nb = ~red & nbmask[v]
-            cnt = pc[blue_nb & 0xFFFF] + pc[(blue_nb >> 16) & 0xFFFF]
-            ok &= is_red | (cnt <= 1)
+            ok &= is_red | ((blue_nb & (blue_nb - 1)) == 0)  # <= 1 Blue neighbor
         for m in forbidden:
             ok &= (red & m) != m
         yield start, ok
@@ -298,6 +280,16 @@ class SolveResult:
     elapsed: float
 
 
+def _result(
+    solver: str, coloring: Coloring | None, nodes: int, propagations: int, t0: float
+) -> SolveResult:
+    """Sat iff a coloring was found; `elapsed` runs from t0 to now."""
+    status = Status.UNSAT if coloring is None else Status.SAT
+    return SolveResult(
+        status, coloring, solver, nodes, propagations, time.perf_counter() - t0
+    )
+
+
 def exhaustive_solve(g: Graph) -> SolveResult:
     """Sweep all 2^n colorings; first Sat hit is lexicographically least.
 
@@ -310,18 +302,8 @@ def exhaustive_solve(g: Graph) -> SolveResult:
         hits = np.nonzero(ok)[0]
         if hits.size:
             mask = start + int(hits[0])
-            return SolveResult(
-                Status.SAT,
-                _mask_to_coloring(g.n, mask),
-                "exhaustive",
-                nodes=mask + 1,
-                propagations=0,
-                elapsed=time.perf_counter() - t0,
-            )
-    return SolveResult(
-        Status.UNSAT, None, "exhaustive",
-        nodes=1 << g.n, propagations=0, elapsed=time.perf_counter() - t0,
-    )
+            return _result("exhaustive", _mask_to_coloring(g.n, mask), mask + 1, 0, t0)
+    return _result("exhaustive", None, 1 << g.n, 0, t0)
 
 
 # -- CNF encoding ------------------------------------------------------------
@@ -394,13 +376,15 @@ class _GraphSearch:
         self.propagate = propagate
         n = g.n
         self.assign = [_UNSET] * n
-        self.red_nb = [0] * n
-        self.blue_nb = [0] * n
         self.un_nb = [g.degree(v) for v in range(n)]
         self.p4s = self.model.p4s
         self.p4_of = self.model.p4_of
-        self.p4_red = [0] * len(self.p4s)
-        self.p4_blue = [0] * len(self.p4s)
+        # per-color counters, indexed by _RED / _BLUE: colored neighbors of
+        # each vertex and colored vertices of each P4
+        self.nb = [[], [0] * n, [0] * n]
+        self.p4_count = [[], [0] * len(self.p4s), [0] * len(self.p4s)]
+        self.red_nb, self.blue_nb = self.nb[_RED], self.nb[_BLUE]
+        self.p4_red, self.p4_blue = self.p4_count[_RED], self.p4_count[_BLUE]
         self.trail: list[int] = []
         self.unassigned = n
         self.nodes = 0
@@ -412,18 +396,12 @@ class _GraphSearch:
         self.trail.append(v)
         self.unassigned -= 1
         adj = self.g.adj[v]
-        if color == _RED:
-            for u in adj:
-                self.red_nb[u] += 1
-                self.un_nb[u] -= 1
-            for i in self.p4_of[v]:
-                self.p4_red[i] += 1
-        else:
-            for u in adj:
-                self.blue_nb[u] += 1
-                self.un_nb[u] -= 1
-            for i in self.p4_of[v]:
-                self.p4_blue[i] += 1
+        nb, p4_count = self.nb[color], self.p4_count[color]
+        for u in adj:
+            nb[u] += 1
+            self.un_nb[u] -= 1
+        for i in self.p4_of[v]:
+            p4_count[i] += 1
         forces: list[tuple[int, int]] = []
         assign = self.assign
         if color == _RED:
@@ -488,20 +466,14 @@ class _GraphSearch:
         while len(self.trail) > mark:
             v = self.trail.pop()
             color = self.assign[v]
+            nb, p4_count = self.nb[color], self.p4_count[color]
             self.assign[v] = _UNSET
             self.unassigned += 1
-            if color == _RED:
-                for u in self.g.adj[v]:
-                    self.red_nb[u] -= 1
-                    self.un_nb[u] += 1
-                for i in self.p4_of[v]:
-                    self.p4_red[i] -= 1
-            else:
-                for u in self.g.adj[v]:
-                    self.blue_nb[u] -= 1
-                    self.un_nb[u] += 1
-                for i in self.p4_of[v]:
-                    self.p4_blue[i] -= 1
+            for u in self.g.adj[v]:
+                nb[u] -= 1
+                self.un_nb[u] += 1
+            for i in self.p4_of[v]:
+                p4_count[i] -= 1
 
     def _next_vertex(self) -> int:
         for v in range(self.g.n):
@@ -509,41 +481,42 @@ class _GraphSearch:
                 return v
         raise AssertionError("no unassigned vertex")
 
-    def dfs(self) -> bool:
-        if self.unassigned == 0:
-            return True
-        v = self._next_vertex()
-        for color in (_RED, _BLUE):
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExhausted(
-                    f"backtracking budget of {self.budget} nodes exhausted",
-                    nodes=self.nodes,
-                )
-            mark = len(self.trail)
-            if self.set_and_propagate(v, color) and self.dfs():
-                return True
+    def _backtrack(
+        self, choices: list[tuple[int, int, int]]
+    ) -> tuple[int, int, int] | None:
+        """Undo open choices, latest first, up to one that still has Blue to
+        try; returns that choice, or None once the search space is spent."""
+        while choices:
+            v, mark, color = choices.pop()
             self.undo_to(mark)
-        return False
+            if color == _RED:
+                return v, mark, _BLUE
+        return None
+
+    def dfs(self) -> bool:
+        """Depth-first search on an explicit stack of open choices
+        (vertex, trail mark, color), so depth is not bound by recursion."""
+        choices: list[tuple[int, int, int]] = []
+        while self.unassigned:
+            choice = (self._next_vertex(), len(self.trail), _RED)
+            while True:
+                self.nodes += 1
+                if self.budget is not None and self.nodes > self.budget:
+                    raise BudgetExhausted(
+                        f"backtracking budget of {self.budget} nodes exhausted",
+                        nodes=self.nodes,
+                    )
+                choices.append(choice)
+                if self.set_and_propagate(choice[0], choice[2]):
+                    break
+                choice = self._backtrack(choices)
+                if choice is None:
+                    return False
+        return True
 
     def coloring(self) -> Coloring:
         assert self.unassigned == 0
         return Coloring(tuple(RED if a == _RED else BLUE for a in self.assign))
-
-
-def _finish(search: _GraphSearch, sat: bool, solver: str, t0: float) -> SolveResult:
-    if sat:
-        coloring = search.coloring()
-        if _violations(search.model, coloring.red_set()):
-            raise AssertionError("solver produced a non-crumby coloring")
-        return SolveResult(
-            Status.SAT, coloring, solver,
-            search.nodes, search.propagations, time.perf_counter() - t0,
-        )
-    return SolveResult(
-        Status.UNSAT, None, solver,
-        search.nodes, search.propagations, time.perf_counter() - t0,
-    )
 
 
 def backtracking_solve(
@@ -558,7 +531,10 @@ def backtracking_solve(
     """
     t0 = time.perf_counter()
     search = _GraphSearch(g, budget, propagate)
-    return _finish(search, search.dfs(), "backtracking", t0)
+    coloring = search.coloring() if search.dfs() else None
+    if coloring is not None and _violations(search.model, coloring.red_set()):
+        raise AssertionError("solver produced a non-crumby coloring")
+    return _result("backtracking", coloring, search.nodes, search.propagations, t0)
 
 
 # -- DPLL on the clause encoding ----------------------------------------------
@@ -669,26 +645,47 @@ class _Dpll:
             for ci in unsat_occ:
                 self.n_free[ci] += 1
 
-    def dfs(self) -> bool:
-        mark = len(self.trail)
-        if not self._pure_literals():
+    def _backtrack(
+        self, choices: list[tuple[int, int, bool]]
+    ) -> tuple[int, int, bool] | None:
+        """Undo open choices, latest first, up to one that still has False
+        to try; returns that choice, or None once the search space is spent.
+        Undoing a choice also undoes the pure-literal pass that followed it."""
+        while choices:
+            var, mark, value = choices.pop()
             self._undo_to(mark)
-            return False
-        var = next((v for v in range(1, self.f.num_vars + 1) if self.val[v] == 0), None)
-        if var is None:
-            return True
-        for value in (True, False):  # Red before Blue
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExhausted(
-                    f"dpll budget of {self.budget} nodes exhausted", nodes=self.nodes
-                )
-            inner = len(self.trail)
-            if self._assign(var, value) and self._propagate_units([var]) and self.dfs():
-                return True
-            self._undo_to(inner)
-        self._undo_to(mark)
-        return False
+            if value:
+                return var, mark, False
+        return None
+
+    def dfs(self) -> bool:
+        """Depth-first search on an explicit stack of open choices
+        (variable, trail mark, value), so depth is not bound by recursion.
+        Each level runs the pure-literal pass, then decides the lowest free
+        variable, True (Red) first."""
+        choices: list[tuple[int, int, bool]] = []
+        while True:
+            if self._pure_literals():
+                var = next((v for v in range(1, len(self.val)) if not self.val[v]), None)
+                if var is None:
+                    return True
+                choice = (var, len(self.trail), True)
+            else:
+                choice = self._backtrack(choices)
+            while choice is not None:
+                self.nodes += 1
+                if self.budget is not None and self.nodes > self.budget:
+                    raise BudgetExhausted(
+                        f"dpll budget of {self.budget} nodes exhausted",
+                        nodes=self.nodes,
+                    )
+                choices.append(choice)
+                var, _, value = choice
+                if self._assign(var, value) and self._propagate_units([var]):
+                    break
+                choice = self._backtrack(choices)
+            if choice is None:
+                return False
 
 
 def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
@@ -698,24 +695,13 @@ def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
     matches backtracking_solve.
     """
     t0 = time.perf_counter()
-    f = encode_cnf(g)
-    d = _Dpll(f, budget)
-    sat = d._initial_units() and d.dfs()
-    if sat:
-        coloring = Coloring(
-            tuple(RED if d.val[v + 1] == 1 else BLUE for v in range(g.n))
-        )
-        ok, _ = verify_crumby(g, coloring)
-        if not ok:
+    d = _Dpll(encode_cnf(g), budget)
+    coloring = None
+    if d._initial_units() and d.dfs():
+        coloring = Coloring(tuple(RED if x == 1 else BLUE for x in d.val[1:]))
+        if not verify_crumby(g, coloring)[0]:
             raise AssertionError("dpll produced a non-crumby coloring")
-        return SolveResult(
-            Status.SAT, coloring, "dpll", d.nodes, d.propagations,
-            time.perf_counter() - t0,
-        )
-    return SolveResult(
-        Status.UNSAT, None, "dpll", d.nodes, d.propagations,
-        time.perf_counter() - t0,
-    )
+    return _result("dpll", coloring, d.nodes, d.propagations, t0)
 
 
 def emit_solve_certificate(result: SolveResult) -> str:

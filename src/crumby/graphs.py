@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from .errors import Graph6Error, GraphError
+from .errors import CapExceeded, Graph6Error, GraphError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coloring import Coloring
@@ -133,7 +133,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # -- bitmask form ------------------------------------------------------------
 #
 # Edge (i, j) with i < j maps to bit j*(j-1)//2 + i.  This is the column order
-# of the graph6 upper triangle, which keeps the two encodings aligned.
+# of the graph6 upper triangle: graph6 text is this mask, six bits a byte.
 
 
 def edge_bit_index(i: int, j: int) -> int:
@@ -164,8 +164,12 @@ def bitmask_of_graph(g: Graph) -> int:
 
 # -- edge list text ----------------------------------------------------------
 
+EDGE_LIST_MAX_N = 1_000_000
+
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse edge-list text; a header n above EDGE_LIST_MAX_N is refused with
+    CapExceeded before anything is allocated for it."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -182,6 +186,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphError(f"line {lineno}: header must be two integers") from exc
+    if n > EDGE_LIST_MAX_N:
+        raise CapExceeded(
+            f"edge lists are capped at n <= {EDGE_LIST_MAX_N} vertices, got {n}"
+        )
     if len(rows) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(rows) - 1}")
     edges = []
@@ -211,20 +219,13 @@ def emit_graph6(g: Graph) -> str:
     """Encode as a one-line graph6 string (single-byte header, n <= 62)."""
     if g.n > _G6_MAX_N:
         raise Graph6Error(f"graph6 support is capped at n <= {_G6_MAX_N}, got {g.n}")
-    out = [chr(g.n + 63)]
-    bits = []
-    for j in range(1, g.n):
-        row = set(g.adj[j])
-        for i in range(j):
-            bits.append(1 if i in row else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = value << 1 | b
-        out.append(chr(value + 63))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    mask = bitmask_of_graph(g)
+    bits = "".join(str(mask >> idx & 1) for idx in range(nbits))
+    bits += "0" * (-nbits % 6)
+    return chr(g.n + 63) + "".join(
+        chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)
+    )
 
 
 def parse_graph6(line: str) -> Graph:
@@ -245,21 +246,11 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} adjacency bytes for n={n}, found {len(s) - 1}"
         )
-    bits = []
-    for ch in s[1:]:
-        value = ord(ch) - 63
-        for k in range(5, -1, -1):
-            bits.append(value >> k & 1)
-    if any(bits[nbits:]):
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in s[1:])
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return graph_from_edge_list(n, edges)
+    # graph6 bit idx is mask bit idx, so the bit string read backwards
+    return graph_from_bitmask(n, int(bits[:nbits][::-1] or "0", 2))
 
 
 # -- DOT ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ solver-free unsatisfiability proof for G18.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .coloring import (
     BLUE,
@@ -176,6 +177,27 @@ def _roles(lg: LabeledGraph) -> dict[str, int]:
     return {role: v for v, role in lg.role_labels.items()}
 
 
+def _scenario(
+    lemma: str,
+    scenario: str,
+    g: Graph,
+    spec: BoundarySpec,
+    bad: Callable[[Coloring], bool],
+) -> LemmaReport:
+    """Enumerate the feasible colorings under `spec`; the first `bad` one is
+    the counterexample, and the scenario passes iff there is none."""
+    fs = enumerate_feasible(g, spec)
+    counterexample = next((c for c in fs if bad(c)), None)
+    return LemmaReport(
+        lemma=lemma,
+        scenario=scenario,
+        feasible_count=len(fs),
+        passed=counterexample is None,
+        counterexample=counterexample,
+        colorings=fs.colorings,
+    )
+
+
 def verify_lemma1_i(
     lg: LabeledGraph | None = None,
     r_role: str = "a",
@@ -190,23 +212,16 @@ def verify_lemma1_i(
     roles = _roles(lg)
     x, r = roles["x"], roles[r_role]
     boundary = frozenset({x, r} | {roles[role] for role in extra_boundary})
-    fs = enumerate_feasible(lg.graph, BoundarySpec(boundary, ((x, BLUE),)))
-    counterexample = None
-    for c in fs:
-        red = c.red_set()
-        if r not in red or any(u in red for u in lg.graph.adj[r]):
-            counterexample = c
-            break
     scenario = f"x-blue r={r_role}"
     if extra_boundary:
         scenario += " boundary+" + ",".join(extra_boundary)
-    return LemmaReport(
-        lemma="1(i)",
-        scenario=scenario,
-        feasible_count=len(fs),
-        passed=counterexample is None,
-        counterexample=counterexample,
-        colorings=fs.colorings,
+    return _scenario(
+        "1(i)",
+        scenario,
+        lg.graph,
+        BoundarySpec(boundary, ((x, BLUE),)),
+        lambda c: c.colors[r] is BLUE
+        or any(c.colors[u] is RED for u in lg.graph.adj[r]),
     )
 
 
@@ -219,33 +234,21 @@ def verify_lemma1_ii(lg: LabeledGraph | None = None) -> list[LemmaReport]:
     lg = lg or build_F()
     roles = _roles(lg)
     x, a, b = roles["x"], roles["a"], roles["b"]
-    reports = []
-    for r_role in ("a", "b"):
-        for flagged in (False, True):
-            spec = BoundarySpec(
+    return [
+        _scenario(
+            "1(ii)",
+            f"x-red boundary=x,{r_role} outside-red={'yes' if flagged else 'no'}",
+            lg.graph,
+            BoundarySpec(
                 frozenset({x, roles[r_role]}),
                 ((x, RED),),
                 frozenset({x}) if flagged else frozenset(),
-            )
-            fs = enumerate_feasible(lg.graph, spec)
-            counterexample = next(
-                (c for c in fs if a not in c.red_set() and b not in c.red_set()),
-                None,
-            )
-            reports.append(
-                LemmaReport(
-                    lemma="1(ii)",
-                    scenario=(
-                        f"x-red boundary=x,{r_role}"
-                        f" outside-red={'yes' if flagged else 'no'}"
-                    ),
-                    feasible_count=len(fs),
-                    passed=counterexample is None,
-                    counterexample=counterexample,
-                    colorings=fs.colorings,
-                )
-            )
-    return reports
+            ),
+            lambda c: c.colors[a] is BLUE and c.colors[b] is BLUE,
+        )
+        for r_role in ("a", "b")
+        for flagged in (False, True)
+    ]
 
 
 def richness_witness(
@@ -275,37 +278,22 @@ def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:
     lg = lg or build_R()
     roles = _roles(lg)
     s, t = roles["s"], roles["t"]
-    fs_plain = enumerate_feasible(
-        lg.graph, BoundarySpec(frozenset({s, t}), ((s, RED),))
-    )
-    counterexample = next(
-        (c for c in fs_plain if richness_witness(lg.graph, c, s) is None), None
-    )
-    reports = [
-        LemmaReport(
-            lemma="2",
-            scenario="s-red rich",
-            feasible_count=len(fs_plain),
-            passed=counterexample is None,
-            counterexample=counterexample,
-            colorings=fs_plain.colorings,
-        )
+    return [
+        _scenario(
+            "2",
+            "s-red rich",
+            lg.graph,
+            BoundarySpec(frozenset({s, t}), ((s, RED),)),
+            lambda c: richness_witness(lg.graph, c, s) is None,
+        ),
+        _scenario(
+            "2",
+            "s-red outside-red expects-empty",
+            lg.graph,
+            BoundarySpec(frozenset({s, t}), ((s, RED),), frozenset({s})),
+            lambda c: True,
+        ),
     ]
-    fs_flagged = enumerate_feasible(
-        lg.graph,
-        BoundarySpec(frozenset({s, t}), ((s, RED),), frozenset({s})),
-    )
-    reports.append(
-        LemmaReport(
-            lemma="2",
-            scenario="s-red outside-red expects-empty",
-            feasible_count=len(fs_flagged),
-            passed=len(fs_flagged) == 0,
-            counterexample=fs_flagged.colorings[0] if len(fs_flagged) else None,
-            colorings=fs_flagged.colorings,
-        )
-    )
-    return reports
 
 
 def verify_theorem1_composition() -> LemmaReport:

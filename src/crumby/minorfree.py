@@ -35,28 +35,27 @@ class EliminationOrder:
     order: tuple[int, ...]
 
 
+def _eliminate(nbr: list[set[int]], v: int) -> tuple[int, ...]:
+    """Delete v and join its remaining neighbors pairwise (with at most two
+    of them, a single fill edge); returns those neighbors, sorted."""
+    rem = tuple(sorted(nbr[v]))
+    for u in rem:
+        nbr[u].discard(v)
+    for a, b in combinations(rem, 2):
+        nbr[a].add(b)
+        nbr[b].add(a)
+    nbr[v] = set()
+    return rem
+
+
 def elimination_steps(
     g: Graph, order: EliminationOrder
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Per-step (vertex, remaining neighbors) trace of an elimination run.
-
-    Eliminating a vertex adds the clique on its remaining neighbors (a single
-    fill edge when two remain) and deletes it.
-    """
+    """Per-step (vertex, remaining neighbors) trace of an elimination run."""
     if sorted(order.order) != list(range(g.n)):
         raise ValueError("elimination order is not a permutation of the vertices")
     nbr = [set(row) for row in g.adj]
-    steps = []
-    for v in order.order:
-        rem = tuple(sorted(nbr[v]))
-        steps.append((v, rem))
-        for u in rem:
-            nbr[u].discard(v)
-        for a, b in combinations(rem, 2):
-            nbr[a].add(b)
-            nbr[b].add(a)
-        nbr[v] = set()
-    return steps
+    return [(v, _eliminate(nbr, v)) for v in order.order]
 
 
 def elimination_width(g: Graph, order: EliminationOrder) -> int:
@@ -69,21 +68,15 @@ def find_elimination_order(g: Graph) -> EliminationOrder | None:
     """Greedy width-2 elimination: repeatedly take the lowest-index vertex of
     current degree <= 2.  For treewidth <= 2 graphs this always succeeds."""
     nbr = [set(row) for row in g.adj]
-    alive = set(range(g.n))
+    alive = list(range(g.n))
     order = []
     while alive:
-        v = next((v for v in sorted(alive) if len(nbr[v]) <= 2), None)
+        v = next((v for v in alive if len(nbr[v]) <= 2), None)
         if v is None:
             return None
+        _eliminate(nbr, v)
+        alive.remove(v)
         order.append(v)
-        rem = sorted(nbr[v])
-        for u in rem:
-            nbr[u].discard(v)
-        for a, b in combinations(rem, 2):
-            nbr[a].add(b)
-            nbr[b].add(a)
-        nbr[v] = set()
-        alive.discard(v)
     return EliminationOrder(tuple(order))
 
 
@@ -96,6 +89,9 @@ class ReductionStep:
     args: tuple[int, ...]
 
 
+_ARITY = {"delete-isolated": 1, "delete-leaf": 2, "merge-parallel": 2, "suppress": 3}
+
+
 def _multigraph_of(g: Graph) -> dict[int, dict[int, int]]:
     return {v: {u: 1 for u in g.adj[v]} for v in range(g.n)}
 
@@ -104,51 +100,76 @@ def _mg_degree(mg: dict[int, dict[int, int]], v: int) -> int:
     return sum(mg[v].values())
 
 
+def _apply_step(mg: dict[int, dict[int, int]], step: ReductionStep) -> str | None:
+    """Apply one reduction rule to the workspace, or return why it does not
+    apply (the workspace is then unchanged)."""
+    if step.rule not in _ARITY:
+        return "unknown rule"
+    if len(step.args) != _ARITY[step.rule]:
+        return f"expected {_ARITY[step.rule]} arguments"
+    if step.rule == "delete-isolated":
+        (v,) = step.args
+        if v not in mg or _mg_degree(mg, v) != 0:
+            return "vertex not isolated"
+        del mg[v]
+    elif step.rule == "delete-leaf":
+        v, u = step.args
+        if v not in mg or _mg_degree(mg, v) != 1 or u not in mg[v]:
+            return "vertex not a leaf on that edge"
+        del mg[u][v]
+        del mg[v]
+    elif step.rule == "merge-parallel":
+        v, u = step.args
+        if v not in mg or mg[v].get(u, 0) < 2:
+            return "no parallel pair"
+        mg[v][u] = mg[u][v] = 1
+    else:
+        v, u, w = step.args
+        if v not in mg or sorted(mg[v]) != sorted((u, w)) or u == w:
+            return "vertex does not have exactly these 2 neighbors"
+        if _mg_degree(mg, v) != 2:
+            return "vertex degree is not 2"
+        del mg[u][v]
+        del mg[w][v]
+        del mg[v]
+        mg[u][w] = mg[u].get(w, 0) + 1
+        mg[w][u] = mg[w].get(u, 0) + 1
+    return None
+
+
+def _next_step(mg: dict[int, dict[int, int]]) -> ReductionStep | None:
+    """recognize_tw2's choice: an isolated vertex, then a degree-1 vertex,
+    then the lowest parallel pair, then a degree-2 vertex, each at the lowest
+    index; None once the workspace is empty or stuck.  The workspace only
+    loses vertices, so iterating it is ascending."""
+    for v in mg:
+        if _mg_degree(mg, v) == 0:
+            return ReductionStep("delete-isolated", (v,))
+    for v in mg:
+        if _mg_degree(mg, v) == 1:
+            return ReductionStep("delete-leaf", (v, next(iter(mg[v]))))
+    for v in mg:
+        for u in sorted(mg[v]):
+            if v < u and mg[v][u] >= 2:
+                return ReductionStep("merge-parallel", (v, u))
+    for v in mg:
+        if _mg_degree(mg, v) == 2:
+            # distinct neighbors: a parallel pair would have merged first
+            return ReductionStep("suppress", (v, *sorted(mg[v])))
+    return None
+
+
 def recognize_tw2(g: Graph) -> tuple[bool, list[ReductionStep]]:
-    """Reduce to the empty multigraph; rule priority is isolated/degree-1
-    deletion, then parallel-edge merge, then degree-2 suppression, always at
-    the lowest vertex index.  Returns (emptied?, trace)."""
+    """Reduce to the empty multigraph in _next_step's priority order.
+    Returns (emptied?, trace); a stuck workspace is simple with minimum
+    degree >= 3."""
     mg = _multigraph_of(g)
     trace: list[ReductionStep] = []
-    while mg:
-        v = next((v for v in sorted(mg) if _mg_degree(mg, v) == 0), None)
-        if v is not None:
-            del mg[v]
-            trace.append(ReductionStep("delete-isolated", (v,)))
-            continue
-        v = next((v for v in sorted(mg) if _mg_degree(mg, v) == 1), None)
-        if v is not None:
-            u = next(iter(mg[v]))
-            del mg[u][v]
-            del mg[v]
-            trace.append(ReductionStep("delete-leaf", (v, u)))
-            continue
-        pair = next(
-            (
-                (v, u)
-                for v in sorted(mg)
-                for u in sorted(mg[v])
-                if v < u and mg[v][u] >= 2
-            ),
-            None,
-        )
-        if pair is not None:
-            v, u = pair
-            mg[v][u] = 1
-            mg[u][v] = 1
-            trace.append(ReductionStep("merge-parallel", (v, u)))
-            continue
-        v = next((v for v in sorted(mg) if _mg_degree(mg, v) == 2), None)
-        if v is not None:
-            u, w = sorted(mg[v])  # distinct: a parallel pair would have merged
-            del mg[u][v]
-            del mg[w][v]
-            del mg[v]
-            mg[u][w] = mg[u].get(w, 0) + 1
-            mg[w][u] = mg[w].get(u, 0) + 1
-            trace.append(ReductionStep("suppress", (v, u, w)))
-            continue
-        break  # stuck: simple, minimum degree >= 3
+    while (step := _next_step(mg)) is not None:
+        why = _apply_step(mg, step)
+        if why is not None:
+            raise AssertionError(f"recognizer chose an illegal step {step}: {why}")
+        trace.append(step)
     return not mg, trace
 
 
@@ -160,42 +181,11 @@ def replay_reduction_trace(
     Any legal sequence that empties the workspace certifies treewidth <= 2;
     the steps need not follow recognize_tw2's scan order.
     """
-    arity = {"delete-isolated": 1, "delete-leaf": 2, "merge-parallel": 2, "suppress": 3}
     mg = _multigraph_of(g)
     for k, step in enumerate(trace):
-        where = f"step {k} ({step.rule} {step.args})"
-        if step.rule not in arity:
-            return False, f"{where}: unknown rule"
-        if len(step.args) != arity[step.rule]:
-            return False, f"{where}: expected {arity[step.rule]} arguments"
-        if step.rule == "delete-isolated":
-            (v,) = step.args
-            if v not in mg or _mg_degree(mg, v) != 0:
-                return False, f"{where}: vertex not isolated"
-            del mg[v]
-        elif step.rule == "delete-leaf":
-            v, u = step.args
-            if v not in mg or _mg_degree(mg, v) != 1 or u not in mg[v]:
-                return False, f"{where}: vertex not a leaf on that edge"
-            del mg[u][v]
-            del mg[v]
-        elif step.rule == "merge-parallel":
-            v, u = step.args
-            if v not in mg or mg[v].get(u, 0) < 2:
-                return False, f"{where}: no parallel pair"
-            mg[v][u] = 1
-            mg[u][v] = 1
-        else:
-            v, u, w = step.args
-            if v not in mg or sorted(mg[v]) != sorted((u, w)) or u == w:
-                return False, f"{where}: vertex does not have exactly these 2 neighbors"
-            if _mg_degree(mg, v) != 2:
-                return False, f"{where}: vertex degree is not 2"
-            del mg[u][v]
-            del mg[w][v]
-            del mg[v]
-            mg[u][w] = mg[u].get(w, 0) + 1
-            mg[w][u] = mg[w].get(u, 0) + 1
+        why = _apply_step(mg, step)
+        if why is not None:
+            return False, f"step {k} ({step.rule} {step.args}): {why}"
     if mg:
         return False, f"workspace not empty after replay: {sorted(mg)} remain"
     return True, None

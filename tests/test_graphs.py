@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from crumby import (
+    CapExceeded,
     EarDecomposition,
     Graph6Error,
     GraphError,
@@ -31,6 +32,7 @@ from crumby import (
     relabel,
     verify_ear_decomposition,
 )
+from crumby.graphs import EDGE_LIST_MAX_N
 from tests import oracles, strategies
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -86,6 +88,12 @@ def test_bitmask_round_trip(g):
     assert graph_from_bitmask(g.n, bitmask_of_graph(g)) == g
 
 
+def test_bitmask_rejects_bits_beyond_the_edge_slots():
+    assert graph_from_bitmask(3, 0b111) == complete_graph(3)
+    with pytest.raises(GraphError, match="beyond the 3 edge slots"):
+        graph_from_bitmask(3, 1 << 3)
+
+
 def test_edge_bit_index_is_colex():
     assert [edge_bit_index(i, j) for i, j in [(0, 1), (0, 2), (1, 2), (0, 3)]] == [
         0,
@@ -113,6 +121,16 @@ def test_graph6_known_values():
     assert emit_graph6(complete_graph(2)) == "A_"
     assert emit_graph6(complete_graph(3)) == "Bw"
     assert parse_graph6("A_") == complete_graph(2)
+    assert emit_graph6(complete_graph(0)) == "?"
+    assert emit_graph6(complete_graph(1)) == "@"
+    # n = 62: 1891 adjacency bits in 316 bytes, the last one 1 bit + 5 padding
+    k62 = "}" + "~" * 315 + "_"
+    empty62 = "}" + "?" * 316
+    assert emit_graph6(complete_graph(62)) == k62
+    assert emit_graph6(graph_from_edge_list(62, [])) == empty62
+    for line in ("?", "@", k62, empty62):
+        assert emit_graph6(parse_graph6(line)) == line
+    assert parse_graph6(k62) == complete_graph(62)
 
 
 @given(strategies.graphs(max_n=13))
@@ -151,6 +169,12 @@ def test_edge_list_text_allows_comments_and_blanks():
 def test_edge_list_text_rejects_bad_header():
     with pytest.raises(GraphError):
         parse_edge_list("3\n0 1\n")
+
+
+def test_edge_list_header_is_capped():
+    # only cap + 1 is tried: a wrong check would allocate rows for n
+    with pytest.raises(CapExceeded, match="capped"):
+        parse_edge_list(f"{EDGE_LIST_MAX_N + 1} 0\n")
 
 
 def test_dot_lists_every_edge_once(g18):

@@ -111,6 +111,52 @@ def test_forged_traces_are_rejected():
     assert not ok and "remain" in reason
 
 
+# C4 0-1-2-3 with the chord 0-2: vertices 1 and 3 have degree 2
+DIAMOND = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "steps, reason",
+    [
+        ([("contract", (1,))], "step 0 (contract (1,)): unknown rule"),
+        ([("suppress", (1, 0))], "step 0 (suppress (1, 0)): expected 3 arguments"),
+        ([("delete-isolated", (1,))], "vertex not isolated"),
+        ([("delete-isolated", (7,))], "vertex not isolated"),
+        ([("delete-leaf", (1, 0))], "vertex not a leaf on that edge"),
+        ([("merge-parallel", (0, 2))], "no parallel pair"),
+        ([("suppress", (1, 0, 3))], "vertex does not have exactly these 2 neighbors"),
+        ([("suppress", (1, 0, 0))], "vertex does not have exactly these 2 neighbors"),
+        # suppressing 1 doubles 0-2, so 0 sees exactly {2, 3} at degree 3
+        (
+            [("suppress", (1, 0, 2)), ("suppress", (0, 2, 3))],
+            "step 1 (suppress (0, 2, 3)): vertex degree is not 2",
+        ),
+    ],
+    ids=[
+        "unknown-rule", "arity", "not-isolated", "absent-vertex", "not-leaf",
+        "no-parallel-pair", "wrong-neighbors", "repeated-neighbor", "degree-not-2",
+    ],
+)
+def test_forged_trace_rejection_reasons(steps, reason):
+    trace = [ReductionStep(rule, args) for rule, args in steps]
+    ok, why = replay_reduction_trace(DIAMOND, trace)
+    assert not ok and why.endswith(reason)
+    assert why.startswith(f"step {len(steps) - 1} (")
+
+
+def test_replay_accepts_a_trace_in_any_legal_order():
+    trace = [
+        ReductionStep("suppress", (3, 0, 2)),
+        ReductionStep("merge-parallel", (0, 2)),
+        ReductionStep("suppress", (1, 0, 2)),
+        ReductionStep("merge-parallel", (2, 0)),
+        ReductionStep("delete-leaf", (2, 0)),
+        ReductionStep("delete-isolated", (0,)),
+    ]
+    assert replay_reduction_trace(DIAMOND, trace) == (True, None)
+    assert recognize_tw2(DIAMOND)[1] != trace
+
+
 @given(strategies.graphs(max_n=8))
 @PROPERTY
 def test_recognizer_matches_elimination_search(g):
