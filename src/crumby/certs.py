@@ -164,6 +164,15 @@ def parse_certificate(text: str) -> Certificate:
     raise CertificateError(f"unknown certificate type {kind!r}")
 
 
+def certificate_kind(cert: Certificate) -> str:
+    """The type line of the document that parse_certificate read cert from."""
+    if isinstance(cert, EliminationOrder):
+        return "elimination-order"
+    if isinstance(cert, EarDecomposition):
+        return "ear-decomposition"
+    return "reduction-trace" if isinstance(cert, list) else "minor-witness"
+
+
 def validate_certificate(g: Graph, cert: Certificate) -> tuple[bool, str]:
     """Replay a parsed certificate against g; returns (ok, detail)."""
     if isinstance(cert, EliminationOrder):

@@ -205,7 +205,7 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
     order = EliminationOrder(g18_elimination_order())
     width = elimination_width(g18, order)
     steps = elimination_steps(g18, order)
-    roles = {role: v for v, role in build_G18().role_labels.items()}
+    roles = build_G18().roles()
     expected = [
         (roles[f"{role}{copy}"], tuple(sorted(roles[f"{nb}{copy}"] for nb in nbs)))
         for copy in (1, 2)

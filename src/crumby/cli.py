@@ -15,6 +15,7 @@ import traceback
 from pathlib import Path
 
 from .certs import (
+    certificate_kind,
     emit_elimination_order,
     emit_minor_witness,
     emit_reduction_trace,
@@ -33,7 +34,7 @@ from .coloring import (
     verify_crumby,
     verify_crumby_by_components,
 )
-from .errors import BudgetExhausted, CrossCheckError
+from .errors import BudgetExhausted, CertificateError, CrossCheckError
 from .gadgets import GADGETS
 from .graphs import (
     Graph,
@@ -100,9 +101,22 @@ def _emit(g: Graph, fmt: str, labels=None, coloring=None) -> str:
     return emit_dot(g, labels=labels, coloring=coloring)
 
 
-def _check_certificate(g: Graph, path: str) -> int:
-    """Validate a certificate file against g instead of searching."""
-    ok, detail = validate_certificate(g, parse_certificate(_read_text(path)))
+def _check_certificate(
+    g: Graph, path: str, kinds: tuple[str, ...], pattern: Graph | None = None
+) -> int:
+    """Validate a certificate file against g instead of searching.  Only the
+    given kinds prove the subcommand's claim, and a minor witness proves it
+    only for the pattern asked about (when one is given)."""
+    cert = parse_certificate(_read_text(path))
+    kind = certificate_kind(cert)
+    if kind not in kinds:
+        raise CertificateError(
+            f"a {kind} certificate does not prove this claim;"
+            f" expected {' or '.join(kinds)}"
+        )
+    if pattern is not None and cert[0] != pattern:
+        raise CertificateError("the minor witness is for a different pattern")
+    ok, detail = validate_certificate(g, cert)
     print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -156,7 +170,9 @@ def cmd_cnf(args) -> int:
 def cmd_check_tw2(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        return _check_certificate(g, args.certificate)
+        return _check_certificate(
+            g, args.certificate, ("elimination-order", "reduction-trace")
+        )
     accepted, trace = recognize_tw2(g)
     order = find_elimination_order(g)
     if accepted != (order is not None):
@@ -176,7 +192,7 @@ def cmd_check_tw2(args) -> int:
 def cmd_check_biconnected(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        return _check_certificate(g, args.certificate)
+        return _check_certificate(g, args.certificate, ("ear-decomposition",))
     ok = is_biconnected(g)
     print(f"biconnected: {'yes' if ok else 'no'}")
     if not ok:
@@ -198,8 +214,9 @@ def cmd_check_bipartite(args) -> int:
 def cmd_check_minor(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
-        return _check_certificate(g, args.certificate)
-    pattern = _load_pattern(args.pattern)
+        pattern = _load_pattern(args.pattern) if args.pattern else None
+        return _check_certificate(g, args.certificate, ("minor-witness",), pattern)
+    pattern = _load_pattern(args.pattern or "K4")
     found, witness = has_minor(g, pattern, budget=args.budget)
     if witness is not None:
         sys.stdout.write(emit_minor_witness(pattern, witness))
@@ -211,7 +228,7 @@ def cmd_check_minor(args) -> int:
 def cmd_lemmas(args) -> int:
     reports = all_lemma_reports()
     rg = GADGETS["R"]()
-    s = next(v for v, role in rg.role_labels.items() if role == "s")
+    s = rg.roles()["s"]
     for report in reports:
         rows = []
         for c in report.colorings if args.verbose else ():
@@ -249,6 +266,12 @@ def cmd_search(args) -> int:
     print("\n".join(report.text_lines()))
     if args.report:
         Path(args.report).write_text("\n".join(report.machine_lines()) + "\n")
+    if report.undecided:
+        print(
+            f"indeterminate: the budget ran out on {len(report.undecided)} graphs",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     return EXIT_PASS
 
 
@@ -325,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-minor", help="search or re-validate a minor")
     p.add_argument("graph")
-    p.add_argument("--pattern", default="K4",
-                   help="K4, K23, or a graph file (default K4)")
+    p.add_argument("--pattern", default=None,
+                   help="K4, K23, or a graph file (default: K4 for a search,"
+                        " the certificate's own pattern with --certificate)")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--certificate", default=None,
                    help="validate a minor-witness certificate")

@@ -90,6 +90,12 @@ class LabeledGraph:
     terminal_second: int
     role_labels: dict[int, str] | None = None
 
+    def roles(self) -> dict[str, int]:
+        """Role name -> vertex, the inverse of role_labels."""
+        if self.role_labels is None:
+            raise ValueError("gadget has no role labels")
+        return {role: v for v, role in self.role_labels.items()}
+
 
 def expand(expr: SpExpr) -> LabeledGraph:
     """Expand a two-terminal expression into a simple graph.
@@ -305,8 +311,7 @@ F_ELIMINATION_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 def g18_elimination_order() -> tuple[int, ...]:
     """Eliminate both F copies by the bundled schedule, then the two roots."""
-    lg = build_G18()
-    roles = {role: v for v, role in lg.role_labels.items()}
+    roles = build_G18().roles()
     order = [roles[f"{role}1"] for role, _ in F_ELIMINATION_TABLE]
     order += [roles[f"{role}2"] for role, _ in F_ELIMINATION_TABLE]
     return tuple(order + [roles["x1"], roles["x2"]])
@@ -334,9 +339,7 @@ G40_EARS: tuple[tuple[int, ...], ...] = (
 
 def drop_edge(lg: LabeledGraph, role_u: str, role_v: str) -> LabeledGraph:
     """Copy of a labeled gadget with one edge removed; for negative controls."""
-    if lg.role_labels is None:
-        raise ValueError("gadget has no role labels")
-    roles = {role: v for v, role in lg.role_labels.items()}
+    roles = lg.roles()
     u, v = roles[role_u], roles[role_v]
     edges = [e for e in lg.graph.edges() if e != (min(u, v), max(u, v))]
     if len(edges) == lg.graph.m:

@@ -171,12 +171,6 @@ class LemmaReport:
         return text
 
 
-def _roles(lg: LabeledGraph) -> dict[str, int]:
-    if lg.role_labels is None:
-        raise ValueError("gadget has no role labels")
-    return {role: v for v, role in lg.role_labels.items()}
-
-
 def _scenario(
     lemma: str,
     scenario: str,
@@ -209,7 +203,7 @@ def verify_lemma1_i(
     every feasible coloring makes r Red with no Red neighbor inside.
     """
     lg = lg or build_F()
-    roles = _roles(lg)
+    roles = lg.roles()
     x, r = roles["x"], roles[r_role]
     boundary = frozenset({x, r} | {roles[role] for role in extra_boundary})
     scenario = f"x-blue r={r_role}"
@@ -232,7 +226,7 @@ def verify_lemma1_ii(lg: LabeledGraph | None = None) -> list[LemmaReport]:
     on x off and on.  The boundary choices are deliberately kept separate.
     """
     lg = lg or build_F()
-    roles = _roles(lg)
+    roles = lg.roles()
     x, a, b = roles["x"], roles["a"], roles["b"]
     return [
         _scenario(
@@ -276,7 +270,7 @@ def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:
     must be empty.
     """
     lg = lg or build_R()
-    roles = _roles(lg)
+    roles = lg.roles()
     s, t = roles["s"], roles["t"]
     return [
         _scenario(
@@ -308,7 +302,7 @@ def verify_theorem1_composition() -> LemmaReport:
     no code with the enumeration core.
     """
     lg = build_F()
-    roles = _roles(lg)
+    roles = lg.roles()
     x = roles["x"]
     s_blue = enumerate_feasible(
         lg.graph, BoundarySpec(frozenset({x}), ((x, BLUE),))

@@ -247,17 +247,23 @@ def _interchange_classes(pattern: Graph) -> list[int]:
     return cls
 
 
+def _low_bit(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def has_minor(
     g: Graph, pattern: Graph, budget: int | None = None
 ) -> tuple[bool, MinorWitness | None]:
     """Exhaustive search for a minor model of `pattern` in `g`.
 
-    Branch sets are grown one pattern vertex at a time: seed a vertex, then
-    realize each pattern edge back to an earlier set by routing a simple path
-    through unassigned host vertices and splitting it between the two sets.
-    Interchangeable pattern vertices get increasing seeds.  Exact for
-    pattern.n <= 6; host sizes around 20 are the practical target, with the
-    node budget guarding anything bigger.
+    Branch sets are grown one pattern vertex at a time by a fixed plan: seed
+    the vertex, then join it to each earlier neighbor by routing a simple
+    path through unassigned host vertices and splitting it between the two
+    sets.  Interchangeable pattern vertices get increasing seeds.  Paths are
+    routed in a loop, so the recursion depth is the plan length (at most 21
+    steps) for any host.  Exact for pattern.n <= 6; host sizes around 20 are
+    the practical target, with the node budget guarding anything bigger.
     """
     if pattern.n > MINOR_PATTERN_CAP:
         raise CapExceeded(
@@ -270,13 +276,14 @@ def has_minor(
     if g.n < k or g.m < pattern.m:
         return False, None
 
-    # order pattern vertices by descending degree, then index
+    # order pattern vertices by descending degree, then index; positions in
+    # this order index the branch sets.  A plan step (i, None) seeds set i,
+    # a step (i, j) joins set i to the earlier set j.
     porder = sorted(range(k), key=lambda v: (-pattern.degree(v), v))
-    back_edges: list[list[int]] = []
+    plan: list[tuple[int, int | None]] = []
     for i, pv in enumerate(porder):
-        back_edges.append(
-            [j for j in range(i) if pattern.has_edge(pv, porder[j])]
-        )
+        plan.append((i, None))
+        plan.extend((i, j) for j in range(i) if pattern.has_edge(pv, porder[j]))
     cls = _interchange_classes(pattern)
     adjm = [0] * g.n
     for v in range(g.n):
@@ -284,7 +291,6 @@ def has_minor(
             adjm[v] |= 1 << u
     full = (1 << g.n) - 1
     nodes = 0
-    found: list[MinorWitness] = []
 
     def check_budget() -> None:
         nonlocal nodes
@@ -294,90 +300,84 @@ def has_minor(
                 f"minor-search budget of {budget} nodes exhausted", nodes=nodes
             )
 
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def place(i: int, sets: tuple[int, ...], nbs: tuple[int, ...], used: int) -> bool:
-        if i == k:
-            branch = [frozenset()] * k
-            for pos, pv in enumerate(porder):
-                branch[pv] = frozenset(bits(sets[pos]))
-            found.append(MinorWitness(tuple(branch)))
-            return True
-        lo = 0
-        for j in range(i):
-            if cls[porder[j]] == cls[porder[i]]:
-                lo = max(lo, min(bits(sets[j])) + 1)
-        free = full & ~used
-        if bin(free).count("1") < k - i:
-            return False
-        for s in range(lo, g.n):
-            sb = 1 << s
-            if used & sb:
-                continue
-            check_budget()
-            if realize(i, 0, sets + (sb,), nbs + (adjm[s],), used | sb):
-                return True
-        return False
-
-    def realize(
-        i: int, ei: int, sets: tuple[int, ...], nbs: tuple[int, ...], used: int
-    ) -> bool:
-        if ei == len(back_edges[i]):
-            return place(i + 1, sets, nbs, used)
-        j = back_edges[i][ei]
+    def step(
+        t: int, sets: tuple[int, ...], nbs: tuple[int, ...], used: int
+    ) -> tuple[int, ...] | None:
+        """Carry out plan[t:]; the final branch-set masks, or None."""
+        if t == len(plan):
+            return sets
+        i, j = plan[t]
+        if j is None:
+            # seed set i at a free host vertex above the lowest vertex of
+            # every earlier set of its interchange class
+            if g.n - used.bit_count() < k - i:
+                return None
+            lo = 0
+            for p in range(i):
+                if cls[porder[p]] == cls[porder[i]]:
+                    lo = max(lo, _low_bit(sets[p]) + 1)
+            seeds = full & ~used & -(1 << lo)
+            while seeds:
+                s = _low_bit(seeds)
+                seeds ^= 1 << s
+                check_budget()
+                done = step(t + 1, sets + (1 << s,), nbs + (adjm[s],), used | 1 << s)
+                if done is not None:
+                    return done
+            return None
         if nbs[j] & sets[i]:
-            return realize(i, ei + 1, sets, nbs, used)
-        return route(i, ei, j, (), sets, nbs, used)
-
-    def route(
-        i: int,
-        ei: int,
-        j: int,
-        chain: tuple[int, ...],
-        sets: tuple[int, ...],
-        nbs: tuple[int, ...],
-        used: int,
-    ) -> bool:
-        # a completed chain joins set i to set j; try every split point
-        if chain and adjm[chain[-1]] & sets[j]:
-            for cut in range(len(chain) + 1):
-                prefix, suffix = chain[:cut], chain[cut:]
-                new_sets = list(sets)
-                new_nbs = list(nbs)
-                for v in prefix:
-                    new_sets[i] |= 1 << v
-                    new_nbs[i] |= adjm[v]
-                for v in suffix:
-                    new_sets[j] |= 1 << v
-                    new_nbs[j] |= adjm[v]
-                if cut == 0 and not (adjm[chain[0]] & sets[i]):
-                    continue
-                if cut > 0 and suffix and not (
-                    adjm[prefix[-1]] >> chain[cut] & 1
-                ):
-                    continue
-                if realize(i, ei + 1, tuple(new_sets), tuple(new_nbs), used):
-                    return True
-        # leave room for the unseeded pattern vertices
-        free_after = g.n - bin(used).count("1")
-        if free_after <= k - i - 1:
-            return False
-        frontier = (nbs[i] if not chain else adjm[chain[-1]]) & ~used
-        for v in bits(frontier):
+            return step(t + 1, sets, nbs, used)
+        # route a chain out of set i, one untried-extension mask per depth;
+        # the longest chain still leaves room for the unseeded pattern vertices
+        room = g.n - used.bit_count() - (k - i)
+        chain: list[int] = []
+        todo = [nbs[i] & ~used] if room >= 0 else []
+        taken = used
+        while todo:
+            ext = todo[-1]
+            if not ext:
+                todo.pop()
+                if chain:
+                    taken ^= 1 << chain.pop()
+                continue
+            low = ext & -ext
+            todo[-1] = ext ^ low
+            v = low.bit_length() - 1
             check_budget()
-            if route(i, ei, j, chain + (v,), sets, nbs, used | 1 << v):
-                return True
-        return False
+            chain.append(v)
+            taken |= low
+            if adjm[v] & sets[j]:
+                # the chain joins set i to set j; try every split point
+                suffix_nbs = [0] * (len(chain) + 1)
+                for c in range(len(chain) - 1, -1, -1):
+                    suffix_nbs[c] = suffix_nbs[c + 1] | adjm[chain[c]]
+                prefix = prefix_nbs = 0
+                for cut in range(len(chain) + 1):
+                    if cut:
+                        prefix |= 1 << chain[cut - 1]
+                        prefix_nbs |= adjm[chain[cut - 1]]
+                    new_sets, new_nbs = list(sets), list(nbs)
+                    new_sets[i] |= prefix
+                    new_nbs[i] |= prefix_nbs
+                    new_sets[j] |= taken & ~used & ~prefix
+                    new_nbs[j] |= suffix_nbs[cut]
+                    done = step(t + 1, tuple(new_sets), tuple(new_nbs), taken)
+                    if done is not None:
+                        return done
+            if len(chain) <= room:
+                todo.append(adjm[v] & ~taken)
+            else:
+                taken ^= 1 << chain.pop()
+        return None
 
-    sat = place(0, (), (), 0)
-    if sat:
-        witness = found[0]
-        ok, why = verify_minor_witness(g, pattern, witness)
-        if not ok:
-            raise AssertionError(f"minor search produced a bad witness: {why}")
-        return True, witness
-    return False, None
+    sets = step(0, (), (), 0)
+    if sets is None:
+        return False, None
+    branch = [frozenset()] * k
+    for pos, pv in enumerate(porder):
+        branch[pv] = frozenset(v for v in range(g.n) if sets[pos] >> v & 1)
+    witness = MinorWitness(tuple(branch))
+    ok, why = verify_minor_witness(g, pattern, witness)
+    if not ok:
+        raise AssertionError(f"minor search produced a bad witness: {why}")
+    return True, witness

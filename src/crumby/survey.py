@@ -25,7 +25,7 @@ from .coloring import (
     dpll_solve,
     exhaustive_solve,
 )
-from .errors import CapExceeded, CrossCheckError, Graph6Error
+from .errors import BudgetExhausted, CapExceeded, CrossCheckError, Graph6Error
 from .graphs import (
     Graph,
     edge_bit_index,
@@ -146,6 +146,7 @@ class SurveyReport:
     unsat_graph6: tuple[str, ...]
     skipped: tuple[tuple[int, str], ...]  # (line number, reason)
     filtered_out: int
+    undecided: tuple[tuple[int, str], ...]  # (line number, graph6)
 
     @property
     def tested(self) -> int:
@@ -171,6 +172,8 @@ class SurveyReport:
             lines.append(f"unsat-instance: {line}")
         for lineno, reason in self.skipped:
             lines.append(f"skipped line {lineno}: {reason}")
+        for lineno, text in self.undecided:
+            lines.append(f"undecided line {lineno}: {text}")
         return lines
 
     def machine_lines(self) -> list[str]:
@@ -188,7 +191,33 @@ class SurveyReport:
         lines.extend(
             f"skipped_line={lineno} reason={reason}" for lineno, reason in self.skipped
         )
+        lines.extend(
+            f"undecided_line={lineno} graph6={text}" for lineno, text in self.undecided
+        )
         return lines
+
+
+def _decide(g: Graph, lineno: int, budget: int | None) -> Status:
+    """Backtracking's answer; an Unsat is re-confirmed by DPLL and, when the
+    graph is small enough, the exhaustive oracle."""
+    status = backtracking_solve(g, budget=budget).status
+    if status is Status.SAT:
+        return status
+    canonical = emit_graph6(g)
+    second = dpll_solve(g, budget=budget)
+    if second.status is not Status.UNSAT:
+        raise CrossCheckError(
+            f"line {lineno} ({canonical}): backtracking says unsat,"
+            f" dpll says {second.status.value}"
+        )
+    if g.n <= EXHAUSTIVE_CAP:
+        third = exhaustive_solve(g)
+        if third.status is not Status.UNSAT:
+            raise CrossCheckError(
+                f"line {lineno} ({canonical}): backtracking says unsat,"
+                f" the exhaustive oracle says {third.status.value}"
+            )
+    return status
 
 
 def survey_stream(
@@ -198,13 +227,15 @@ def survey_stream(
 ) -> SurveyReport:
     """Decide every filtered graph of a graph6 stream; see module docstring.
 
-    Malformed lines are recorded and skipped.  Unsat answers that any
+    Malformed lines are recorded and skipped, and so are graphs whose
+    decision runs out of budget (undecided).  Unsat answers that any
     cross-check contradicts raise CrossCheckError.
     """
     filters = filters if filters is not None else SurveyFilters()
     per_n: dict[int, list[int]] = {}
     unsat_lines: list[str] = []
     skipped: list[tuple[int, str]] = []
+    undecided: list[tuple[int, str]] = []
     filtered_out = 0
     for lineno, raw in enumerate(lines, 1):
         text = raw.strip()
@@ -218,28 +249,18 @@ def survey_stream(
         if not filters.accept(g):
             filtered_out += 1
             continue
-        result = backtracking_solve(g, budget=budget)
+        try:
+            status = _decide(g, lineno, budget)
+        except BudgetExhausted:
+            undecided.append((lineno, emit_graph6(g)))
+            continue
         counts = per_n.setdefault(g.n, [0, 0, 0])
         counts[0] += 1
-        if result.status is Status.SAT:
+        if status is Status.SAT:
             counts[1] += 1
-            continue
-        counts[2] += 1
-        canonical = emit_graph6(g)
-        second = dpll_solve(g, budget=budget)
-        if second.status is not Status.UNSAT:
-            raise CrossCheckError(
-                f"line {lineno} ({canonical}): backtracking says unsat,"
-                f" dpll says {second.status.value}"
-            )
-        if g.n <= EXHAUSTIVE_CAP:
-            third = exhaustive_solve(g)
-            if third.status is not Status.UNSAT:
-                raise CrossCheckError(
-                    f"line {lineno} ({canonical}): backtracking says unsat,"
-                    f" the exhaustive oracle says {third.status.value}"
-                )
-        unsat_lines.append(canonical)
+        else:
+            counts[2] += 1
+            unsat_lines.append(emit_graph6(g))
     rows = tuple(
         (n, counts[0], counts[1], counts[2]) for n, counts in sorted(per_n.items())
     )
@@ -249,4 +270,5 @@ def survey_stream(
         unsat_graph6=tuple(unsat_lines),
         skipped=tuple(skipped),
         filtered_out=filtered_out,
+        undecided=tuple(undecided),
     )

@@ -2,9 +2,30 @@ from __future__ import annotations
 
 import pytest
 
-from crumby import Coloring, build_F, build_G18, emit_edge_list, emit_graph6, verify_crumby
+from crumby import (
+    Coloring,
+    EarDecomposition,
+    build_F,
+    build_G18,
+    build_G40,
+    complete_bipartite,
+    emit_edge_list,
+    emit_graph6,
+    find_elimination_order,
+    graph_from_edge_list,
+    has_minor,
+    recognize_tw2,
+    verify_crumby,
+)
+from crumby.certs import (
+    emit_ear_decomposition,
+    emit_elimination_order,
+    emit_minor_witness,
+    emit_reduction_trace,
+)
 from crumby.checks import CheckResult
 from crumby.cli import main
+from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
 
 
 def run(capsys, *argv):
@@ -197,6 +218,83 @@ def test_check_minor_absence(capsys):
     assert code == 1 and "minor: no" in out
 
 
+def test_check_minor_witness_bytes(capsys):
+    code, out, _ = run(capsys, "check-minor", "F", "--pattern", "K23")
+    assert code == 0
+    assert out == (
+        "type: minor-witness\n"
+        "pattern-n: 5\n"
+        "pattern-edges: 0-2 0-3 0-4 1-2 1-3 1-4\n"
+        "branch-0: 0 2 4 6\n"
+        "branch-1: 3 5\n"
+        "branch-2: 1\n"
+        "branch-3: 7\n"
+        "branch-4: 8\n"
+    )
+
+
+def test_check_minor_on_a_long_cycle_is_indeterminate(tmp_path, capsys):
+    cycle = tmp_path / "cycle.txt"
+    edges = [(v, (v + 1) % 1500) for v in range(1500)]
+    cycle.write_text(emit_edge_list(graph_from_edge_list(1500, edges)))
+    code, _, err = run(capsys, "check-minor", str(cycle), "--budget", "5000")
+    assert code == 2 and "indeterminate" in err
+    assert "internal error" not in err
+
+
+K23 = complete_bipartite(2, 3)
+
+# each certificate is valid for its own graph; only its own claim accepts it
+CERTIFICATES = {
+    "elimination-order": ("G18", lambda: emit_elimination_order(
+        find_elimination_order(build_G18().graph))),
+    "reduction-trace": ("G40", lambda: emit_reduction_trace(
+        40, recognize_tw2(build_G40().graph)[1])),
+    "minor-witness": ("F", lambda: emit_minor_witness(
+        K23, has_minor(build_F().graph, K23)[1])),
+    "ear-decomposition": ("G40", lambda: emit_ear_decomposition(
+        EarDecomposition(G40_EAR_CYCLE, G40_EARS))),
+}
+ACCEPTS = {
+    "check-tw2": ("elimination-order", "reduction-trace"),
+    "check-biconnected": ("ear-decomposition",),
+    "check-minor": ("minor-witness",),
+}
+
+
+@pytest.mark.parametrize(
+    "command,kind,extra",
+    [pytest.param(c, k, (), id=f"{c}-{k}")
+     for c in ACCEPTS for k in CERTIFICATES if k not in ACCEPTS[c]]
+    + [pytest.param("check-minor", "minor-witness", ("--pattern", "K4"),
+                    id="check-minor-other-pattern")],
+)
+def test_certificates_prove_only_their_own_claim(
+    tmp_path, capsys, command, kind, extra
+):
+    graph, emit = CERTIFICATES[kind]
+    cert = tmp_path / "cert.txt"
+    cert.write_text(emit())
+    code, out, err = run(capsys, command, graph, *extra, "--certificate", str(cert))
+    assert code == 2 and out == ""
+    assert ("different pattern" if extra else f"a {kind} certificate") in err
+
+
+def test_each_claim_accepts_its_own_certificates(tmp_path, capsys):
+    cert = tmp_path / "cert.txt"
+    for command, kinds in ACCEPTS.items():
+        for kind in kinds:
+            graph, emit = CERTIFICATES[kind]
+            cert.write_text(emit())
+            code, out, _ = run(capsys, command, graph, "--certificate", str(cert))
+            assert code == 0 and "certificate: valid" in out
+    cert.write_text(CERTIFICATES["minor-witness"][1]())
+    code, out, _ = run(
+        capsys, "check-minor", "F", "--pattern", "K23", "--certificate", str(cert)
+    )
+    assert code == 0 and "certificate: valid" in out
+
+
 def test_elim_order_success_and_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "check-tw2", "G18", "--emit-order")
     assert code == 0 and out.startswith("type: elimination-order")
@@ -256,6 +354,15 @@ def test_search_reads_stdin_stream(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "search")
     assert code == 0
     assert "unsat=1" in out
+
+
+def test_search_budget_keeps_the_report_and_exits_2(tmp_path, capsys):
+    stream = tmp_path / "stream.g6"
+    g18_line = emit_graph6(build_G18().graph)
+    stream.write_text(f"A_\n{g18_line}\n")  # K2, then G18
+    code, out, err = run(capsys, "search", str(stream), "--budget", "1")
+    assert code == 2 and "indeterminate" in err
+    assert "total tested=1 sat=1" in out and f"undecided line 2: {g18_line}" in out
 
 
 def test_verify_paper_formats_check_lines(capsys, monkeypatch):

@@ -238,6 +238,17 @@ def test_explicit_k23_witness_merging_the_inner_pair(f_gadget):
     assert ok, reason
 
 
+def test_minor_search_routes_long_chains_without_recursion():
+    # K4 with the edge 0-1 subdivided by a 1,500-vertex path 2..1501
+    path = list(range(2, 1502))
+    edges = [(0, 2), (1501, 1), *zip(path, path[1:])]
+    edges += [(0, 1502), (0, 1503), (1, 1502), (1, 1503), (1502, 1503)]
+    g = graph_from_edge_list(1504, edges)
+    found, witness = has_minor(g, K4)
+    assert found and verify_minor_witness(g, K4, witness)[0]
+    assert [len(s) for s in witness.branch_sets] == [1501, 1, 1, 1]
+
+
 def test_minor_search_respects_budget(g18):
     with pytest.raises(BudgetExhausted):
         has_minor(g18.graph, K4, budget=1000)

@@ -123,6 +123,7 @@ def test_report_text_mentions_unsat_instances(g18):
     joined = "\n".join(report.text_lines())
     assert "unsat-instance" in joined
     assert emit_graph6(g18.graph) in joined
+    assert report.undecided == () and "undecided" not in joined
 
 
 def test_survey_reruns_reproduce_themselves():
@@ -131,6 +132,17 @@ def test_survey_reruns_reproduce_themselves():
     second = survey_stream(lines)
     assert first.per_n == second.per_n
     assert first.unsat_graph6 == second.unsat_graph6
+
+
+def test_budget_exhaustion_leaves_the_line_undecided(g18):
+    g18_line = emit_graph6(g18.graph)
+    k2_line = emit_graph6(complete_graph(2))
+    report = survey_stream([k2_line, g18_line, "##bad##"], budget=1)
+    assert report.undecided == ((2, g18_line),)
+    assert (report.tested, report.sat, report.unsat) == (1, 1, 0)
+    assert len(report.skipped) == 1
+    assert "undecided line 2: " + g18_line in report.text_lines()
+    assert f"undecided_line=2 graph6={g18_line}" in report.machine_lines()
 
 
 def test_disagreeing_solvers_abort_the_survey(monkeypatch, g18):
