@@ -129,16 +129,12 @@ def cmd_gadget(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    if args.no_propagation and args.method != "backtracking":
-        raise ValueError("--no-propagation only applies to the backtracking method")
     if args.method == "exhaustive":
         result = exhaustive_solve(g)
     elif args.method == "dpll":
         result = dpll_solve(g, budget=args.budget)
     else:
-        result = backtracking_solve(
-            g, budget=args.budget, propagate=not args.no_propagation
-        )
+        result = backtracking_solve(g, budget=args.budget)
     sys.stdout.write(emit_solve_certificate(result))
     return EXIT_PASS if result.status is Status.SAT else EXIT_FAIL
 
@@ -314,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="backtracking",
     )
     p.add_argument("--budget", type=int, default=None, help="node limit")
-    p.add_argument("--no-propagation", action="store_true",
-                   help="disable forced-move propagation (debug)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")

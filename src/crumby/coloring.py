@@ -366,14 +366,12 @@ _UNSET, _RED, _BLUE = 0, 1, 2
 
 class _GraphSearch:
     """DFS over vertex colors; deterministic: lowest unassigned vertex,
-    Red tried before Blue.  Propagation applies only forced moves, so a
-    no-propagation run reaches identical statuses."""
+    Red tried before Blue, then every forced move propagated."""
 
-    def __init__(self, g: Graph, budget: int | None, propagate: bool) -> None:
+    def __init__(self, g: Graph, budget: int | None) -> None:
         self.g = g
         self.model = _compile(g)
         self.budget = budget
-        self.propagate = propagate
         n = g.n
         self.assign = [_UNSET] * n
         self.un_nb = [g.degree(v) for v in range(n)]
@@ -389,6 +387,13 @@ class _GraphSearch:
         self.unassigned = n
         self.nodes = 0
         self.propagations = 0
+
+    def _force_red_around(self, x: int, forces: list[tuple[int, int]]) -> None:
+        """Force every unset neighbor of x Red."""
+        assign = self.assign
+        for w in self.g.adj[x]:
+            if assign[w] == _UNSET:
+                forces.append((w, _RED))
 
     def _apply(self, v: int, color: int) -> tuple[bool, list[tuple[int, int]]]:
         """Set v, update counters fully, then report conflict and forced moves."""
@@ -416,9 +421,7 @@ class _GraphSearch:
                             if assign[w] == _UNSET:
                                 forces.append((w, _BLUE))
             if self.red_nb[v] == 0 and self.un_nb[v] == 1:
-                for u in adj:
-                    if assign[u] == _UNSET:
-                        forces.append((u, _RED))
+                self._force_red_around(v, forces)
         else:
             if self.blue_nb[v] >= 2:
                 return False, forces
@@ -427,20 +430,14 @@ class _GraphSearch:
                     if self.blue_nb[u] >= 2:
                         return False, forces
                     if self.blue_nb[u] == 1:
-                        for w in self.g.adj[u]:
-                            if assign[w] == _UNSET:
-                                forces.append((w, _RED))
+                        self._force_red_around(u, forces)
                 elif assign[u] == _RED and self.red_nb[u] == 0:
                     if self.un_nb[u] == 0:
                         return False, forces
                     if self.un_nb[u] == 1:
-                        for w in self.g.adj[u]:
-                            if assign[w] == _UNSET:
-                                forces.append((w, _RED))
+                        self._force_red_around(u, forces)
             if self.blue_nb[v] == 1:
-                for u in adj:
-                    if assign[u] == _UNSET:
-                        forces.append((u, _RED))
+                self._force_red_around(v, forces)
         return True, forces
 
     def set_and_propagate(self, v: int, color: int) -> bool:
@@ -458,8 +455,7 @@ class _GraphSearch:
             first = False
             if not ok:
                 return False
-            if self.propagate:
-                queue.extend(forces)
+            queue.extend(forces)
         return True
 
     def undo_to(self, mark: int) -> None:
@@ -519,18 +515,10 @@ class _GraphSearch:
         return Coloring(tuple(RED if a == _RED else BLUE for a in self.assign))
 
 
-def backtracking_solve(
-    g: Graph,
-    budget: int | None = None,
-    propagate: bool = True,
-) -> SolveResult:
-    """Complete DFS on vertex colors.
-
-    propagate=False disables forced moves (conflicts are still detected) and
-    must reach the same status.
-    """
+def backtracking_solve(g: Graph, budget: int | None = None) -> SolveResult:
+    """Complete DFS on vertex colors with forced-move propagation."""
     t0 = time.perf_counter()
-    search = _GraphSearch(g, budget, propagate)
+    search = _GraphSearch(g, budget)
     coloring = search.coloring() if search.dfs() else None
     if coloring is not None and _violations(search.model, coloring.red_set()):
         raise AssertionError("solver produced a non-crumby coloring")
@@ -593,41 +581,33 @@ class _Dpll:
                     queue.append(abs(lit))
         return True
 
-    def _initial_units(self) -> bool:
-        for ci in range(len(self.f.clauses)):
-            if self.n_sat[ci] == 0 and self.n_free[ci] == 1:
-                lit = self._unit_literal(ci)
-                self.propagations += 1
-                if not self._assign(abs(lit), lit > 0):
-                    return False
-                if not self._propagate_units([abs(lit)]):
-                    return False
-        return True
+    def _set(self, var: int, value: bool) -> bool:
+        """Assign var, then propagate the units it leaves; False on a conflict."""
+        return self._assign(var, value) and self._propagate_units([var])
+
+    def _occurs_free(self, occ: list[int]) -> bool:
+        """Is any clause of an occurrence list still unsatisfied?"""
+        return any(not self.n_sat[ci] for ci in occ)
 
     def _pure_literals(self) -> bool:
         """Assign single-polarity and unconstrained variables; sound for both
-        Sat and Unsat, applied once per decision level."""
+        Sat and Unsat, applied once per decision level.  Each round reads the
+        polarities of all free variables before it assigns any of them."""
         while True:
-            seen_pos = [False] * (self.f.num_vars + 1)
-            seen_neg = [False] * (self.f.num_vars + 1)
-            for ci, clause in enumerate(self.f.clauses):
-                if self.n_sat[ci]:
-                    continue
-                for lit in clause:
-                    if self.val[abs(lit)] == 0:
-                        (seen_pos if lit > 0 else seen_neg)[abs(lit)] = True
-            fixed_any = False
+            pure = []
             for var in range(1, self.f.num_vars + 1):
+                if self.val[var] == 0:
+                    pos = self._occurs_free(self.pos_occ[var])
+                    if not (pos and self._occurs_free(self.neg_occ[var])):
+                        pure.append((var, pos))
+            fixed_any = False
+            for var, pos in pure:
                 if self.val[var] != 0:
-                    continue
-                if seen_pos[var] and seen_neg[var]:
                     continue
                 fixed_any = True
                 self.propagations += 1
                 # unconstrained variables default to false (Blue)
-                if not self._assign(var, seen_pos[var]):
-                    return False
-                if not self._propagate_units([var]):
+                if not self._set(var, pos):
                     return False
             if not fixed_any:
                 return True
@@ -681,7 +661,7 @@ class _Dpll:
                     )
                 choices.append(choice)
                 var, _, value = choice
-                if self._assign(var, value) and self._propagate_units([var]):
+                if self._set(var, value):
                     break
                 choice = self._backtrack(choices)
             if choice is None:
@@ -695,9 +675,11 @@ def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
     matches backtracking_solve.
     """
     t0 = time.perf_counter()
-    d = _Dpll(encode_cnf(g), budget)
+    f = encode_cnf(g)
+    d = _Dpll(f, budget)
     coloring = None
-    if d._initial_units() and d.dfs():
+    # every variable seeds the root propagation, so unit clauses fire first
+    if d._propagate_units(list(range(1, f.num_vars + 1))) and d.dfs():
         coloring = Coloring(tuple(RED if x == 1 else BLUE for x in d.val[1:]))
         if not verify_crumby(g, coloring)[0]:
             raise AssertionError("dpll produced a non-crumby coloring")

@@ -530,33 +530,36 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     mapping = [-1] * g1.n
     used = [False] * g2.n
 
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in by_color.get(c1[v], []):
-            if used[w]:
-                continue
-            ok = True
-            for x in g1.adj[v]:
-                mx = mapping[x]
-                if mx != -1 and not g2.has_edge(w, mx):
-                    ok = False
-                    break
-            if ok:
-                # mapped non-neighbors must stay non-adjacent; degrees match,
-                # so checking image degrees against mapped neighbors suffices
-                count = sum(1 for x in g1.adj[v] if mapping[x] != -1)
-                count2 = sum(1 for y in g2.adj[w] if used[y])
-                if count != count2:
-                    ok = False
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(k + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
+    def fits(v: int, w: int) -> bool:
+        for x in g1.adj[v]:
+            mx = mapping[x]
+            if mx != -1 and not g2.has_edge(w, mx):
+                return False
+        # mapped non-neighbors must stay non-adjacent; degrees match, so
+        # checking image degrees against mapped neighbors suffices
+        count = sum(1 for x in g1.adj[v] if mapping[x] != -1)
+        return count == sum(1 for y in g2.adj[w] if used[y])
 
-    return extend(0)
+    # next candidate index of each open level; level k maps order[k], so the
+    # depth is a list length, not a recursion
+    levels = [0]
+    while len(levels) <= len(order):
+        k = len(levels) - 1
+        v = order[k]
+        if mapping[v] != -1:  # back from a dead end below: unmap v
+            used[mapping[v]] = False
+            mapping[v] = -1
+        cands = by_color.get(c1[v], [])
+        i = levels[k]
+        while i < len(cands) and (used[cands[i]] or not fits(v, cands[i])):
+            i += 1
+        if i == len(cands):
+            levels.pop()
+            if not levels:
+                return False
+            continue
+        levels[k] = i + 1
+        mapping[v] = cands[i]
+        used[cands[i]] = True
+        levels.append(0)
+    return True

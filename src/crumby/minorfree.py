@@ -92,15 +92,13 @@ class ReductionStep:
 _ARITY = {"delete-isolated": 1, "delete-leaf": 2, "merge-parallel": 2, "suppress": 3}
 
 
-def _multigraph_of(g: Graph) -> dict[int, dict[int, int]]:
-    return {v: {u: 1 for u in g.adj[v]} for v in range(g.n)}
+def _multigraph_of(g: Graph) -> dict[int, list[int]]:
+    """The reduction workspace: each vertex's neighbours, one entry per
+    parallel edge, so a degree is a list length."""
+    return {v: list(g.adj[v]) for v in range(g.n)}
 
 
-def _mg_degree(mg: dict[int, dict[int, int]], v: int) -> int:
-    return sum(mg[v].values())
-
-
-def _apply_step(mg: dict[int, dict[int, int]], step: ReductionStep) -> str | None:
+def _apply_step(mg: dict[int, list[int]], step: ReductionStep) -> str | None:
     """Apply one reduction rule to the workspace, or return why it does not
     apply (the workspace is then unchanged)."""
     if step.rule not in _ARITY:
@@ -109,53 +107,56 @@ def _apply_step(mg: dict[int, dict[int, int]], step: ReductionStep) -> str | Non
         return f"expected {_ARITY[step.rule]} arguments"
     if step.rule == "delete-isolated":
         (v,) = step.args
-        if v not in mg or _mg_degree(mg, v) != 0:
+        if v not in mg or mg[v]:
             return "vertex not isolated"
         del mg[v]
     elif step.rule == "delete-leaf":
         v, u = step.args
-        if v not in mg or _mg_degree(mg, v) != 1 or u not in mg[v]:
+        if v not in mg or mg[v] != [u]:
             return "vertex not a leaf on that edge"
-        del mg[u][v]
+        mg[u].remove(v)
         del mg[v]
     elif step.rule == "merge-parallel":
         v, u = step.args
-        if v not in mg or mg[v].get(u, 0) < 2:
+        if v not in mg or mg[v].count(u) < 2:
             return "no parallel pair"
-        mg[v][u] = mg[u][v] = 1
+        while mg[v].count(u) > 1:
+            mg[v].remove(u)
+            mg[u].remove(v)
     else:
         v, u, w = step.args
-        if v not in mg or sorted(mg[v]) != sorted((u, w)) or u == w:
+        if v not in mg or sorted(set(mg[v])) != sorted((u, w)) or u == w:
             return "vertex does not have exactly these 2 neighbors"
-        if _mg_degree(mg, v) != 2:
+        if len(mg[v]) != 2:
             return "vertex degree is not 2"
-        del mg[u][v]
-        del mg[w][v]
+        mg[u].remove(v)
+        mg[w].remove(v)
         del mg[v]
-        mg[u][w] = mg[u].get(w, 0) + 1
-        mg[w][u] = mg[w].get(u, 0) + 1
+        mg[u].append(w)
+        mg[w].append(u)
     return None
 
 
-def _next_step(mg: dict[int, dict[int, int]]) -> ReductionStep | None:
+def _next_step(mg: dict[int, list[int]]) -> ReductionStep | None:
     """recognize_tw2's choice: an isolated vertex, then a degree-1 vertex,
     then the lowest parallel pair, then a degree-2 vertex, each at the lowest
     index; None once the workspace is empty or stuck.  The workspace only
     loses vertices, so iterating it is ascending."""
-    for v in mg:
-        if _mg_degree(mg, v) == 0:
+    for v, nb in mg.items():
+        if not nb:
             return ReductionStep("delete-isolated", (v,))
-    for v in mg:
-        if _mg_degree(mg, v) == 1:
-            return ReductionStep("delete-leaf", (v, next(iter(mg[v]))))
-    for v in mg:
-        for u in sorted(mg[v]):
-            if v < u and mg[v][u] >= 2:
-                return ReductionStep("merge-parallel", (v, u))
-    for v in mg:
-        if _mg_degree(mg, v) == 2:
+    for v, nb in mg.items():
+        if len(nb) == 1:
+            return ReductionStep("delete-leaf", (v, nb[0]))
+    for v, nb in mg.items():
+        if len(set(nb)) < len(nb):  # v has a parallel pair
+            for u in sorted(set(nb)):
+                if v < u and nb.count(u) >= 2:
+                    return ReductionStep("merge-parallel", (v, u))
+    for v, nb in mg.items():
+        if len(nb) == 2:
             # distinct neighbors: a parallel pair would have merged first
-            return ReductionStep("suppress", (v, *sorted(mg[v])))
+            return ReductionStep("suppress", (v, *sorted(nb)))
     return None
 
 

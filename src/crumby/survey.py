@@ -197,24 +197,23 @@ class SurveyReport:
         return lines
 
 
-def _decide(g: Graph, lineno: int, budget: int | None) -> Status:
+def _decide(g: Graph, text: str, lineno: int, budget: int | None) -> Status:
     """Backtracking's answer; an Unsat is re-confirmed by DPLL and, when the
-    graph is small enough, the exhaustive oracle."""
+    graph is small enough, the exhaustive oracle.  `text` is g's graph6 line."""
     status = backtracking_solve(g, budget=budget).status
     if status is Status.SAT:
         return status
-    canonical = emit_graph6(g)
     second = dpll_solve(g, budget=budget)
     if second.status is not Status.UNSAT:
         raise CrossCheckError(
-            f"line {lineno} ({canonical}): backtracking says unsat,"
+            f"line {lineno} ({text}): backtracking says unsat,"
             f" dpll says {second.status.value}"
         )
     if g.n <= EXHAUSTIVE_CAP:
         third = exhaustive_solve(g)
         if third.status is not Status.UNSAT:
             raise CrossCheckError(
-                f"line {lineno} ({canonical}): backtracking says unsat,"
+                f"line {lineno} ({text}): backtracking says unsat,"
                 f" the exhaustive oracle says {third.status.value}"
             )
     return status
@@ -229,7 +228,9 @@ def survey_stream(
 
     Malformed lines are recorded and skipped, and so are graphs whose
     decision runs out of budget (undecided).  Unsat answers that any
-    cross-check contradicts raise CrossCheckError.
+    cross-check contradicts raise CrossCheckError.  A graph is reported by
+    its stripped input line, which parse_graph6 accepts only when it is the
+    graph's one graph6 encoding.
     """
     filters = filters if filters is not None else SurveyFilters()
     per_n: dict[int, list[int]] = {}
@@ -250,9 +251,9 @@ def survey_stream(
             filtered_out += 1
             continue
         try:
-            status = _decide(g, lineno, budget)
+            status = _decide(g, text, lineno, budget)
         except BudgetExhausted:
-            undecided.append((lineno, emit_graph6(g)))
+            undecided.append((lineno, text))
             continue
         counts = per_n.setdefault(g.n, [0, 0, 0])
         counts[0] += 1
@@ -260,7 +261,7 @@ def survey_stream(
             counts[1] += 1
         else:
             counts[2] += 1
-            unsat_lines.append(emit_graph6(g))
+            unsat_lines.append(text)
     rows = tuple(
         (n, counts[0], counts[1], counts[2]) for n, counts in sorted(per_n.items())
     )

@@ -9,7 +9,11 @@ from crumby import (
     graph_from_bitmask,
     graph_from_edge_list,
     is_connected,
+    parallel,
+    rev,
+    series,
 )
+from crumby.gadgets import E, EdgeLeaf, Parallel, Reverse
 
 
 @st.composite
@@ -53,3 +57,32 @@ def colorings_of(draw, g: Graph) -> Coloring:
 def graph_coloring_pairs(draw, min_n: int = 1, max_n: int = 8):
     g = draw(graphs(min_n=min_n, max_n=max_n))
     return g, draw(colorings_of(g))
+
+
+def _joins_terminals(expr) -> bool:
+    """Does the expansion put an edge straight between the two terminals?"""
+    if isinstance(expr, Reverse):
+        return _joins_terminals(expr.child)
+    if isinstance(expr, Parallel):
+        return any(_joins_terminals(c) for c in expr.children)
+    return isinstance(expr, EdgeLeaf)
+
+
+@st.composite
+def sp_expressions(draw, depth: int = 3):
+    """Series-parallel expression trees that expand() accepts: a parallel
+    composition subdivides every direct terminal edge after its first."""
+    if depth == 0:
+        return E
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return E
+    if kind == 1:
+        return rev(draw(sp_expressions(depth=depth - 1)))
+    parts = [draw(sp_expressions(depth=depth - 1)) for _ in range(draw(st.integers(2, 3)))]
+    if kind == 2:
+        return series(*parts)
+    direct = [k for k, part in enumerate(parts) if _joins_terminals(part)]
+    for k in direct[1:]:
+        parts[k] = series(parts[k], E)
+    return parallel(*parts)

@@ -118,9 +118,22 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 2 and "budget" in err
 
 
-def test_solver_flags_must_match_the_method(capsys):
-    code, _, err = run(capsys, "solve", "F", "--method", "exhaustive", "--no-propagation")
-    assert code == 2 and "backtracking" in err
+@pytest.mark.parametrize(
+    "name, method, nodes, propagations",
+    [
+        ("G18", "backtracking", 218, 240),
+        ("G18", "dpll", 122, 214),
+        ("G40", "backtracking", 31174, 30632),
+        ("G40", "dpll", 5234, 10064),
+    ],
+)
+def test_refutation_certificate_bytes(capsys, name, method, nodes, propagations):
+    code, out, _ = run(capsys, "solve", name, "--method", method)
+    assert code == 1
+    assert out == (
+        f"status: unsat\nsolver: {method}\n"
+        f"nodes: {nodes}\npropagations: {propagations}\n"
+    )
 
 
 def test_solver_crash_is_an_error_not_a_negative_answer(capsys, monkeypatch):
@@ -176,6 +189,27 @@ def test_check_tw2_emits_and_revalidates(tmp_path, capsys):
     cert.write_text(out)
     code2, out2, _ = run(capsys, "check-tw2", "G40", "--certificate", str(cert))
     assert code2 == 0 and "valid" in out2
+
+
+def test_check_tw2_trace_bytes(capsys):
+    code, out, _ = run(capsys, "check-tw2", "F", "--emit-trace")
+    assert code == 0
+    assert out == (
+        "type: reduction-trace\n"
+        "n: 9\n"
+        "step: suppress 0 1 2\n"
+        "step: suppress 1 2 3\n"
+        "step: suppress 2 3 4\n"
+        "step: merge-parallel 3 4\n"
+        "step: suppress 3 4 5\n"
+        "step: suppress 4 5 6\n"
+        "step: suppress 7 5 6\n"
+        "step: merge-parallel 5 6\n"
+        "step: suppress 5 6 8\n"
+        "step: merge-parallel 6 8\n"
+        "step: delete-leaf 6 8\n"
+        "step: delete-isolated 8\n"
+    )
 
 
 def test_check_tw2_rejects_k4(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from crumby import (
     BudgetExhausted,
@@ -17,6 +17,7 @@ from crumby import (
     emit_solve_certificate,
     encode_cnf,
     exhaustive_solve,
+    expand,
     graph_from_edge_list,
     verify_crumby,
     verify_crumby_by_components,
@@ -228,14 +229,27 @@ def test_backtracking_and_dpll_agree_on_random_subcubic_graphs(g):
         assert verify_crumby(g, b.coloring)[0]
 
 
-def test_propagation_toggle_does_not_change_answers(census, f_gadget):
-    for g in census[5] + [f_gadget.graph]:
-        fast = backtracking_solve(g)
-        slow = backtracking_solve(g, propagate=False)
-        assert fast.status == slow.status
-        assert slow.nodes >= fast.nodes
-        if slow.status is Status.SAT:
-            assert verify_crumby(g, slow.coloring)[0]
+def assert_three_way_agreement(g):
+    results = [exhaustive_solve(g), backtracking_solve(g), dpll_solve(g)]
+    assert len({r.status for r in results}) == 1
+    for r in results:
+        if r.status is Status.SAT:
+            assert verify_crumby(g, r.coloring)[0]
+            assert verify_crumby_by_components(g, r.coloring)
+
+
+@given(strategies.subcubic_graphs(min_n=11, max_n=20))
+@settings(max_examples=120, deadline=None)
+def test_three_solvers_agree_beyond_the_census(g):
+    assert_three_way_agreement(g)
+
+
+@given(strategies.sp_expressions())
+@settings(max_examples=120, deadline=None)
+def test_three_solvers_agree_on_series_parallel_expansions(expr):
+    g = expand(expr).graph
+    assume(g.n <= 20)
+    assert_three_way_agreement(g)
 
 
 def test_budget_exhaustion_raises(g40):

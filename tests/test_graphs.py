@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -300,6 +301,15 @@ def test_isomorphism_examples():
 @PROPERTY
 def test_isomorphism_agrees_with_permutation_oracle(g1, g2):
     assert are_isomorphic(g1, g2) == oracles.naive_isomorphic(g1, g2)
+
+
+def test_isomorphism_search_depth_is_not_bound_by_recursion():
+    # every refinement colour is equal on a cycle, so the search maps all
+    # 1,500 vertices one level at a time
+    g = cycle_graph(1500)
+    perm = list(range(g.n))
+    random.Random(4).shuffle(perm)
+    assert are_isomorphic(g, relabel(g, perm))
 
 
 @given(strategies.graphs(min_n=1, max_n=8))
