@@ -97,71 +97,84 @@ def _int(value: str, what: str) -> int:
         raise CertificateError(f"{what}: {exc}") from None
 
 
+# per type: the keys a document needs exactly once, and the one key that may
+# repeat; a minor witness also needs branch-0 .. branch-(pattern-n - 1)
+_KEYS = {
+    "elimination-order": (("n", "order"), None),
+    "reduction-trace": (("n",), "step"),
+    "minor-witness": (("pattern-n", "pattern-edges"), None),
+    "ear-decomposition": (("cycle",), "ear"),
+}
+
+
+def _fields(
+    kind: str, body: list[tuple[str, str]]
+) -> tuple[dict[str, str], list[str]]:
+    """The once-only entries of a `kind` document by key, and the values of
+    its repeating key in order.  A missing, unknown or repeated once-only
+    key raises CertificateError, so no document reads two ways."""
+    once, repeating = _KEYS[kind]
+    fields: dict[str, str] = {}
+    values = []
+    for key, value in body:
+        if key == repeating:
+            values.append(value)
+        elif key in fields:
+            raise CertificateError(f"repeated key {key!r} in {kind}")
+        elif key in once or (kind == "minor-witness" and key.startswith("branch-")):
+            fields[key] = value
+        else:
+            raise CertificateError(f"unexpected key {key!r} in {kind}")
+    if not all(key in fields for key in once):
+        raise CertificateError(f"{kind} needs exactly one {' and one '.join(once)}")
+    return fields, values
+
+
 def parse_certificate(text: str) -> Certificate:
     """Parse any certificate document; the type line picks the shape."""
     entries = _entries(text)
     key, kind = entries[0]
     if key != "type":
         raise CertificateError("first entry must be 'type'")
-    body = entries[1:]
+    if kind not in _KEYS:
+        raise CertificateError(f"unknown certificate type {kind!r}")
+    fields, values = _fields(kind, entries[1:])
     if kind == "elimination-order":
-        fields = dict(body)
-        if set(fields) != {"n", "order"}:
-            raise CertificateError("elimination-order needs exactly n and order")
         order = _ints(fields["order"], "order")
         if len(order) != _int(fields["n"], "n"):
             raise CertificateError("order length disagrees with n")
         return EliminationOrder(tuple(order))
     if kind == "reduction-trace":
+        _int(fields["n"], "n")
         trace = []
-        n = None
-        for key, value in body:
-            if key == "n":
-                n = _int(value, "n")
-            elif key == "step":
-                rule, _, args = value.partition(" ")
-                trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
-            else:
-                raise CertificateError(f"unexpected key {key!r} in reduction-trace")
-        if n is None:
-            raise CertificateError("reduction-trace needs n")
+        for value in values:
+            rule, _, args = value.partition(" ")
+            trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
         return trace
-    if kind == "minor-witness":
-        fields = dict(body)
-        if "pattern-n" not in fields or "pattern-edges" not in fields:
-            raise CertificateError("minor-witness needs pattern-n and pattern-edges")
-        pn = _int(fields["pattern-n"], "pattern-n")
-        edges = []
-        for tok in fields["pattern-edges"].split():
-            u, sep, v = tok.partition("-")
-            if not sep:
-                raise CertificateError(f"pattern edge {tok!r} must look like u-v")
-            edges.append((_int(u, "pattern-edges"), _int(v, "pattern-edges")))
-        try:
-            pattern = graph_from_edge_list(pn, edges)
-        except GraphError as exc:
-            raise CertificateError(f"pattern: {exc}") from None
-        branches = []
-        for i in range(pn):
-            key = f"branch-{i}"
-            if key not in fields:
-                raise CertificateError(f"minor-witness is missing {key}")
-            branches.append(frozenset(_ints(fields[key], key)))
-        return pattern, MinorWitness(tuple(branches))
     if kind == "ear-decomposition":
-        cycle = None
-        ears = []
-        for key, value in body:
-            if key == "cycle":
-                cycle = tuple(_ints(value, "cycle"))
-            elif key == "ear":
-                ears.append(tuple(_ints(value, "ear")))
-            else:
-                raise CertificateError(f"unexpected key {key!r} in ear-decomposition")
-        if cycle is None:
-            raise CertificateError("ear-decomposition needs a cycle")
-        return EarDecomposition(cycle, tuple(ears))
-    raise CertificateError(f"unknown certificate type {kind!r}")
+        ears = tuple(tuple(_ints(value, "ear")) for value in values)
+        return EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
+    pn = _int(fields["pattern-n"], "pattern-n")
+    edges = []
+    for tok in fields["pattern-edges"].split():
+        u, sep, v = tok.partition("-")
+        if not sep:
+            raise CertificateError(f"pattern edge {tok!r} must look like u-v")
+        edges.append((_int(u, "pattern-edges"), _int(v, "pattern-edges")))
+    try:
+        pattern = graph_from_edge_list(pn, edges)
+    except GraphError as exc:
+        raise CertificateError(f"pattern: {exc}") from None
+    branch_keys = [f"branch-{i}" for i in range(pn)]
+    stray = set(fields) - {"pattern-n", "pattern-edges", *branch_keys}
+    if stray:
+        raise CertificateError(f"unexpected key {min(stray)!r} in minor-witness")
+    branches = []
+    for key in branch_keys:
+        if key not in fields:
+            raise CertificateError(f"minor-witness is missing {key}")
+        branches.append(frozenset(_ints(fields[key], key)))
+    return pattern, MinorWitness(tuple(branches))
 
 
 def certificate_kind(cert: Certificate) -> str:

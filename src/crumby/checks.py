@@ -9,7 +9,7 @@ Two sections of checks, each yielding one pass/fail line:
                  (feasible-set sizes, mutated-gadget controls, census sizes,
                  survey outcomes), guarding against silent behavior drift.
 
-The quick mode skips only the 2^18 exhaustive-oracle sweeps.
+The quick mode skips only the one 2^18 exhaustive sweep of G18.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .coloring import (
     Coloring,
     Status,
     backtracking_solve,
-    count_crumby,
     dpll_solve,
     exhaustive_solve,
 )
@@ -140,15 +139,13 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
     g40 = build_G40().graph
 
     if not quick:
+        # Unsat after all 2^18 colorings: not one of them is crumby
         result = exhaustive_solve(g18)
-        crumby_count = count_crumby(g18)
         yield CheckResult(
             "claim",
             "g18-unsat-exhaustive",
-            result.status is Status.UNSAT
-            and result.nodes == 1 << 18
-            and crumby_count == 0,
-            f"{crumby_count} crumby colorings among {result.nodes} enumerated",
+            result.status is Status.UNSAT and result.nodes == 1 << 18,
+            f"{result.status.value} after {result.nodes} colorings enumerated",
         )
     for name, g, solve in (
         ("g18-unsat-backtracking", g18, backtracking_solve),

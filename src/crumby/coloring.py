@@ -97,34 +97,11 @@ class Violation:
         return f"all-red path {'-'.join(map(str, self.path or ()))}"
 
 
-# -- the compiled constraint model ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Model:
-    """Conditions (a)-(c) of one graph, compiled once for every checker.
-
-    `p4s` is enumerate_p4(g) and `p4_of[v]` the indices of the paths through
-    v.  Both grow linearly with a subcubic graph; bitmasks are built only by
-    the capped exhaustive core.
-    """
-
-    g: Graph
-    p4s: list[tuple[int, int, int, int]]
-    p4_of: tuple[tuple[int, ...], ...]
-
-
-def _compile(g: Graph) -> _Model:
-    p4s = enumerate_p4(g)
-    p4_of: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, path in enumerate(p4s):
-        for v in path:
-            p4_of[v].append(idx)
-    return _Model(g, p4s, tuple(map(tuple, p4_of)))
+# -- verification ----------------------------------------------------------------
 
 
 def _violations(
-    model: _Model,
+    g: Graph,
     red: frozenset[int],
     exempt: frozenset[int] = frozenset(),
     extra: tuple[tuple[int, ...], ...] = (),
@@ -133,17 +110,24 @@ def _violations(
 
     Red vertices in `exempt` need no Red neighbor, and every path in `extra`
     is forbidden all-Red like a P4.  With the defaults this is plain
-    crumbiness.
+    crumbiness.  A P4 of g is all Red exactly when it is a P4 of the red
+    subgraph G[red], so only G[red] is searched; its paths map back through
+    the sorted red list, which keeps enumerate_p4's orientation and order.
     """
-    adj = model.g.adj
+    adj = g.adj
     violations = []
-    for v in range(model.g.n):
+    for v in range(g.n):
         if v in red:
             if v not in exempt and not any(u in red for u in adj[v]):
                 violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
         elif sum(1 for u in adj[v] if u not in red) >= 2:
             violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
-    for path in (*model.p4s, *extra):
+    reds = sorted(red)
+    for path in enumerate_p4(induced_subgraph(g, reds)):
+        violations.append(
+            Violation(ViolationKind.RED_P4, path=tuple(reds[p] for p in path))
+        )
+    for path in extra:
         if all(p in red for p in path):
             violations.append(Violation(ViolationKind.RED_P4, path=path))
     return violations
@@ -153,7 +137,7 @@ def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
     """Check (a)-(c) directly; returns all violations, deterministic order."""
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    violations = _violations(_compile(g), c.red_set())
+    violations = _violations(g, c.red_set())
     return not violations, violations
 
 
@@ -189,22 +173,23 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
 # -- vectorized exhaustive core ----------------------------------------------
 
 def _feasible_chunks(
-    model: _Model,
+    g: Graph,
     exempt: frozenset[int] = frozenset(),
     extra: tuple[tuple[int, ...], ...] = (),
     fixed: dict[int, Color] | None = None,
 ):
     """Yield (offset, ok): ok[i] true iff red-mask offset+i agrees with the
-    vertex colors in `fixed` and has no _violations(model, ..., exempt, extra).
+    vertex colors in `fixed` and has no _violations(g, ..., exempt, extra).
 
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
     """
-    g, n = model.g, model.g.n
+    n = g.n
     fixed = fixed or {}
     bit = [1 << (n - 1 - v) for v in range(n)]
     nbmask = [sum(bit[u] for u in g.adj[v]) for v in range(n)]
-    forbidden = sorted({sum(bit[p] for p in path) for path in (*model.p4s, *extra)})
+    paths = (*enumerate_p4(g), *extra)
+    forbidden = sorted({sum(bit[p] for p in path) for path in paths})
     fixed_mask = sum(bit[v] for v in fixed)
     fixed_red = sum(bit[v] for v, color in fixed.items() if color is RED)
     total = 1 << n
@@ -244,25 +229,15 @@ def _relaxed_colorings(
     `exempt` and `extra` (see _violations), in lexicographic order, B < R."""
     _check_exhaustive_cap(g)
     out = []
-    for start, ok in _feasible_chunks(_compile(g), exempt, extra, fixed):
+    for start, ok in _feasible_chunks(g, exempt, extra, fixed):
         out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
     return tuple(out)
-
-
-def _relaxed_ok(
-    g: Graph,
-    c: Coloring,
-    exempt: frozenset[int],
-    extra: tuple[tuple[int, ...], ...],
-) -> bool:
-    """One coloring against the same relaxed conditions, for any n."""
-    return not _violations(_compile(g), c.red_set(), exempt, extra)
 
 
 def count_crumby(g: Graph) -> int:
     """Exact number of crumby colorings of g (n <= 24)."""
     _check_exhaustive_cap(g)
-    return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(_compile(g)))
+    return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(g))
 
 
 class Status(Enum):
@@ -298,7 +273,7 @@ def exhaustive_solve(g: Graph) -> SolveResult:
     """
     _check_exhaustive_cap(g)
     t0 = time.perf_counter()
-    for start, ok in _feasible_chunks(_compile(g)):
+    for start, ok in _feasible_chunks(g):
         hits = np.nonzero(ok)[0]
         if hits.size:
             mask = start + int(hits[0])
@@ -370,13 +345,16 @@ class _GraphSearch:
 
     def __init__(self, g: Graph, budget: int | None) -> None:
         self.g = g
-        self.model = _compile(g)
         self.budget = budget
         n = g.n
         self.assign = [_UNSET] * n
         self.un_nb = [g.degree(v) for v in range(n)]
-        self.p4s = self.model.p4s
-        self.p4_of = self.model.p4_of
+        self.p4s = enumerate_p4(g)
+        # indices of the P4s through each vertex
+        self.p4_of: list[list[int]] = [[] for _ in range(n)]
+        for i, path in enumerate(self.p4s):
+            for v in path:
+                self.p4_of[v].append(i)
         # per-color counters, indexed by _RED / _BLUE: colored neighbors of
         # each vertex and colored vertices of each P4
         self.nb = [[], [0] * n, [0] * n]
@@ -520,7 +498,7 @@ def backtracking_solve(g: Graph, budget: int | None = None) -> SolveResult:
     t0 = time.perf_counter()
     search = _GraphSearch(g, budget)
     coloring = search.coloring() if search.dfs() else None
-    if coloring is not None and _violations(search.model, coloring.red_set()):
+    if coloring is not None and not verify_crumby(g, coloring)[0]:
         raise AssertionError("solver produced a non-crumby coloring")
     return _result("backtracking", coloring, search.nodes, search.propagations, t0)
 

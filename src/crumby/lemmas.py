@@ -32,7 +32,7 @@ from .coloring import (
     Coloring,
     Status,
     _relaxed_colorings,
-    _relaxed_ok,
+    _violations,
     dpll_solve,
     verify_crumby_by_components,
 )
@@ -107,7 +107,7 @@ def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
                 f"coloring assigns vertex {v} {c.colors[v].value},"
                 f" spec fixes it to {color.value}"
             )
-    return _relaxed_ok(g, c, *_relaxation(g, spec))
+    return not _violations(g, c.red_set(), *_relaxation(g, spec))
 
 
 @dataclass(frozen=True)

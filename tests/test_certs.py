@@ -94,6 +94,10 @@ def test_comments_and_blank_lines_are_ignored(g18):
     assert parse_certificate(text) == order
 
 
+# a well-formed K2 witness that the cases below extend
+WITNESS = "type: minor-witness\npattern-n: 2\npattern-edges: 0-1\nbranch-0: 0\nbranch-1: 1\n"
+
+
 def test_parse_diagnostics():
     cases = [
         ("", "empty"),
@@ -102,6 +106,16 @@ def test_parse_diagnostics():
         ("type: elimination-order\nn: 2\norder: 0 zero\n", "invalid literal"),
         ("type: elimination-order\nn: 2\n", "exactly"),
         ("type: minor-witness\npattern-n: 2\npattern-edges: 0-1-2\n", "edge"),
+        # a document that could be read two ways is refused
+        ("type: elimination-order\nn: 2\norder: 0 1\nn: 3\norder: 0 1 2\n", "repeated key 'n'"),
+        ("type: elimination-order\nn: 2\norder: 0 1\nwidth: 1\n", "unexpected key 'width'"),
+        ("type: reduction-trace\nn: 2\nn: 3\n", "repeated key 'n'"),
+        ("type: reduction-trace\nn: 2\ntype: minor-witness\n", "unexpected key 'type'"),
+        ("type: ear-decomposition\ncycle: 0 1 2\ncycle: 0 1 3\n", "repeated key 'cycle'"),
+        (f"{WITNESS}branch-0: 1\n", "repeated key 'branch-0'"),
+        (f"{WITNESS}branch-7: 2\n", "unexpected key 'branch-7'"),
+        (f"{WITNESS}colour: red\n", "unexpected key 'colour'"),
+        ("type: minor-witness\npattern-n: 2\npattern-edges: 0-1\nbranch-0: 0\n", "missing branch-1"),
     ]
     for text, fragment in cases:
         with pytest.raises(CertificateError, match=fragment):

@@ -99,6 +99,11 @@ def test_verifier_handles_long_paths():
     ok, violations = verify_crumby(path_graph(n), Coloring.from_red_set(n, pairs - {1, 2}))
     assert not ok
     assert violations == [Violation(ViolationKind.BLUE_DEGREE, vertex=v) for v in (1, 2, 3)]
+    # one red run of four far from vertex 0; the rest stays crumby
+    red = (pairs | {3003, 3004, 3007}) - {3005}
+    assert verify_crumby(path_graph(n), Coloring.from_red_set(n, red)) == (
+        False, [Violation(ViolationKind.RED_P4, path=(3001, 3002, 3003, 3004))]
+    )
 
 
 @given(strategies.graph_coloring_pairs(max_n=8))
