@@ -55,8 +55,8 @@ from .gadgets import (
 from .graphs import (
     EarDecomposition,
     Graph,
-    are_isomorphic,
     bitmask_of_graph,
+    blocks,
     complete_bipartite,
     complete_graph,
     connected_components,

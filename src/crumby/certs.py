@@ -5,12 +5,15 @@ lines allowed) whose first entry is its type.  Validation replays the
 certificate against a graph without re-running any search:
 
   elimination-order   width of the given order is at most 2
-  reduction-trace     the given rule applications empty the workspace
+  reduction-trace     the graph has the stated n, and the given rule
+                      applications empty its workspace
   minor-witness       branch sets model the given pattern
   ear-decomposition   cycle plus open ears cover the graph exactly
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .errors import CertificateError, GraphError
 from .graphs import EarDecomposition, Graph, graph_from_edge_list, verify_ear_decomposition
@@ -23,9 +26,19 @@ from .minorfree import (
     verify_minor_witness,
 )
 
+
+@dataclass(frozen=True)
+class ReductionTrace:
+    """A parsed reduction-trace document: the vertex count it is for and
+    its rule applications in order."""
+
+    n: int
+    steps: tuple[ReductionStep, ...]
+
+
 Certificate = (
     EliminationOrder
-    | list[ReductionStep]
+    | ReductionTrace
     | tuple[Graph, MinorWitness]
     | EarDecomposition
 )
@@ -145,12 +158,11 @@ def parse_certificate(text: str) -> Certificate:
             raise CertificateError("order length disagrees with n")
         return EliminationOrder(tuple(order))
     if kind == "reduction-trace":
-        _int(fields["n"], "n")
         trace = []
         for value in values:
             rule, _, args = value.partition(" ")
             trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
-        return trace
+        return ReductionTrace(_int(fields["n"], "n"), tuple(trace))
     if kind == "ear-decomposition":
         ears = tuple(tuple(_ints(value, "ear")) for value in values)
         return EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
@@ -183,7 +195,7 @@ def certificate_kind(cert: Certificate) -> str:
         return "elimination-order"
     if isinstance(cert, EarDecomposition):
         return "ear-decomposition"
-    return "reduction-trace" if isinstance(cert, list) else "minor-witness"
+    return "reduction-trace" if isinstance(cert, ReductionTrace) else "minor-witness"
 
 
 def validate_certificate(g: Graph, cert: Certificate) -> tuple[bool, str]:
@@ -197,9 +209,11 @@ def validate_certificate(g: Graph, cert: Certificate) -> tuple[bool, str]:
     if isinstance(cert, EarDecomposition):
         ok, reason = verify_ear_decomposition(g, cert)
         return ok, reason or "open ear decomposition covers the graph"
-    if isinstance(cert, list):
-        ok, reason = replay_reduction_trace(g, cert)
-        return ok, reason or f"workspace emptied in {len(cert)} steps"
+    if isinstance(cert, ReductionTrace):
+        if cert.n != g.n:
+            return False, f"certificate is for n={cert.n}, the graph has {g.n} vertices"
+        ok, reason = replay_reduction_trace(g, list(cert.steps))
+        return ok, reason or f"workspace emptied in {len(cert.steps)} steps"
     pattern, witness = cert
     ok, reason = verify_minor_witness(g, pattern, witness)
     return ok, reason or "branch sets model the pattern"

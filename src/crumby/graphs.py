@@ -68,9 +68,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(row) for row in self.adj), default=0)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((len(row) for row in self.adj), reverse=True))
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -313,49 +310,68 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def cut_vertices(g: Graph) -> list[int]:
-    """Articulation vertices via iterative DFS lowpoints."""
+def blocks(g: Graph) -> list[list[int]]:
+    """The blocks of g as sorted vertex lists, in ascending order: its
+    maximal 2-connected subgraphs, its bridges and its isolated vertices.
+
+    One lowpoint DFS on explicit stacks (Hopcroft & Tarjan, CACM 16(6),
+    1973): `path` is the tree path from the root, `pos[v]` the next
+    neighbour of v to try, and `pending` the visited vertices not yet in a
+    block.  When a child v of p finishes with low[v] >= disc[p], p and the
+    vertices from v up on `pending` form a block.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
-    parent = [-1] * g.n
-    cuts: set[int] = set()
+    pos = [0] * g.n
+    out = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        disc[root] = low[root] = timer
+        disc[root] = timer
         timer += 1
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, ptr = stack[-1]
-            if ptr < len(g.adj[v]):
-                stack[-1] = (v, ptr + 1)
-                u = g.adj[v][ptr]
+        if not g.adj[root]:
+            out.append([root])
+            continue
+        path = [root]
+        pending = [root]
+        while path:
+            v = path[-1]
+            if pos[v] < len(g.adj[v]):
+                u = g.adj[v][pos[v]]
+                pos[v] += 1
                 if disc[u] == -1:
-                    parent[u] = v
-                    if v == root:
-                        root_children += 1
                     disc[u] = low[u] = timer
                     timer += 1
-                    stack.append((u, 0))
-                elif u != parent[v]:
+                    path.append(u)
+                    pending.append(u)
+                else:
                     low[v] = min(low[v], disc[u])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return sorted(cuts)
+                continue
+            path.pop()
+            if path:
+                p = path[-1]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    block = [p]
+                    while block[-1] != v:
+                        block.append(pending.pop())
+                    out.append(sorted(block))
+    return sorted(out)
+
+
+def cut_vertices(g: Graph) -> list[int]:
+    """Articulation vertices: those that lie in two or more blocks."""
+    count = [0] * g.n
+    for block in blocks(g):
+        for v in block:
+            count[v] += 1
+    return [v for v in range(g.n) if count[v] >= 2]
 
 
 def is_biconnected(g: Graph) -> bool:
-    """True iff n >= 3, connected, and no cut vertex."""
-    return g.n >= 3 and is_connected(g) and not cut_vertices(g)
+    """True iff n >= 3 and g is a single block."""
+    return g.n >= 3 and len(blocks(g)) == 1
 
 
 @dataclass(frozen=True)
@@ -481,85 +497,3 @@ def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
                     if walk <= (p4, p3, p2, p1):
                         out.append(walk)
     return sorted(out)
-
-
-# -- isomorphism -------------------------------------------------------------
-
-
-def _refine(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
-    """Joint iterated neighborhood refinement.
-
-    Colors are comparable across the two graphs.  Returns None as soon as
-    the color histograms diverge (certain non-isomorphism).
-    """
-    c1 = [g1.degree(v) for v in range(g1.n)]
-    c2 = [g2.degree(v) for v in range(g2.n)]
-    for _ in range(max(g1.n, 1)):
-        key1 = [(c1[v], tuple(sorted(c1[u] for u in g1.adj[v]))) for v in range(g1.n)]
-        key2 = [(c2[v], tuple(sorted(c2[u] for u in g2.adj[v]))) for v in range(g2.n)]
-        palette = {k: i for i, k in enumerate(sorted(set(key1) | set(key2)))}
-        n1 = [palette[k] for k in key1]
-        n2 = [palette[k] for k in key2]
-        if sorted(n1) != sorted(n2):
-            return None
-        if n1 == c1 and n2 == c2:
-            break
-        c1, c2 = n1, n2
-    return c1, c2
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: refinement colors, then backtracking.
-
-    Exponential worst case; intended for n <= 16 or so.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    refined = _refine(g1, g2)
-    if refined is None:
-        return False
-    c1, c2 = refined
-    by_color: dict[int, list[int]] = {}
-    for v in range(g2.n):
-        by_color.setdefault(c2[v], []).append(v)
-    # most constrained first: rare colors, then high degree
-    rarity = {color: len(vs) for color, vs in by_color.items()}
-    order = sorted(range(g1.n), key=lambda v: (rarity[c1[v]], -g1.degree(v), v))
-    mapping = [-1] * g1.n
-    used = [False] * g2.n
-
-    def fits(v: int, w: int) -> bool:
-        for x in g1.adj[v]:
-            mx = mapping[x]
-            if mx != -1 and not g2.has_edge(w, mx):
-                return False
-        # mapped non-neighbors must stay non-adjacent; degrees match, so
-        # checking image degrees against mapped neighbors suffices
-        count = sum(1 for x in g1.adj[v] if mapping[x] != -1)
-        return count == sum(1 for y in g2.adj[w] if used[y])
-
-    # next candidate index of each open level; level k maps order[k], so the
-    # depth is a list length, not a recursion
-    levels = [0]
-    while len(levels) <= len(order):
-        k = len(levels) - 1
-        v = order[k]
-        if mapping[v] != -1:  # back from a dead end below: unmap v
-            used[mapping[v]] = False
-            mapping[v] = -1
-        cands = by_color.get(c1[v], [])
-        i = levels[k]
-        while i < len(cands) and (used[cands[i]] or not fits(v, cands[i])):
-            i += 1
-        if i == len(cands):
-            levels.pop()
-            if not levels:
-                return False
-            continue
-        levels[k] = i + 1
-        mapping[v] = cands[i]
-        used[cands[i]] = True
-        levels.append(0)
-    return True

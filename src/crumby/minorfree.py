@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExhausted, CapExceeded
-from .graphs import Graph
+from .graphs import Graph, blocks, is_biconnected
 
 MINOR_PATTERN_CAP = 6
 
@@ -263,8 +263,9 @@ def has_minor(
     path through unassigned host vertices and splitting it between the two
     sets.  Interchangeable pattern vertices get increasing seeds.  Paths are
     routed in a loop, so the recursion depth is the plan length (at most 21
-    steps) for any host.  Exact for pattern.n <= 6; host sizes around 20 are
-    the practical target, with the node budget guarding anything bigger.
+    steps) for any host.  A 2-connected pattern is searched for one block of
+    the host at a time, in ascending block order, under one node count.
+    Exact for pattern.n <= 6; the node budget guards large hosts.
     """
     if pattern.n > MINOR_PATTERN_CAP:
         raise CapExceeded(
@@ -371,8 +372,16 @@ def has_minor(
                 taken ^= 1 << chain.pop()
         return None
 
-    sets = step(0, (), (), 0)
-    if sets is None:
+    # a model of a 2-connected pattern lies inside one block of the host,
+    # so each block is searched alone with every vertex outside it used
+    areas = [full]
+    if is_biconnected(pattern):
+        areas = [sum(1 << v for v in block) for block in blocks(g)]
+    for area in areas:
+        sets = step(0, (), (), full & ~area)
+        if sets is not None:
+            break
+    else:
         return False, None
     branch = [frozenset()] * k
     for pos, pv in enumerate(porder):

@@ -54,6 +54,11 @@ def test_reduction_trace_detects_tampering(g18):
     tampered = text.replace(trace[0].rule, "delete-isolated", 1)
     ok, detail = validate_certificate(g18.graph, parse_certificate(tampered))
     assert not ok
+    # the same steps, stated for another vertex count
+    wrong_n = parse_certificate(emit_reduction_trace(5, trace))
+    assert validate_certificate(g18.graph, wrong_n) == (
+        False, "certificate is for n=5, the graph has 18 vertices"
+    )
 
 
 def test_minor_witness_round_trip(f_gadget):

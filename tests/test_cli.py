@@ -225,6 +225,10 @@ def test_check_tw2_rejects_foreign_certificates(tmp_path, capsys):
     cert.write_text(out)
     code2, out2, _ = run(capsys, "check-tw2", "G40", "--certificate", str(cert))
     assert code2 == 1
+    # G18's own trace, stated for another vertex count
+    cert.write_text(emit_reduction_trace(5, recognize_tw2(build_G18().graph)[1]))
+    code3, out3, _ = run(capsys, "check-tw2", "G18", "--certificate", str(cert))
+    assert code3 == 1 and out3.startswith("certificate: invalid")
 
 
 def test_check_biconnected(capsys):

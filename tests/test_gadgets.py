@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from crumby import ExpansionError, are_isomorphic, expand, is_connected, parallel, rev, series
+from crumby import ExpansionError, expand, is_connected, parallel, rev, series
 from crumby.gadgets import (
     E,
     F_AUTOMORPHISM,
@@ -20,6 +20,7 @@ from crumby.gadgets import (
     sp_edge_mismatch,
 )
 from crumby.minorfree import EliminationOrder, elimination_width, recognize_tw2
+from tests import oracles
 from tests.strategies import sp_expressions
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -54,7 +55,7 @@ def test_reverse_is_an_involution_up_to_expansion():
 def test_series_is_associative_up_to_isomorphism():
     a = expand(series(series(E, E), E)).graph
     b = expand(series(E, series(E, E))).graph
-    assert are_isomorphic(a, b)
+    assert oracles.naive_isomorphic(a, b)
 
 
 def test_parallel_is_commutative_up_to_isomorphism():
@@ -62,7 +63,7 @@ def test_parallel_is_commutative_up_to_isomorphism():
     three = series(E, E, E)
     a = expand(parallel(two, three)).graph
     b = expand(parallel(three, two)).graph
-    assert are_isomorphic(a, b)
+    assert oracles.naive_isomorphic(a, b)
 
 
 @given(sp_expressions())

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +10,8 @@ from crumby import (
     EarDecomposition,
     Graph6Error,
     GraphError,
-    are_isomorphic,
     bitmask_of_graph,
+    blocks,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -73,7 +72,7 @@ def test_adjacency_is_sorted_and_symmetric():
 def test_degree_helpers():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.m == 6
-    assert g.degree_sequence() == (3, 3, 2, 2, 2)
+    assert sorted(g.degree(v) for v in range(g.n)) == [2, 2, 2, 3, 3]
     assert g.max_degree() == 3
 
 
@@ -210,6 +209,27 @@ def test_path_interior_vertices_are_cuts():
     assert cut_vertices(path_graph(5)) == [1, 2, 3]
 
 
+@given(strategies.graphs(max_n=9))
+@PROPERTY
+def test_blocks_split_the_edges_into_2_connected_pieces(g):
+    bs = blocks(g)
+    for u, v in g.edges():
+        assert sum(1 for b in bs if u in b and v in b) == 1
+    for b in bs:
+        h = induced_subgraph(g, b)
+        if len(b) >= 3:
+            assert is_connected(h) and not oracles.naive_cut_vertices(h)
+        else:
+            assert h.m == len(b) - 1
+    assert [[v] for v in range(g.n) if g.degree(v) == 0] == [b for b in bs if len(b) == 1]
+    in_two = [v for v in range(g.n) if sum(v in b for b in bs) >= 2]
+    assert in_two == oracles.naive_cut_vertices(g)
+
+
+def test_blocks_of_a_long_path_need_no_recursion():
+    assert len(blocks(path_graph(200_000))) == 199_999
+
+
 def test_biconnected_examples(g18, g40):
     assert is_biconnected(cycle_graph(3))
     assert not is_biconnected(complete_graph(2))
@@ -286,34 +306,3 @@ def test_p4_known_counts():
 def test_p4_matches_permutation_oracle(g):
     assert set(enumerate_p4(g)) == oracles.naive_p4_set(g)
     assert enumerate_p4(g) == sorted(enumerate_p4(g))
-
-
-# -- isomorphism -------------------------------------------------------------
-
-
-def test_isomorphism_examples():
-    assert are_isomorphic(path_graph(3), complete_bipartite(1, 2))
-    assert not are_isomorphic(cycle_graph(4), complete_bipartite(1, 3))
-    assert not are_isomorphic(complete_graph(3), path_graph(3))
-
-
-@given(strategies.graphs(min_n=1, max_n=6), strategies.graphs(min_n=1, max_n=6))
-@PROPERTY
-def test_isomorphism_agrees_with_permutation_oracle(g1, g2):
-    assert are_isomorphic(g1, g2) == oracles.naive_isomorphic(g1, g2)
-
-
-def test_isomorphism_search_depth_is_not_bound_by_recursion():
-    # every refinement colour is equal on a cycle, so the search maps all
-    # 1,500 vertices one level at a time
-    g = cycle_graph(1500)
-    perm = list(range(g.n))
-    random.Random(4).shuffle(perm)
-    assert are_isomorphic(g, relabel(g, perm))
-
-
-@given(strategies.graphs(min_n=1, max_n=8))
-@PROPERTY
-def test_relabeling_preserves_isomorphism(g):
-    perm = list(reversed(range(g.n)))
-    assert are_isomorphic(g, relabel(g, perm))

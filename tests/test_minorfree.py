@@ -10,6 +10,7 @@ from crumby import (
     MinorWitness,
     complete_bipartite,
     complete_graph,
+    connected_components,
     elimination_steps,
     elimination_width,
     find_elimination_order,
@@ -252,6 +253,31 @@ def test_minor_search_routes_long_chains_without_recursion():
 def test_minor_search_respects_budget(g18):
     with pytest.raises(BudgetExhausted):
         has_minor(g18.graph, K4, budget=1000)
+
+
+def test_g18_is_searched_block_by_block(g18):
+    # its blocks are two copies of F and the bridge; searched as one host,
+    # G18 needs far more nodes than this to rule K4 out
+    assert has_minor(g18.graph, K4, budget=20_000) == (False, None)
+
+
+def test_k4_witness_lies_in_its_block():
+    # the 6-cycle 0..5 glued at the cut vertex 5 to the K4 on 5..8; a search
+    # of the whole host would seed at 0 and route it into a branch set
+    edges = [(v, v + 1) for v in range(5)] + [(5, 0)]
+    edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+    g = graph_from_edge_list(9, edges)
+    found, witness = has_minor(g, K4)
+    assert found and verify_minor_witness(g, K4, witness)[0]
+    assert set().union(*witness.branch_sets) == {5, 6, 7, 8}
+
+
+@given(strategies.graphs(max_n=12))
+@PROPERTY
+def test_triangle_minor_exactly_when_there_is_a_cycle(g):
+    # a forest has m = n - (number of components); any more edges close a cycle
+    forest_edges = g.n - len(connected_components(g))
+    assert has_minor(g, complete_graph(3))[0] == (g.m > forest_edges)
 
 
 def test_minor_pattern_cap(f_gadget):

@@ -10,7 +10,6 @@ from crumby import (
     SolveResult,
     Status,
     SurveyFilters,
-    are_isomorphic,
     complete_graph,
     emit_graph6,
     generate_small,
@@ -20,6 +19,7 @@ from crumby import (
 )
 from crumby.coloring import Coloring
 import crumby.survey
+from tests import oracles
 
 
 EXPECTED_CENSUS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -53,7 +53,7 @@ def test_census_lines_are_canonical_and_unique():
 def test_census_has_no_isomorphic_duplicates(census):
     for n in range(1, 7):
         for g1, g2 in itertools.combinations(census[n], 2):
-            assert not are_isomorphic(g1, g2)
+            assert not oracles.naive_isomorphic(g1, g2)
 
 
 def test_census_is_exhaustive_at_order_four(census):
@@ -64,7 +64,7 @@ def test_census_is_exhaustive_at_order_four(census):
         g = graph_from_bitmask(4, mask)
         if not is_connected(g):
             continue
-        assert any(are_isomorphic(g, rep) for rep in census[4])
+        assert any(oracles.naive_isomorphic(g, rep) for rep in census[4])
 
 
 # -- the survey harness ------------------------------------------------------
