@@ -519,6 +519,13 @@ class _Dpll:
                 (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
         self.n_sat = [0] * len(f.clauses)
         self.n_free = [len(c) for c in f.clauses]
+        # occurrences of each literal in clauses not yet satisfied: var at
+        # index var, -var at nv + var; slots[ci] holds those of ci's literals
+        # (non-negative indices keep the list subscripts on the fast path)
+        self.free_occ = [len(occ) for occ in self.pos_occ] + [
+            len(occ) for occ in self.neg_occ[1:]
+        ]
+        self.slots = [[lit if lit > 0 else nv - lit for lit in c] for c in f.clauses]
         self.trail: list[int] = []
         self.nodes = 0
         self.propagations = 0
@@ -530,13 +537,18 @@ class _Dpll:
         self.trail.append(var)
         sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
         unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
+        n_sat, n_free, free_occ = self.n_sat, self.n_free, self.free_occ
+        slots = self.slots
         for ci in sat_occ:
-            self.n_sat[ci] += 1
-            self.n_free[ci] -= 1
+            if not n_sat[ci]:  # ci becomes satisfied
+                for slot in slots[ci]:
+                    free_occ[slot] -= 1
+            n_sat[ci] += 1
+            n_free[ci] -= 1
         conflict = False
         for ci in unsat_occ:
-            self.n_free[ci] -= 1
-            if self.n_sat[ci] == 0 and self.n_free[ci] == 0:
+            n_free[ci] -= 1
+            if n_sat[ci] == 0 and n_free[ci] == 0:
                 conflict = True
         return not conflict
 
@@ -563,21 +575,17 @@ class _Dpll:
         """Assign var, then propagate the units it leaves; False on a conflict."""
         return self._assign(var, value) and self._propagate_units([var])
 
-    def _occurs_free(self, occ: list[int]) -> bool:
-        """Is any clause of an occurrence list still unsatisfied?"""
-        return any(not self.n_sat[ci] for ci in occ)
-
     def _pure_literals(self) -> bool:
         """Assign single-polarity and unconstrained variables; sound for both
         Sat and Unsat, applied once per decision level.  Each round reads the
         polarities of all free variables before it assigns any of them."""
+        nv, val, free_occ = self.f.num_vars, self.val, self.free_occ
         while True:
-            pure = []
-            for var in range(1, self.f.num_vars + 1):
-                if self.val[var] == 0:
-                    pos = self._occurs_free(self.pos_occ[var])
-                    if not (pos and self._occurs_free(self.neg_occ[var])):
-                        pure.append((var, pos))
+            pure = [
+                (var, free_occ[var] > 0)
+                for var in range(1, nv + 1)
+                if val[var] == 0 and not (free_occ[var] and free_occ[nv + var])
+            ]
             fixed_any = False
             for var, pos in pure:
                 if self.val[var] != 0:
@@ -591,6 +599,8 @@ class _Dpll:
                 return True
 
     def _undo_to(self, mark: int) -> None:
+        n_sat, n_free, free_occ = self.n_sat, self.n_free, self.free_occ
+        slots = self.slots
         while len(self.trail) > mark:
             var = self.trail.pop()
             value = self.val[var] == 1
@@ -598,10 +608,13 @@ class _Dpll:
             sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
             unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
             for ci in sat_occ:
-                self.n_sat[ci] -= 1
-                self.n_free[ci] += 1
+                n_sat[ci] -= 1
+                n_free[ci] += 1
+                if not n_sat[ci]:  # ci is unsatisfied again
+                    for slot in slots[ci]:
+                        free_occ[slot] += 1
             for ci in unsat_occ:
-                self.n_free[ci] += 1
+                n_free[ci] += 1
 
     def _backtrack(
         self, choices: list[tuple[int, int, bool]]

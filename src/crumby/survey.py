@@ -7,8 +7,10 @@ graph is small enough, the exhaustive oracle.  Any disagreement between the
 decision procedures is a fatal CrossCheckError, never a report entry.
 
 generate_small provides a self-contained census of all connected graphs on
-at most 7 vertices up to isomorphism, for tests and desk-scale runs; larger
-surveys are expected to pipe in external generator output.
+at most 7 vertices up to isomorphism, for tests and desk-scale runs: it keeps
+every edge mask of K_n that is least in its orbit, with orbit minima built up
+one vertex at a time along a chain of coset representatives.  Larger surveys
+are expected to pipe in external generator output.
 """
 
 from __future__ import annotations
@@ -38,48 +40,53 @@ from .graphs import (
 from .minorfree import recognize_tw2
 
 GENERATE_CAP = 7
+_FULL_LEVELS = 4  # orbit-minimum levels kept as tables over all masks
 
 
 # -- built-in census -------------------------------------------------------------
 
 
-def _transposition_mask_map(n: int, i: int) -> np.ndarray:
-    """Edge-bitmask image of swapping vertices i and i+1, for all masks.
+def _swap_adjacent(masks: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Edge-bitmask images of masks when vertices i and i+1 trade labels.
 
-    Built bytewise: each 8-bit slice of the mask has a 256-entry table of
-    permuted-bit contributions.
+    Two delta swaps: for a < i the bits of edges (a, i) and (a, i+1) lie i
+    apart, and for b > i+1 the bits of edges (i, b) and (i+1, b) lie 1 apart.
     """
-    perm = list(range(n))
-    perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    nedges = n * (n - 1) // 2
-    bit_perm = [0] * nedges
-    for b in range(n):
-        for a in range(b):
-            pa, pb = perm[a], perm[b]
-            bit_perm[edge_bit_index(a, b)] = edge_bit_index(min(pa, pb), max(pa, pb))
-    total = 1 << nedges
-    masks = np.arange(total, dtype=np.int64)
-    out = np.zeros(total, dtype=np.int32)
-    for k in range((nedges + 7) // 8):
-        lut = np.zeros(256, dtype=np.int32)
-        for byte in range(256):
-            val = 0
-            for bit in range(8):
-                src = 8 * k + bit
-                if src < nedges and byte >> bit & 1:
-                    val |= 1 << bit_perm[src]
-            lut[byte] = val
-        out |= lut[(masks >> (8 * k)) & 0xFF]
-    return out
+    for low, shift in (
+        (sum(1 << edge_bit_index(a, i) for a in range(i)), i),
+        (sum(1 << edge_bit_index(i, b) for b in range(i + 2, n)), 1),
+    ):
+        if low:
+            t = ((masks >> shift) ^ masks) & low
+            masks = masks ^ t ^ (t << shift)
+    return masks
+
+
+def _coset_images(masks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """masks under c_j = s_{k-1} o ... o s_j for j = k..0, stacked on a new
+    first axis; s_i swaps vertices i and i+1 and c_k is the identity.  c_j
+    maps j to k, so these are right-coset representatives of S_k in S_{k+1}."""
+    images = [masks]
+    for j in range(k - 1, -1, -1):
+        image = masks
+        for i in range(j, k):
+            image = _swap_adjacent(image, n, i)
+        images.append(image)
+    return np.stack(images)
 
 
 def generate_small(n: int) -> list[str]:
     """All connected graphs on n vertices up to isomorphism, as graph6 lines.
 
-    Enumerates every edge subset of K_n and keeps the orbit-minimal bitmask
-    of each isomorphism class: a label array over all masks is relaxed to a
-    fixpoint under the adjacent-transposition generators (involutions, so
-    minima flow across the whole orbit).  Deterministic ascending-mask order.
+    Keeps each edge subset of K_n whose bitmask is the least of its orbit
+    under relabelling, in ascending mask order.  With F_k(m) the least image
+    of m when vertices 0..k-1 are permuted, F_1 is the identity and
+    F_{k+1}(m) = min over j of F_k(c_j(m)) (see _coset_images).  The first
+    _FULL_LEVELS levels are tables over all masks: since c_j = c_{j+1} o s_j,
+    the table of F_k o c_j is that of F_k o c_{j+1} gathered through s_j.
+    A mask least in its orbit is least under every S_k, so past the tables
+    only the masks with F_k(m) == m are kept, and F_k is evaluated at just
+    their coset images, down to the last table.
     """
     if n > GENERATE_CAP:
         raise CapExceeded(
@@ -87,23 +94,26 @@ def generate_small(n: int) -> list[str]:
             " pipe in an external graph6 stream instead"
         )
     if n < 1:
-        return []
-    nedges = n * (n - 1) // 2
-    total = 1 << nedges
-    labels = np.arange(total, dtype=np.int32)
-    gmaps = [_transposition_mask_map(n, i) for i in range(n - 1)]
-    changed = True
-    while changed:
-        changed = False
-        for gm in gmaps:
-            relaxed = np.minimum(labels, labels[gm])
-            if not np.array_equal(relaxed, labels):
-                labels = relaxed
-                changed = True
-    reps = np.nonzero(labels == np.arange(total, dtype=np.int32))[0]
+        raise ValueError(f"generation needs at least 1 vertex, got {n}")
+    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int32)
+    table = masks
+    full = min(n, _FULL_LEVELS)
+    for k in range(1, full):
+        gathered = least = table
+        for j in range(k - 1, -1, -1):
+            gathered = gathered[_swap_adjacent(masks, n, j)]
+            least = np.minimum(least, gathered)
+        table = least
+    reps = np.flatnonzero(table == masks)
+    for k in range(full, n):
+        images = reps
+        for level in range(k, full - 1, -1):
+            images = _coset_images(images, n, level)
+        least = table[images].reshape(-1, len(reps)).min(axis=0)
+        reps = reps[least == reps]
     lines = []
     for mask in reps.tolist():
-        g = graph_from_bitmask(n, int(mask))
+        g = graph_from_bitmask(n, mask)
         if is_connected(g):
             lines.append(emit_graph6(g))
     return lines

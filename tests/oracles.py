@@ -7,7 +7,14 @@ from __future__ import annotations
 
 import itertools
 
-from crumby import BoundarySpec, Coloring, Graph, connected_components, induced_subgraph
+from crumby import (
+    BoundarySpec,
+    Coloring,
+    Graph,
+    connected_components,
+    edge_bit_index,
+    induced_subgraph,
+)
 
 
 def naive_is_crumby(g: Graph, c: Coloring) -> bool:
@@ -87,3 +94,12 @@ def naive_isomorphic(g1: Graph, g2: Graph) -> bool:
         if all(frozenset((perm[u], perm[v])) in e2 for u, v in g1.edges()):
             return True
     return False
+
+
+def naive_orbit_min(n: int, mask: int) -> int:
+    """Least edge bitmask of K_n over all n! relabellings of mask."""
+    edges = [(a, b) for b in range(n) for a in range(b) if mask >> edge_bit_index(a, b) & 1]
+    return min(
+        sum(1 << edge_bit_index(perm[a], perm[b]) for a, b in edges)
+        for perm in itertools.permutations(range(n))
+    )

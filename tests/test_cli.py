@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import crumby
 from crumby import (
     Coloring,
     EarDecomposition,
@@ -53,6 +59,18 @@ def test_gadget_graph6_round_trips(capsys):
     code, out, _ = run(capsys, "gadget", "G18", "--format", "graph6")
     assert code == 0
     assert out.strip() == emit_graph6(build_G18().graph)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(crumby.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crumby", "gadget", "G18", "--format", "graph6"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == emit_graph6(build_G18().graph)
 
 
 def test_gadget_dot_labels_roles(capsys):
@@ -376,6 +394,13 @@ def test_search_generate(capsys):
     code, out, _ = run(capsys, "search", "--generate", "5")
     assert code == 0
     assert "total tested=9 sat=9 unsat=0" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_search_refuses_a_generate_order_below_one(capsys, n):
+    code, out, err = run(capsys, "search", "--generate", n)
+    assert code == 2 and out == ""
+    assert "at least 1 vertex" in err
 
 
 def test_search_report_file(tmp_path, capsys):

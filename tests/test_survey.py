@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -10,9 +11,11 @@ from crumby import (
     SolveResult,
     Status,
     SurveyFilters,
+    bitmask_of_graph,
     complete_graph,
     emit_graph6,
     generate_small,
+    graph_from_bitmask,
     is_connected,
     parse_graph6,
     survey_stream,
@@ -28,9 +31,27 @@ EXPECTED_CENSUS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # -- enumeration up to isomorphism -------------------------------------------
 
 
+# sha256 of "\n".join(generate_small(n)), 16-hex prefixes
+CENSUS_DIGESTS = {
+    1: "c3641f8544d7c02f",
+    2: "ada8d598e51a0bf0",
+    3: "ff300d6b5191490a",
+    4: "eb3044c0e6b719df",
+    5: "bad40746036227cb",
+    6: "c727f559e01cb751",
+    7: "b6b2dbb7f539a6e2",
+}
+
+
 def test_census_sizes():
     for n, count in EXPECTED_CENSUS.items():
         assert len(generate_small(n)) == count
+
+
+def test_census_bytes_are_pinned():
+    for n, prefix in CENSUS_DIGESTS.items():
+        text = "\n".join(generate_small(n))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
 
 def test_generation_cap_points_at_external_streams():
@@ -58,13 +79,28 @@ def test_census_has_no_isomorphic_duplicates(census):
 
 def test_census_is_exhaustive_at_order_four(census):
     # every connected 4-vertex graph must match one of the six classes
-    from crumby import graph_from_bitmask
-
     for mask in range(1 << 6):
         g = graph_from_bitmask(4, mask)
         if not is_connected(g):
             continue
         assert any(oracles.naive_isomorphic(g, rep) for rep in census[4])
+
+
+def test_census_masks_are_their_own_orbit_minima(census):
+    for n in range(1, 7):
+        for g in census[n]:
+            mask = bitmask_of_graph(g)
+            assert oracles.naive_orbit_min(n, mask) == mask
+
+
+def test_census_holds_every_connected_orbit_minimum_at_order_five(census):
+    reps = {bitmask_of_graph(g) for g in census[5]}
+    minima = {
+        oracles.naive_orbit_min(5, mask)
+        for mask in range(1 << 10)
+        if is_connected(graph_from_bitmask(5, mask))
+    }
+    assert minima == reps
 
 
 # -- the survey harness ------------------------------------------------------
