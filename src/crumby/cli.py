@@ -285,6 +285,14 @@ def cmd_verify_paper(args) -> int:
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
+def budget(text: str) -> int:
+    """The type of every --budget option: a node limit of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crumby",
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("backtracking", "dpll", "exhaustive"),
         default="backtracking",
     )
-    p.add_argument("--budget", type=int, default=None, help="node limit")
+    p.add_argument("--budget", type=budget, default=None, help="node limit")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default=None,
                    help="K4, K23, or a graph file (default: K4 for a search,"
                         " the certificate's own pattern with --certificate)")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.add_argument("--certificate", default=None,
                    help="validate a minor-witness certificate")
     p.set_defaults(func=cmd_check_minor)
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-subcubic", action="store_true")
     p.add_argument("--no-tw2", action="store_true")
     p.add_argument("--biconnected", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.add_argument("--report", default=None,
                    help="also write a machine-readable summary file")
     p.set_defaults(func=cmd_search)

@@ -336,124 +336,111 @@ def emit_dimacs(f: CnfFormula) -> str:
 
 # -- backtracking solver -----------------------------------------------------
 
-_UNSET, _RED, _BLUE = 0, 1, 2
+_UNSET, _RED, _BLUE = 0, 1, 4  # three colors sum to 2 or 3 only with no Blue
 
 
 class _GraphSearch:
     """DFS over vertex colors; deterministic: lowest unassigned vertex,
-    Red tried before Blue, then every forced move propagated."""
+    Red tried before Blue, then every forced move propagated.  The state is
+    the colors and a trail; each rule reads the colors it needs."""
 
     def __init__(self, g: Graph, budget: int | None) -> None:
         self.g = g
         self.budget = budget
         n = g.n
         self.assign = [_UNSET] * n
-        self.un_nb = [g.degree(v) for v in range(n)]
-        self.p4s = enumerate_p4(g)
-        # indices of the P4s through each vertex
-        self.p4_of: list[list[int]] = [[] for _ in range(n)]
-        for i, path in enumerate(self.p4s):
-            for v in path:
-                self.p4_of[v].append(i)
-        # per-color counters, indexed by _RED / _BLUE: colored neighbors of
-        # each vertex and colored vertices of each P4
-        self.nb = [[], [0] * n, [0] * n]
-        self.p4_count = [[], [0] * len(self.p4s), [0] * len(self.p4s)]
-        self.red_nb, self.blue_nb = self.nb[_RED], self.nb[_BLUE]
-        self.p4_red, self.p4_blue = self.p4_count[_RED], self.p4_count[_BLUE]
+        # the other three vertices of each P4 through a vertex, in P4 order
+        self.p4_of: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for a, b, c, d in enumerate_p4(g):
+            self.p4_of[a].append((b, c, d))
+            self.p4_of[b].append((a, c, d))
+            self.p4_of[c].append((a, b, d))
+            self.p4_of[d].append((a, b, c))
         self.trail: list[int] = []
-        self.unassigned = n
         self.nodes = 0
         self.propagations = 0
 
-    def _force_red_around(self, x: int, forces: list[tuple[int, int]]) -> None:
+    def _force_red_around(self, x: int, queue: deque) -> None:
         """Force every unset neighbor of x Red."""
         assign = self.assign
         for w in self.g.adj[x]:
             if assign[w] == _UNSET:
-                forces.append((w, _RED))
+                queue.append((w, _RED))
 
-    def _apply(self, v: int, color: int) -> tuple[bool, list[tuple[int, int]]]:
-        """Set v, update counters fully, then report conflict and forced moves."""
-        self.assign[v] = color
+    def _apply(self, v: int, color: int, queue: deque) -> bool:
+        """Set v and queue the moves it forces; False on a conflict."""
+        assign, adj = self.assign, self.g.adj
+        assign[v] = color
         self.trail.append(v)
-        self.unassigned -= 1
-        adj = self.g.adj[v]
-        nb, p4_count = self.nb[color], self.p4_count[color]
-        for u in adj:
-            nb[u] += 1
-            self.un_nb[u] -= 1
-        for i in self.p4_of[v]:
-            p4_count[i] += 1
-        forces: list[tuple[int, int]] = []
-        assign = self.assign
         if color == _RED:
-            if self.red_nb[v] == 0 and self.un_nb[v] == 0:
-                return False, forces
-            for i in self.p4_of[v]:
-                if self.p4_blue[i] == 0:
-                    if self.p4_red[i] == 4:
-                        return False, forces
-                    if self.p4_red[i] == 3:
-                        for w in self.p4s[i]:
-                            if assign[w] == _UNSET:
-                                forces.append((w, _BLUE))
-            if self.red_nb[v] == 0 and self.un_nb[v] == 1:
-                self._force_red_around(v, forces)
-        else:
-            if self.blue_nb[v] >= 2:
-                return False, forces
-            for u in adj:
-                if assign[u] == _BLUE:
-                    if self.blue_nb[u] >= 2:
-                        return False, forces
-                    if self.blue_nb[u] == 1:
-                        self._force_red_around(u, forces)
-                elif assign[u] == _RED and self.red_nb[u] == 0:
-                    if self.un_nb[u] == 0:
-                        return False, forces
-                    if self.un_nb[u] == 1:
-                        self._force_red_around(u, forces)
-            if self.blue_nb[v] == 1:
-                self._force_red_around(v, forces)
-        return True, forces
+            red = unset = 0
+            for u in adj[v]:
+                if assign[u] == _RED:
+                    red += 1
+                elif assign[u] == _UNSET:
+                    unset += 1
+            if not red and not unset:  # (b) v can get no Red neighbor
+                return False
+            for a, b, c in self.p4_of[v]:  # (c) with v Red
+                s = assign[a] + assign[b] + assign[c]
+                if s == 3:
+                    return False
+                if s == 2:  # two Red, one unset: that one goes Blue
+                    w = a if not assign[a] else b if not assign[b] else c
+                    queue.append((w, _BLUE))
+            if not red and unset == 1:
+                self._force_red_around(v, queue)
+            return True
+        blue = 0
+        for u in adj[v]:
+            if assign[u] == _BLUE:  # (a) for v and for u
+                blue += 1
+                if blue == 2:
+                    return False
+                near = 0
+                for w in adj[u]:
+                    if assign[w] == _BLUE:
+                        near += 1
+                if near >= 2:
+                    return False
+                self._force_red_around(u, queue)
+            elif assign[u] == _RED:  # (b) for u, which lost a candidate
+                unset = 0
+                for w in adj[u]:
+                    if assign[w] == _RED:
+                        break
+                    if assign[w] == _UNSET:
+                        unset += 1
+                else:
+                    if not unset:
+                        return False
+                    if unset == 1:
+                        self._force_red_around(u, queue)
+        if blue:
+            self._force_red_around(v, queue)
+        return True
 
     def set_and_propagate(self, v: int, color: int) -> bool:
-        queue = deque([(v, color)])
-        first = True
+        queue: deque = deque()
+        if not self._apply(v, color, queue):
+            return False
+        assign = self.assign
         while queue:
             w, c = queue.popleft()
-            if self.assign[w] != _UNSET:
-                if self.assign[w] != c:
+            if assign[w] != _UNSET:
+                if assign[w] != c:
                     return False
                 continue
-            ok, forces = self._apply(w, c)
-            if not first:
-                self.propagations += 1
-            first = False
-            if not ok:
+            self.propagations += 1
+            if not self._apply(w, c, queue):
                 return False
-            queue.extend(forces)
         return True
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            color = self.assign[v]
-            nb, p4_count = self.nb[color], self.p4_count[color]
-            self.assign[v] = _UNSET
-            self.unassigned += 1
-            for u in self.g.adj[v]:
-                nb[u] -= 1
-                self.un_nb[u] += 1
-            for i in self.p4_of[v]:
-                p4_count[i] -= 1
-
-    def _next_vertex(self) -> int:
-        for v in range(self.g.n):
-            if self.assign[v] == _UNSET:
-                return v
-        raise AssertionError("no unassigned vertex")
+        assign = self.assign
+        for v in self.trail[mark:]:
+            assign[v] = _UNSET
+        del self.trail[mark:]
 
     def _backtrack(
         self, choices: list[tuple[int, int, int]]
@@ -471,8 +458,14 @@ class _GraphSearch:
         """Depth-first search on an explicit stack of open choices
         (vertex, trail mark, color), so depth is not bound by recursion."""
         choices: list[tuple[int, int, int]] = []
-        while self.unassigned:
-            choice = (self._next_vertex(), len(self.trail), _RED)
+        assign, n = self.assign, self.g.n
+        low = 0  # every vertex below low is colored
+        while True:
+            while low < n and assign[low] != _UNSET:
+                low += 1
+            if low == n:
+                return True
+            choice = (low, len(self.trail), _RED)
             while True:
                 self.nodes += 1
                 if self.budget is not None and self.nodes > self.budget:
@@ -486,10 +479,10 @@ class _GraphSearch:
                 choice = self._backtrack(choices)
                 if choice is None:
                     return False
-        return True
+            # a choice's vertex was the lowest unset one when it was made
+            low = choice[0]
 
     def coloring(self) -> Coloring:
-        assert self.unassigned == 0
         return Coloring(tuple(RED if a == _RED else BLUE for a in self.assign))
 
 
@@ -517,7 +510,10 @@ class _Dpll:
         for ci, clause in enumerate(f.clauses):
             for lit in clause:
                 (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
-        self.n_sat = [0] * len(f.clauses)
+        self.occ = [pos + neg for pos, neg in zip(self.pos_occ, self.neg_occ)]
+        # the variable whose assignment first satisfied each clause, 0 if
+        # none; free literals are counted only while a clause is unsatisfied
+        self.sat = [0] * len(f.clauses)
         self.n_free = [len(c) for c in f.clauses]
         # occurrences of each literal in clauses not yet satisfied: var at
         # index var, -var at nv + var; slots[ci] holds those of ci's literals
@@ -531,25 +527,24 @@ class _Dpll:
         self.propagations = 0
 
     def _assign(self, var: int, value: bool) -> bool:
-        """Counter update; returns False on an emptied clause.  Any partial
-        update is still fully recorded, so undo stays symmetric."""
+        """Record var's value; returns False on an emptied clause.  Every
+        occurrence is visited even past a conflict, so undo stays symmetric."""
         self.val[var] = 1 if value else -1
         self.trail.append(var)
         sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
         unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
-        n_sat, n_free, free_occ = self.n_sat, self.n_free, self.free_occ
-        slots = self.slots
+        sat, n_free, free_occ, slots = self.sat, self.n_free, self.free_occ, self.slots
         for ci in sat_occ:
-            if not n_sat[ci]:  # ci becomes satisfied
+            if not sat[ci]:
+                sat[ci] = var
                 for slot in slots[ci]:
                     free_occ[slot] -= 1
-            n_sat[ci] += 1
-            n_free[ci] -= 1
         conflict = False
         for ci in unsat_occ:
-            n_free[ci] -= 1
-            if n_sat[ci] == 0 and n_free[ci] == 0:
-                conflict = True
+            if not sat[ci]:
+                n_free[ci] -= 1
+                if not n_free[ci]:
+                    conflict = True
         return not conflict
 
     def _unit_literal(self, ci: int) -> int:
@@ -562,8 +557,8 @@ class _Dpll:
         queue = deque(seed_vars)
         while queue:
             var = queue.popleft()
-            for ci in self.pos_occ[var] + self.neg_occ[var]:
-                if self.n_sat[ci] == 0 and self.n_free[ci] == 1:
+            for ci in self.occ[var]:
+                if not self.sat[ci] and self.n_free[ci] == 1:
                     lit = self._unit_literal(ci)
                     self.propagations += 1
                     if not self._assign(abs(lit), lit > 0):
@@ -599,22 +594,21 @@ class _Dpll:
                 return True
 
     def _undo_to(self, mark: int) -> None:
-        n_sat, n_free, free_occ = self.n_sat, self.n_free, self.free_occ
-        slots = self.slots
+        sat, n_free, free_occ, slots = self.sat, self.n_free, self.free_occ, self.slots
         while len(self.trail) > mark:
             var = self.trail.pop()
             value = self.val[var] == 1
             self.val[var] = 0
             sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
             unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
+            for ci in unsat_occ:
+                if not sat[ci]:
+                    n_free[ci] += 1
             for ci in sat_occ:
-                n_sat[ci] -= 1
-                n_free[ci] += 1
-                if not n_sat[ci]:  # ci is unsatisfied again
+                if sat[ci] == var:  # ci is unsatisfied again
+                    sat[ci] = 0
                     for slot in slots[ci]:
                         free_occ[slot] += 1
-            for ci in unsat_occ:
-                n_free[ci] += 1
 
     def _backtrack(
         self, choices: list[tuple[int, int, bool]]

@@ -26,6 +26,13 @@ def g40():
 
 
 @pytest.fixture(scope="session")
-def census():
+def census_lines():
+    """graph6 lines of connected graphs up to isomorphism, keyed by order,
+    for n <= 7; generated once per session."""
+    return {n: generate_small(n) for n in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def census(census_lines):
     """Connected graphs up to isomorphism, keyed by order, for n <= 6."""
-    return {n: [parse_graph6(line) for line in generate_small(n)] for n in range(1, 7)}
+    return {n: [parse_graph6(line) for line in census_lines[n]] for n in range(1, 7)}

@@ -32,7 +32,6 @@ from crumby import (
     elimination_width,
     encode_cnf,
     exhaustive_solve,
-    generate_small,
     graph_from_bitmask,
     graph_from_edge_list,
     has_minor,
@@ -278,11 +277,11 @@ def test_criterion_09_minor_freeness(f_gadget, r_gadget, g18, g40):
     )
 
 
-def test_criterion_10a_solver_agreement_on_the_full_census():
+def test_criterion_10a_solver_agreement_on_the_full_census(census_lines):
     tested = 0
     cnf_checked = 0
     for n in range(1, 8):
-        for line in generate_small(n):
+        for line in census_lines[n]:
             g = parse_graph6(line)
             results = [exhaustive_solve(g), backtracking_solve(g), dpll_solve(g)]
             assert len({r.status for r in results}) == 1, line
@@ -331,8 +330,8 @@ def test_criterion_10b_verifier_pair_on_random_inputs():
     )
 
 
-def test_criterion_10c_survey_with_frozen_negative_list():
-    lines = [line for n in range(1, 8) for line in generate_small(n)]
+def test_criterion_10c_survey_with_frozen_negative_list(census_lines):
+    lines = [line for n in range(1, 8) for line in census_lines[n]]
     report = survey_stream(lines)
     expected_per_n = (
         (1, 1, 1, 0),

@@ -137,6 +137,25 @@ def test_budget_exhaustion_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["solve", "G40"], ["check-minor", "G40"], ["search"]],
+    ids=["solve", "check-minor", "search"],
+)
+def test_negative_budgets_are_refused(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "error: argument --budget: must be at least 0" in captured.err
+
+
+def test_a_zero_budget_is_valid_and_runs_out_at_once(capsys):
+    code, out, err = run(capsys, "solve", "G40", "--budget", "0")
+    assert code == 2 and out == ""
+    assert err == "indeterminate: backtracking budget of 0 nodes exhausted\n"
+
+
+@pytest.mark.parametrize(
     "name, method, nodes, propagations",
     [
         ("G18", "backtracking", 218, 240),
@@ -151,6 +170,24 @@ def test_refutation_certificate_bytes(capsys, name, method, nodes, propagations)
     assert out == (
         f"status: unsat\nsolver: {method}\n"
         f"nodes: {nodes}\npropagations: {propagations}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, method, nodes, propagations, coloring",
+    [
+        ("F", "backtracking", 4, 5, "R R R B B R R R B"),
+        ("F", "dpll", 4, 5, "R R R B B R R R B"),
+        ("R", "backtracking", 21, 20, "R R B R R B R R B R R"),
+        ("R", "dpll", 17, 23, "R R B R R B R R B R R"),
+    ],
+)
+def test_sat_certificate_bytes(capsys, name, method, nodes, propagations, coloring):
+    code, out, _ = run(capsys, "solve", name, "--method", method)
+    assert code == 0
+    assert out == (
+        f"status: sat\nsolver: {method}\n"
+        f"nodes: {nodes}\npropagations: {propagations}\ncoloring: {coloring}\n"
     )
 
 

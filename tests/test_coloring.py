@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -19,6 +21,7 @@ from crumby import (
     exhaustive_solve,
     expand,
     graph_from_edge_list,
+    parse_graph6,
     verify_crumby,
     verify_crumby_by_components,
 )
@@ -261,15 +264,45 @@ def test_budget_exhaustion_raises(g40):
     with pytest.raises(BudgetExhausted) as info:
         backtracking_solve(g40.graph, budget=50)
     assert info.value.nodes == 51, "stops on the first node past the budget"
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as info:
         dpll_solve(g40.graph, budget=10)
+    assert info.value.nodes == 11
 
 
 def test_solvers_are_deterministic(f_gadget):
-    runs = [backtracking_solve(f_gadget.graph) for _ in range(2)]
-    assert runs[0].status == runs[1].status
-    assert runs[0].coloring == runs[1].coloring
-    assert runs[0].nodes == runs[1].nodes
+    for solve in (backtracking_solve, dpll_solve):
+        runs = [solve(f_gadget.graph) for _ in range(2)]
+        assert runs[0].status == runs[1].status
+        assert runs[0].coloring == runs[1].coloring
+        assert runs[0].nodes == runs[1].nodes
+
+
+# sha256 of the solve certificates of backtracking_solve then dpll_solve on
+# every census line, n = 1..7 in census order; 16-hex prefix.  Statuses,
+# node and propagation counts and colorings are all in these bytes, so any
+# change to either search tree shows here.
+CENSUS_SOLVE_DIGEST = "ab269acac41d9a80"
+
+
+def test_census_search_trees_are_pinned(census_lines):
+    digest = hashlib.sha256()
+    certificates = 0
+    for n in range(1, 8):
+        for line in census_lines[n]:
+            g = parse_graph6(line)
+            for solve in (backtracking_solve, dpll_solve):
+                digest.update(emit_solve_certificate(solve(g)).encode())
+                certificates += 1
+    assert certificates == 1992
+    assert digest.hexdigest()[:16] == CENSUS_SOLVE_DIGEST
+
+
+def test_backtracking_solves_a_long_path_in_one_pass():
+    # each decision colors the lowest unset vertex; finding it must not
+    # rescan the colored prefix, or this takes seconds
+    result = backtracking_solve(path_graph(20_000))
+    assert result.status is Status.SAT
+    assert (result.nodes, result.propagations) == (10_000, 10_000)
 
 
 def test_isolated_vertex_keeps_instances_solvable(census):

@@ -43,14 +43,14 @@ CENSUS_DIGESTS = {
 }
 
 
-def test_census_sizes():
+def test_census_sizes(census_lines):
     for n, count in EXPECTED_CENSUS.items():
-        assert len(generate_small(n)) == count
+        assert len(census_lines[n]) == count
 
 
-def test_census_bytes_are_pinned():
+def test_census_bytes_are_pinned(census_lines):
     for n, prefix in CENSUS_DIGESTS.items():
-        text = "\n".join(generate_small(n))
+        text = "\n".join(census_lines[n])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
 
@@ -141,8 +141,8 @@ def test_filter_toggles():
     assert relaxed.describe() == "connected"
 
 
-def test_biconnected_filter_narrows_the_census():
-    lines = [line for n in range(1, 8) for line in generate_small(n)]
+def test_biconnected_filter_narrows_the_census(census_lines):
+    lines = [line for n in range(1, 8) for line in census_lines[n]]
     report = survey_stream(lines, filters=SurveyFilters(biconnected=True))
     assert report.tested == 19
     assert report.unsat == 0
