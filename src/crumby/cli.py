@@ -93,12 +93,12 @@ def _read_text(spec: str) -> str:
     return Path(spec).read_text()
 
 
-def _emit(g: Graph, fmt: str, labels=None, coloring=None) -> str:
+def _emit(g: Graph, fmt: str, labels=None) -> str:
     if fmt == "edgelist":
         return emit_edge_list(g)
     if fmt == "graph6":
         return emit_graph6(g) + "\n"
-    return emit_dot(g, labels=labels, coloring=coloring)
+    return emit_dot(g, labels=labels)
 
 
 def _check_certificate(
@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--certificate", default=None,
                    help="validate this certificate file instead of searching")
-    p.add_argument("--emit-trace", action="store_true")
-    p.add_argument("--emit-order", action="store_true")
+    emit = p.add_mutually_exclusive_group()
+    emit.add_argument("--emit-trace", action="store_true")
+    emit.add_argument("--emit-order", action="store_true")
     p.set_defaults(func=cmd_check_tw2)
 
     p = sub.add_parser("check-biconnected", help="decide or re-validate 2-connectivity")

@@ -111,8 +111,7 @@ def _violations(
     Red vertices in `exempt` need no Red neighbor, and every path in `extra`
     is forbidden all-Red like a P4.  With the defaults this is plain
     crumbiness.  A P4 of g is all Red exactly when it is a P4 of the red
-    subgraph G[red], so only G[red] is searched; its paths map back through
-    the sorted red list, which keeps enumerate_p4's orientation and order.
+    subgraph G[red], so only G[red] is searched, in place.
     """
     adj = g.adj
     violations = []
@@ -122,11 +121,8 @@ def _violations(
                 violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
         elif sum(1 for u in adj[v] if u not in red) >= 2:
             violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
-    reds = sorted(red)
-    for path in enumerate_p4(induced_subgraph(g, reds)):
-        violations.append(
-            Violation(ViolationKind.RED_P4, path=tuple(reds[p] for p in path))
-        )
+    for path in enumerate_p4(g, red):
+        violations.append(Violation(ViolationKind.RED_P4, path=path))
     for path in extra:
         if all(p in red for p in path):
             violations.append(Violation(ViolationKind.RED_P4, path=path))

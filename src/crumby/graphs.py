@@ -12,7 +12,7 @@ Text formats supported here:
                  (n <= 62).  Parsing is strict: bad bytes, wrong length and
                  nonzero padding are all rejected with distinct messages.
 * DOT         -- undirected `graph { ... }` output with optional vertex
-                 labels and optional red/lightblue fill from a coloring.
+                 labels.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, Graph6Error, GraphError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .coloring import Coloring
 
 
 @dataclass(frozen=True)
@@ -253,29 +250,12 @@ def parse_graph6(line: str) -> Graph:
 # -- DOT ---------------------------------------------------------------------
 
 
-def emit_dot(
-    g: Graph,
-    labels: dict[int, str] | None = None,
-    coloring: "Coloring | None" = None,
-) -> str:
-    """Deterministic DOT text.  Red vertices fill red, blue fill lightblue."""
+def emit_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
+    """Deterministic DOT text."""
     lines = ["graph G {"]
-    if labels is not None or coloring is not None:
-        red: set[int] = set()
-        if coloring is not None:
-            from .coloring import Color  # local import keeps modules acyclic
-
-            if len(coloring.colors) != g.n:
-                raise GraphError("coloring length does not match vertex count")
-            red = {v for v, c in enumerate(coloring.colors) if c is Color.RED}
+    if labels is not None:
         for v in range(g.n):
-            attrs = []
-            if labels is not None:
-                attrs.append(f'label="{labels.get(v, str(v))}"')
-            if coloring is not None:
-                fill = "red" if v in red else "lightblue"
-                attrs.append(f'style=filled, fillcolor="{fill}"')
-            lines.append(f"  {v} [{', '.join(attrs)}];")
+            lines.append(f'  {v} [label="{labels.get(v, str(v))}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -477,20 +457,27 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
 # -- paths on four vertices --------------------------------------------------
 
 
-def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All paths on 4 distinct vertices, one orientation each.
+def enumerate_p4(
+    g: Graph, within: frozenset[int] | None = None
+) -> list[tuple[int, int, int, int]]:
+    """All paths on 4 distinct vertices, one orientation each; with `within`,
+    only those of the induced subgraph G[within].
 
     A path (p1,p2,p3,p4) is kept iff (p1,p2,p3,p4) <= (p4,p3,p2,p1); output
     is sorted.  These are subgraph paths: chords among the four vertices are
     allowed.
     """
+    adj = g.adj
+    if within is not None:
+        adj = [tuple(u for u in row if u in within) if v in within else ()
+               for v, row in enumerate(adj)]
     out = []
     for p1 in range(g.n):
-        for p2 in g.adj[p1]:
-            for p3 in g.adj[p2]:
+        for p2 in adj[p1]:
+            for p3 in adj[p2]:
                 if p3 == p1:
                     continue
-                for p4 in g.adj[p3]:
+                for p4 in adj[p3]:
                     if p4 == p1 or p4 == p2:
                         continue
                     walk = (p1, p2, p3, p4)

@@ -19,6 +19,7 @@ was exhausted, and running out of budget raises BudgetExhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import BudgetExhausted, CapExceeded
@@ -66,18 +67,20 @@ def elimination_width(g: Graph, order: EliminationOrder) -> int:
 
 def find_elimination_order(g: Graph) -> EliminationOrder | None:
     """Greedy width-2 elimination: repeatedly take the lowest-index vertex of
-    current degree <= 2.  For treewidth <= 2 graphs this always succeeds."""
+    current degree <= 2, from a heap (eliminating never raises a degree, so a
+    vertex stays eligible once pushed).  Succeeds for treewidth <= 2 graphs."""
     nbr = [set(row) for row in g.adj]
-    alive = list(range(g.n))
+    queued = [len(row) <= 2 for row in nbr]
+    ready = [v for v in range(g.n) if queued[v]]
     order = []
-    while alive:
-        v = next((v for v in alive if len(nbr[v]) <= 2), None)
-        if v is None:
-            return None
-        _eliminate(nbr, v)
-        alive.remove(v)
+    while ready:
+        v = heappop(ready)
         order.append(v)
-    return EliminationOrder(tuple(order))
+        for u in _eliminate(nbr, v):
+            if not queued[u] and len(nbr[u]) <= 2:
+                queued[u] = True
+                heappush(ready, u)
+    return EliminationOrder(tuple(order)) if len(order) == g.n else None
 
 
 # -- reduction recognizer --------------------------------------------------------
@@ -90,6 +93,7 @@ class ReductionStep:
 
 
 _ARITY = {"delete-isolated": 1, "delete-leaf": 2, "merge-parallel": 2, "suppress": 3}
+_RANKED = tuple(_ARITY)  # recognize_tw2 takes the lowest rank first
 
 
 def _multigraph_of(g: Graph) -> dict[int, list[int]]:
@@ -137,40 +141,38 @@ def _apply_step(mg: dict[int, list[int]], step: ReductionStep) -> str | None:
     return None
 
 
-def _next_step(mg: dict[int, list[int]]) -> ReductionStep | None:
-    """recognize_tw2's choice: an isolated vertex, then a degree-1 vertex,
-    then the lowest parallel pair, then a degree-2 vertex, each at the lowest
-    index; None once the workspace is empty or stuck.  The workspace only
-    loses vertices, so iterating it is ascending."""
-    for v, nb in mg.items():
-        if not nb:
-            return ReductionStep("delete-isolated", (v,))
-    for v, nb in mg.items():
-        if len(nb) == 1:
-            return ReductionStep("delete-leaf", (v, nb[0]))
-    for v, nb in mg.items():
-        if len(set(nb)) < len(nb):  # v has a parallel pair
-            for u in sorted(set(nb)):
-                if v < u and nb.count(u) >= 2:
-                    return ReductionStep("merge-parallel", (v, u))
-    for v, nb in mg.items():
-        if len(nb) == 2:
-            # distinct neighbors: a parallel pair would have merged first
-            return ReductionStep("suppress", (v, *sorted(nb)))
-    return None
+def _offer(heap: list, mg: dict[int, list[int]], v: int) -> None:
+    """Push the steps at v keyed (rank, args), the rank indexing _RANKED:
+    v isolated or a leaf, a parallel pair v < u, or v of degree 2."""
+    nb = mg[v]
+    if len(nb) < 2:
+        heappush(heap, (len(nb), (v, *nb)))
+    elif len(nb) == 2 and nb[0] != nb[1]:
+        heappush(heap, (3, (v, *sorted(nb))))
+    elif len(set(nb)) < len(nb):
+        for u in set(nb):
+            if v < u and nb.count(u) > 1:
+                heappush(heap, (2, (v, u)))
 
 
 def recognize_tw2(g: Graph) -> tuple[bool, list[ReductionStep]]:
-    """Reduce to the empty multigraph in _next_step's priority order.
+    """Reduce to the empty multigraph, always taking the least step on offer.
+    A step changes only its own arguments' neighbour lists, so only they are
+    offered again, and _apply_step rejects offers that have gone stale.
     Returns (emptied?, trace); a stuck workspace is simple with minimum
     degree >= 3."""
     mg = _multigraph_of(g)
+    heap: list[tuple[int, tuple[int, ...]]] = []
+    for v in mg:
+        _offer(heap, mg, v)
     trace: list[ReductionStep] = []
-    while (step := _next_step(mg)) is not None:
-        why = _apply_step(mg, step)
-        if why is not None:
-            raise AssertionError(f"recognizer chose an illegal step {step}: {why}")
-        trace.append(step)
+    while heap:
+        rank, args = heappop(heap)
+        step = ReductionStep(_RANKED[rank], args)
+        if _apply_step(mg, step) is None:
+            trace.append(step)
+            for v in mg.keys() & args:
+                _offer(heap, mg, v)
     return not mg, trace
 
 

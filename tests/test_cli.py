@@ -267,6 +267,21 @@ def test_check_tw2_trace_bytes(capsys):
     )
 
 
+def test_check_tw2_decides_a_long_ladder(tmp_path, capsys, ladder):
+    target = tmp_path / "ladder.txt"
+    target.write_text(emit_edge_list(ladder))
+    code, out, _ = run(capsys, "check-tw2", str(target))
+    assert code == 0 and out == "treewidth-at-most-2: yes\n"
+
+
+def test_check_tw2_emits_one_certificate_at_a_time(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check-tw2", "G40", "--emit-trace", "--emit-order"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_check_tw2_rejects_k4(tmp_path, capsys):
     k4 = tmp_path / "k4.txt"
     k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

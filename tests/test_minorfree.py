@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,10 +19,12 @@ from crumby import (
     find_elimination_order,
     graph_from_edge_list,
     has_minor,
+    parse_graph6,
     recognize_tw2,
     replay_reduction_trace,
     verify_minor_witness,
 )
+from crumby.certs import emit_elimination_order, emit_reduction_trace
 from crumby.minorfree import ReductionStep
 from tests import strategies
 
@@ -156,6 +161,52 @@ def test_replay_accepts_a_trace_in_any_legal_order():
     ]
     assert replay_reduction_trace(DIAMOND, trace) == (True, None)
     assert recognize_tw2(DIAMOND)[1] != trace
+
+
+# sha256 over every census line (n = 1..7, in order): f"{accepted}\n" and
+# the reduction trace, and separately the elimination order (or "none\n");
+# 16-hex prefixes, fixed before the step selection was rewritten
+CENSUS_TRACE_DIGEST = "1b1352e91b23eb55"
+CENSUS_ORDER_DIGEST = "a7311fdfec2450aa"
+
+
+def test_tw2_routes_are_pinned_on_the_census(census_lines):
+    traces, orders = hashlib.sha256(), hashlib.sha256()
+    graphs = accepted_count = 0
+    for n in range(1, 8):
+        for line in census_lines[n]:
+            g = parse_graph6(line)
+            accepted, trace = recognize_tw2(g)
+            traces.update(f"{accepted}\n{emit_reduction_trace(g.n, trace)}".encode())
+            order = find_elimination_order(g)
+            orders.update(
+                (emit_elimination_order(order) if order else "none\n").encode()
+            )
+            graphs += 1
+            accepted_count += accepted
+    assert (graphs, accepted_count) == (996, 321)
+    assert traces.hexdigest()[:16] == CENSUS_TRACE_DIGEST
+    assert orders.hexdigest()[:16] == CENSUS_ORDER_DIGEST
+
+
+def test_tw2_routes_take_each_step_without_a_rescan(ladder):
+    # a rescan of the workspace for every step makes these take seconds
+    path = graph_from_edge_list(20_000, [(v, v + 1) for v in range(19_999)])
+    accepted, trace = recognize_tw2(path)
+    assert accepted
+    assert Counter(step.rule for step in trace) == {
+        "delete-leaf": 19_999, "delete-isolated": 1,
+    }
+    accepted, trace = recognize_tw2(ladder)
+    assert accepted and len(trace) == 5_999
+    assert Counter(step.rule for step in trace) == {
+        "suppress": 3_998, "merge-parallel": 1_999,
+        "delete-leaf": 1, "delete-isolated": 1,
+    }
+    assert replay_reduction_trace(ladder, trace) == (True, None)
+    order = find_elimination_order(ladder)
+    assert order is not None and len(order.order) == 4_000
+    assert elimination_width(ladder, order) == 2
 
 
 @given(strategies.graphs(max_n=8))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import pytest
 
@@ -66,15 +65,12 @@ def test_census_graphs_are_connected_with_the_right_order(census):
             assert is_connected(g)
 
 
-def test_census_lines_are_canonical_and_unique():
-    lines = generate_small(6)
-    assert len(set(lines)) == len(lines)
-
-
-def test_census_has_no_isomorphic_duplicates(census):
-    for n in range(1, 7):
-        for g1, g2 in itertools.combinations(census[n], 2):
-            assert not oracles.naive_isomorphic(g1, g2)
+def test_census_lines_are_canonical_and_unique(census_lines):
+    # each mask is its own orbit minimum (tested below for n <= 6), so two
+    # isomorphic lines would be identical lines
+    for n in range(1, 8):
+        lines = census_lines[n]
+        assert len(set(lines)) == len(lines)
 
 
 def test_census_is_exhaustive_at_order_four(census):
