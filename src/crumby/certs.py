@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError, GraphError
+from .errors import CapExceeded, CertificateError, GraphError
 from .graphs import EarDecomposition, Graph, graph_from_edge_list, verify_ear_decomposition
 from .minorfree import (
+    MINOR_PATTERN_CAP,
     EliminationOrder,
     MinorWitness,
     ReductionStep,
@@ -167,6 +168,10 @@ def parse_certificate(text: str) -> Certificate:
         ears = tuple(tuple(_ints(value, "ear")) for value in values)
         return EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
     pn = _int(fields["pattern-n"], "pattern-n")
+    if pn > MINOR_PATTERN_CAP:  # refused before anything is sized by it
+        raise CapExceeded(
+            f"minor patterns are capped at {MINOR_PATTERN_CAP} vertices, got {pn}"
+        )
     edges = []
     for tok in fields["pattern-edges"].split():
         u, sep, v = tok.partition("-")

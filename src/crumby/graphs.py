@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -207,6 +208,7 @@ def emit_edge_list(g: Graph) -> str:
 # -- graph6 ------------------------------------------------------------------
 
 _G6_MAX_N = 62
+_G6_BITS = {63 + k: f"{k:06b}" for k in range(64)}  # graph6 byte -> its 6 bits
 
 
 def emit_graph6(g: Graph) -> str:
@@ -220,6 +222,13 @@ def emit_graph6(g: Graph) -> str:
     return chr(g.n + 63) + "".join(
         chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)
     )
+
+
+@cache
+def _graph6_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The edge (i, j) of each graph6 bit of an n-vertex graph, in bit order
+    (see edge_bit_index); built on first use for each n."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -240,11 +249,20 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} adjacency bytes for n={n}, found {len(s) - 1}"
         )
-    bits = "".join(f"{ord(ch) - 63:06b}" for ch in s[1:])
+    bits = s[1:].translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    # graph6 bit idx is mask bit idx, so the bit string read backwards
-    return graph_from_bitmask(n, int(bits[:nbits][::-1] or "0", 2))
+    # slots run column by column, so every row is filled in ascending order;
+    # a slot is one pair i < j, so no loop or duplicate edge can arise
+    slots = _graph6_slots(n)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    k = bits.find("1")
+    while k >= 0:
+        i, j = slots[k]
+        rows[i].append(j)
+        rows[j].append(i)
+        k = bits.find("1", k + 1)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 # -- DOT ---------------------------------------------------------------------

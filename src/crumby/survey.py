@@ -37,7 +37,7 @@ from .graphs import (
     is_connected,
     parse_graph6,
 )
-from .minorfree import recognize_tw2
+from .minorfree import find_elimination_order
 
 GENERATE_CAP = 7
 _FULL_LEVELS = 4  # orbit-minimum levels kept as tables over all masks
@@ -142,7 +142,8 @@ class SurveyFilters:
             return False
         if self.subcubic and g.max_degree() > 3:
             return False
-        if self.tw2 and not recognize_tw2(g)[0]:
+        # the greedy elimination route is exact and keeps no reduction trace
+        if self.tw2 and find_elimination_order(g) is None:
             return False
         if self.biconnected and not is_biconnected(g):
             return False

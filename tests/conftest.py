@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from crumby import (
     build_F,
@@ -11,6 +12,13 @@ from crumby import (
     graph_from_edge_list,
     parse_graph6,
 )
+
+
+# Every run draws the same examples, so a failure reproduces without the
+# local example database and the suite's time does not vary with the draw.
+# Each test module still sets its own max_examples on top of this profile.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -61,13 +61,18 @@ def test_gadget_graph6_round_trips(capsys):
     assert out.strip() == emit_graph6(build_G18().graph)
 
 
-def test_python_dash_m_runs_the_cli():
+def _child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this crumby."""
     env = dict(os.environ)
     src = str(Path(crumby.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "crumby", "gadget", "G18", "--format", "graph6"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == emit_graph6(build_G18().graph)
@@ -319,6 +324,29 @@ def test_check_minor_round_trip(tmp_path, capsys):
     cert.write_text(out)
     code2, out2, _ = run(capsys, "check-minor", "F", "--certificate", str(cert))
     assert code2 == 0 and "valid" in out2
+
+
+@pytest.mark.parametrize("pattern_n", ["7", "3000000", "10000000000005"])
+def test_check_minor_refuses_an_oversized_pattern_before_allocating(tmp_path, pattern_n):
+    """The child caps its own address space at 1 GiB after its imports, so a
+    pattern-n that sizes an allocation fails this test, not the suite."""
+    cert = tmp_path / "big.witness"
+    cert.write_text(
+        f"type: minor-witness\npattern-n: {pattern_n}\npattern-edges: 0-1\n"
+        "branch-0: 0\nbranch-1: 1\n"
+    )
+    child = (
+        "import resource, sys\nfrom crumby.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "check-minor", "F", "--certificate", str(cert)],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"capped at 6 vertices, got {pattern_n}" in proc.stderr
+    assert "internal error" not in proc.stderr
 
 
 def test_check_minor_absence(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -139,15 +141,43 @@ def test_graph6_round_trip(g):
     assert parse_graph6(emit_graph6(g)) == g
 
 
+def _reference_mask(line: str) -> int:
+    """The edge bitmask of a graph6 line, read through one big integer."""
+    n = ord(line[0]) - 63
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in line[1:])
+    return int(bits[: n * (n - 1) // 2][::-1] or "0", 2)
+
+
+def test_graph6_decodes_as_the_bitmask_route(census_lines):
+    for n in range(1, 8):
+        for line in census_lines[n]:
+            assert parse_graph6(line) == graph_from_bitmask(n, _reference_mask(line))
+    rng = random.Random(6)
+    for n in (0, 1, 2, *range(8, 63)):
+        slots = n * (n - 1) // 2
+        for density in (0.0, 0.05, 0.5, 1.0):
+            mask = sum(1 << k for k in range(slots) if rng.random() < density)
+            line = emit_graph6(graph_from_bitmask(n, mask))
+            assert _reference_mask(line) == mask
+            assert parse_graph6(line) == graph_from_bitmask(n, mask)
+
+
 def test_graph6_rejects_malformed_lines():
-    for line, pattern in [
-        ("", "empty"),
-        ("~~", "multi-byte"),
-        ("B", "adjacency bytes"),
-        ("Bw!", "printable"),
-        ("B~", "padding"),
+    for line, message in [
+        ("", "empty graph6 line"),
+        ("~~", "multi-byte length header (n > 62) not supported"),
+        ("B", "expected 1 adjacency bytes for n=3, found 0"),
+        ("Bw!", "byte 33 outside the printable graph6 range"),
+        ("B~", "nonzero padding bits"),
+        # the 8-cycle GhCGKC one adjacency byte short and with a byte below
+        # 63 (how the survey corpus breaks lines), above 126, and with a
+        # padding bit set
+        ("GhCGK", "expected 5 adjacency bytes for n=8, found 4"),
+        ("GhC#KC", "byte 35 outside the printable graph6 range"),
+        ("G\x7fCGKC", "byte 127 outside the printable graph6 range"),
+        ("GhCGKD", "nonzero padding bits"),
     ]:
-        with pytest.raises(Graph6Error, match=pattern):
+        with pytest.raises(Graph6Error, match=f"^{re.escape(message)}$"):
             parse_graph6(line)
 
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from crumby import (
     CapExceeded,
     CrossCheckError,
+    Graph,
     SolveResult,
     Status,
     SurveyFilters,
@@ -14,9 +18,11 @@ from crumby import (
     complete_graph,
     emit_graph6,
     generate_small,
+    graph_from_edge_list,
     graph_from_bitmask,
     is_connected,
     parse_graph6,
+    recognize_tw2,
     survey_stream,
 )
 from crumby.coloring import Coloring
@@ -135,6 +141,70 @@ def test_filter_toggles():
     report = survey_stream([k4], filters=relaxed)
     assert report.tested == 1 and report.sat == 1
     assert relaxed.describe() == "connected"
+
+
+def _grown_subcubic(rng: random.Random, n: int, edges: list, target: int) -> Graph:
+    """Subdivide a few edges of the core (n, edges), then add pendant vertices
+    and chords under a degree-3 cap up to `target` vertices (or until no
+    vertex has degree below 3), and shuffle the labels."""
+    edges = list(edges)
+    for _ in range(rng.randint(0, 3)):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, n), (n, v)]
+        n += 1
+    deg = Counter(v for edge in edges for v in edge)
+    while n < target:
+        free = [v for v in range(n) if deg[v] < 3]
+        if not free:
+            break
+        u = rng.choice(free)
+        w = rng.choice(free)
+        if rng.random() < 0.1 and u != w and (u, w) not in edges and (w, u) not in edges:
+            edges.append((u, w))
+        else:
+            w = n
+            n += 1
+            edges.append((u, w))
+        deg[u] += 1
+        deg[w] += 1
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return graph_from_edge_list(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def _random_cubic(rng: random.Random, n: int) -> Graph:
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            return graph_from_edge_list(n, sorted(pairs))
+
+
+def test_tw2_filter_agrees_with_the_reduction_route(census_lines):
+    """The filter must keep exactly the graphs recognize_tw2 accepts."""
+    tw2_only = SurveyFilters(connected=False, subcubic=False)
+    for n in range(1, 8):
+        for line in census_lines[n]:
+            g = parse_graph6(line)
+            assert tw2_only.accept(g) == recognize_tw2(g)[0], line
+    rng = random.Random(11)
+    cores = [
+        (3, [(0, 1), (1, 2), (2, 0)]),
+        (4, list(combinations(range(4), 2))),  # K4
+        (6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+    ]
+    verdicts = Counter()
+    for _ in range(300):
+        core_n, core_edges = rng.choice(cores)
+        g = _grown_subcubic(rng, core_n, core_edges, rng.randint(8, 30))
+        accepted = tw2_only.accept(g)
+        assert accepted == recognize_tw2(g)[0], emit_graph6(g)
+        verdicts[accepted] += 1
+    for n in range(4, 31, 2):  # minimum degree 3 forces treewidth >= 3
+        g = _random_cubic(rng, n)
+        assert not tw2_only.accept(g) and not recognize_tw2(g)[0]
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_biconnected_filter_narrows_the_census(census_lines):
