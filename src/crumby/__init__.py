@@ -27,6 +27,7 @@ from .coloring import (
     exhaustive_solve,
     verify_crumby,
     verify_crumby_by_components,
+    violations,
 )
 from .errors import (
     BoundarySpecError,

@@ -5,6 +5,9 @@ Exit codes are a stable contract across all subcommands:
   0  Sat / check passed
   1  Unsat / check failed (an answer, not an error)
   2  error, refused input, indeterminate (budget ran out), or a crash
+
+`search` exits 2 when no line of its stream is a graph6 graph (every line
+skipped, or no line at all): a stream that decided nothing is bad input.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from itertools import islice
 from pathlib import Path
 
 from .certs import (
@@ -31,8 +35,8 @@ from .coloring import (
     encode_cnf,
     emit_dimacs,
     exhaustive_solve,
-    verify_crumby,
     verify_crumby_by_components,
+    violations,
 )
 from .errors import BudgetExhausted, CertificateError, CrossCheckError
 from .gadgets import GADGETS
@@ -54,6 +58,7 @@ from .survey import SurveyFilters, generate_small, survey_stream
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+VERIFY_LISTED = 1000  # violation lines `verify` prints at most
 
 
 def load_graph(spec: str) -> Graph:
@@ -142,14 +147,17 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     c = Coloring.from_text(_read_text(args.coloring))
-    ok, violations = verify_crumby(g, c)
-    if verify_crumby_by_components(g, c) != ok:
+    ok = verify_crumby_by_components(g, c)
+    found = list(islice(violations(g, c.red_set()), VERIFY_LISTED + 1))
+    if ok != (not found):
         raise CrossCheckError(
             "the direct verifier and the component verifier disagree"
         )
     print(f"crumby: {'yes' if ok else 'no'}")
-    for violation in violations:
+    for violation in found[:VERIFY_LISTED]:
         print(f"violation: {violation.describe()}")
+    if len(found) > VERIFY_LISTED:
+        print(f"violations: listing stopped after {VERIFY_LISTED}")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -267,6 +275,9 @@ def cmd_search(args) -> int:
             f"indeterminate: the budget ran out on {len(report.undecided)} graphs",
             file=sys.stderr,
         )
+        return EXIT_ERROR
+    if report.tested + report.filtered_out == 0:
+        print("error: no line of the stream is a graph6 graph", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_PASS
 

@@ -26,11 +26,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExhausted, CapExceeded
-from .graphs import Graph, connected_components, enumerate_p4, induced_subgraph
+from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
 EXHAUSTIVE_CAP = 24
 _CHUNK_BITS = 20
@@ -100,13 +101,13 @@ class Violation:
 # -- verification ----------------------------------------------------------------
 
 
-def _violations(
+def violations(
     g: Graph,
     red: frozenset[int],
     exempt: frozenset[int] = frozenset(),
     extra: tuple[tuple[int, ...], ...] = (),
-) -> list[Violation]:
-    """Violations of (a)-(c) by the red set `red`, relaxed by data.
+) -> Iterator[Violation]:
+    """Yield the violations of (a)-(c) by the red set `red`, relaxed by data.
 
     Red vertices in `exempt` need no Red neighbor, and every path in `extra`
     is forbidden all-Red like a P4.  With the defaults this is plain
@@ -114,27 +115,25 @@ def _violations(
     subgraph G[red], so only G[red] is searched, in place.
     """
     adj = g.adj
-    violations = []
     for v in range(g.n):
         if v in red:
             if v not in exempt and not any(u in red for u in adj[v]):
-                violations.append(Violation(ViolationKind.RED_ISOLATED, vertex=v))
+                yield Violation(ViolationKind.RED_ISOLATED, vertex=v)
         elif sum(1 for u in adj[v] if u not in red) >= 2:
-            violations.append(Violation(ViolationKind.BLUE_DEGREE, vertex=v))
-    for path in enumerate_p4(g, red):
-        violations.append(Violation(ViolationKind.RED_P4, path=path))
+            yield Violation(ViolationKind.BLUE_DEGREE, vertex=v)
+    for path in _walk_p4(g, red):
+        yield Violation(ViolationKind.RED_P4, path=path)
     for path in extra:
         if all(p in red for p in path):
-            violations.append(Violation(ViolationKind.RED_P4, path=path))
-    return violations
+            yield Violation(ViolationKind.RED_P4, path=path)
 
 
 def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
     """Check (a)-(c) directly; returns all violations, deterministic order."""
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    violations = _violations(g, c.red_set())
-    return not violations, violations
+    found = list(violations(g, c.red_set()))
+    return not found, found
 
 
 def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
@@ -146,16 +145,13 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
     red = c.red_set()
-    blue = [v for v in range(g.n) if v not in red]
-    blue_sub = induced_subgraph(g, blue)
-    for comp in connected_components(blue_sub):
+    blue = frozenset(range(g.n)) - red
+    for comp in connected_components(g, blue):
         if len(comp) > 2:
             return False
-    red_list = sorted(red)
-    red_sub = induced_subgraph(g, red_list)
-    for comp in connected_components(red_sub):
+    for comp in connected_components(g, red):
         k = len(comp)
-        degs = sorted(red_sub.degree(v) for v in comp)
+        degs = sorted(sum(1 for u in g.adj[v] if u in red) for v in comp)
         if k == 1:
             return False
         if k == 3 and degs == [2, 2, 2]:
@@ -175,7 +171,7 @@ def _feasible_chunks(
     fixed: dict[int, Color] | None = None,
 ):
     """Yield (offset, ok): ok[i] true iff red-mask offset+i agrees with the
-    vertex colors in `fixed` and has no _violations(g, ..., exempt, extra).
+    vertex colors in `fixed` and has no violations(g, ..., exempt, extra).
 
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
@@ -222,7 +218,7 @@ def _relaxed_colorings(
     fixed: dict[int, Color],
 ) -> tuple[Coloring, ...]:
     """Every coloring that agrees with `fixed` and passes (a)-(c) relaxed by
-    `exempt` and `extra` (see _violations), in lexicographic order, B < R."""
+    `exempt` and `extra` (see violations), in lexicographic order, B < R."""
     _check_exhaustive_cap(g)
     out = []
     for start, ok in _feasible_chunks(g, exempt, extra, fixed):

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Graph6Error, GraphError
 
@@ -138,16 +138,10 @@ def edge_bit_index(i: int, j: int) -> int:
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> idx & 1:
-                edges.append((i, j))
-            idx += 1
-    if mask >> idx:
-        raise GraphError(f"bitmask has bits beyond the {idx} edge slots of n={n}")
-    return graph_from_edge_list(n, edges)
+    nbits = n * (n - 1) // 2 if n > 0 else 0
+    if mask >> nbits:
+        raise GraphError(f"bitmask has bits beyond the {nbits} edge slots of n={n}")
+    return _graph_from_bits(n, format(mask, "b")[::-1])
 
 
 def bitmask_of_graph(g: Graph) -> int:
@@ -216,9 +210,8 @@ def emit_graph6(g: Graph) -> str:
     if g.n > _G6_MAX_N:
         raise Graph6Error(f"graph6 support is capped at n <= {_G6_MAX_N}, got {g.n}")
     nbits = g.n * (g.n - 1) // 2
-    mask = bitmask_of_graph(g)
-    bits = "".join(str(mask >> idx & 1) for idx in range(nbits))
-    bits += "0" * (-nbits % 6)
+    padded = nbits + -nbits % 6
+    bits = format(bitmask_of_graph(g), f"0{padded}b")[::-1] if padded else ""
     return chr(g.n + 63) + "".join(
         chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)
     )
@@ -252,6 +245,12 @@ def parse_graph6(line: str) -> Graph:
     bits = s[1:].translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
+    return _graph_from_bits(n, bits)
+
+
+def _graph_from_bits(n: int, bits: str) -> Graph:
+    """The n-vertex graph with an edge at each '1' of `bits`, whose k-th
+    character is edge slot k (see edge_bit_index)."""
     # slots run column by column, so every row is filled in ascending order;
     # a slot is one pair i < j, so no loop or duplicate edge can arise
     slots = _graph6_slots(n)
@@ -283,9 +282,13 @@ def emit_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
 # -- connectivity ------------------------------------------------------------
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex partition into components, each sorted, ordered by minimum."""
-    seen = [False] * g.n
+def connected_components(
+    g: Graph, within: frozenset[int] | None = None
+) -> list[list[int]]:
+    """Vertex partition into components, each sorted, ordered by minimum;
+    with `within`, the components of the induced subgraph G[within], read
+    in place and named by their vertices in g."""
+    seen = [False] * g.n if within is None else [v not in within for v in range(g.n)]
     comps = []
     for root in range(g.n):
         if seen[root]:
@@ -482,14 +485,19 @@ def enumerate_p4(
     only those of the induced subgraph G[within].
 
     A path (p1,p2,p3,p4) is kept iff (p1,p2,p3,p4) <= (p4,p3,p2,p1); output
-    is sorted.  These are subgraph paths: chords among the four vertices are
+    ascends.  These are subgraph paths: chords among the four vertices are
     allowed.
     """
+    return list(_walk_p4(g, within))
+
+
+def _walk_p4(g: Graph, within: frozenset[int] | None) -> Iterator[tuple[int, ...]]:
+    """enumerate_p4's paths, one at a time.  Rows are sorted, so the nested
+    walk meets the paths in ascending order."""
     adj = g.adj
     if within is not None:
         adj = [tuple(u for u in row if u in within) if v in within else ()
                for v, row in enumerate(adj)]
-    out = []
     for p1 in range(g.n):
         for p2 in adj[p1]:
             for p3 in adj[p2]:
@@ -500,5 +508,4 @@ def enumerate_p4(
                         continue
                     walk = (p1, p2, p3, p4)
                     if walk <= (p4, p3, p2, p1):
-                        out.append(walk)
-    return sorted(out)
+                        yield walk

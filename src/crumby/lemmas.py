@@ -32,9 +32,9 @@ from .coloring import (
     Coloring,
     Status,
     _relaxed_colorings,
-    _violations,
     dpll_solve,
     verify_crumby_by_components,
+    violations,
 )
 from .errors import BoundarySpecError
 from .gadgets import LabeledGraph, build_F, build_G18, build_R
@@ -107,7 +107,7 @@ def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
                 f"coloring assigns vertex {v} {c.colors[v].value},"
                 f" spec fixes it to {color.value}"
             )
-    return not _violations(g, c.red_set(), *_relaxation(g, spec))
+    return next(violations(g, c.red_set(), *_relaxation(g, spec)), None) is None
 
 
 @dataclass(frozen=True)

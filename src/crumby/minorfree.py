@@ -23,7 +23,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import BudgetExhausted, CapExceeded
-from .graphs import Graph, blocks, is_biconnected
+from .graphs import Graph, blocks, connected_components, is_biconnected
 
 MINOR_PATTERN_CAP = 6
 
@@ -220,16 +220,7 @@ def verify_minor_witness(
             if v in seen:
                 return False, f"vertex {v} appears in two branch sets"
         seen.update(s)
-        # connectivity inside the set
-        stack = [min(s)]
-        reached = {min(s)}
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u in s and u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        if reached != s:
+        if len(connected_components(g, s)) != 1:
             return False, f"branch set {i} is not connected"
     for i, j in pattern.edges():
         if not any(u in sets[j] for v in sets[i] for u in g.adj[v]):

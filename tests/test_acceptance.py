@@ -8,6 +8,7 @@ the implementation.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -376,3 +377,6 @@ def test_full_claim_battery_exits_cleanly(capsys):
     ok = code == 0 and lines and all(line.startswith("PASS") for line in lines)
     print(f"{'PASS' if ok else 'FAIL'} claim-battery: {len(lines)} bundled checks, exit {code}")
     assert ok
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "57e7f61207d6985b4666b6236adddcd7edd6b328ac3091b3da568710b9517e51"
+    )

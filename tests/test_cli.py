@@ -15,6 +15,7 @@ from crumby import (
     build_G18,
     build_G40,
     complete_bipartite,
+    complete_graph,
     emit_edge_list,
     emit_graph6,
     find_elimination_order,
@@ -67,6 +68,14 @@ def _child_env() -> dict[str, str]:
     src = str(Path(crumby.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+# a child interpreter that runs the CLI in 1 GiB of address space
+_CAPPED_CLI = (
+    "import resource, sys\nfrom crumby.cli import main\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -232,6 +241,36 @@ def test_verify_lists_violations(tmp_path, capsys):
     assert "no red neighbor" in out
 
 
+def test_verify_lists_at_most_a_thousand_violations(tmp_path):
+    """An all-red K62 has 6.7 million all-red P4s.  The child caps its own
+    address space at 1 GiB, so listing them all fails this test."""
+    graph = tmp_path / "k62.g6"
+    graph.write_text(emit_graph6(complete_graph(62)) + "\n")
+    coloring = tmp_path / "red.txt"
+    coloring.write_text(" ".join("R" * 62) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "verify", str(graph), str(coloring)],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "crumby: no"
+    assert sum(line.startswith("violation: ") for line in lines) == 1000
+    assert lines[-1] == "violations: listing stopped after 1000"
+
+
+def test_every_parser_refuses_mutants_cleanly():
+    """Seeded mutants of every input format and certificate kind either parse
+    or are refused as bad input; see tests/parser_fuzz.py, which caps its own
+    address space at 1 GiB."""
+    script = Path(__file__).with_name("parser_fuzz.py")
+    proc = subprocess.run(
+        [sys.executable, str(script), "3000"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
 def test_cnf_writes_dimacs(tmp_path, capsys):
     out_file = tmp_path / "f.cnf"
     code, _, _ = run(capsys, "cnf", write_k2(tmp_path), "-o", str(out_file))
@@ -335,13 +374,9 @@ def test_check_minor_refuses_an_oversized_pattern_before_allocating(tmp_path, pa
         f"type: minor-witness\npattern-n: {pattern_n}\npattern-edges: 0-1\n"
         "branch-0: 0\nbranch-1: 1\n"
     )
-    child = (
-        "import resource, sys\nfrom crumby.cli import main\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
+    argv = ["check-minor", "F", "--certificate", str(cert)]
     proc = subprocess.run(
-        [sys.executable, "-c", child, "check-minor", "F", "--certificate", str(cert)],
+        [sys.executable, "-c", _CAPPED_CLI, *argv],
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
@@ -497,6 +532,29 @@ def test_search_reads_stdin_stream(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "search")
     assert code == 0
     assert "unsat=1" in out
+
+
+def test_search_of_a_stream_with_no_graph6_line_exits_2(tmp_path, capsys, monkeypatch):
+    import io
+
+    code, out, err = run(capsys, "search", write_k2(tmp_path))
+    assert code == 2 and "total tested=0" in out and "skipped=2" in out
+    assert "error: no line of the stream is a graph6 graph" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, "search")
+    assert code == 2 and "skipped=0" in out
+    assert "error: no line of the stream is a graph6 graph" in err
+
+
+def test_search_of_a_stream_with_one_graph6_line_exits_0(tmp_path, capsys):
+    stream = tmp_path / "stream.g6"
+    stream.write_text("A_\nB\n")  # K2, then a line one byte short
+    code, out, err = run(capsys, "search", str(stream))
+    assert code == 0 and err == ""
+    assert "total tested=1 sat=1" in out and "skipped=1" in out
+    stream.write_text("C~\n")  # K4, which the tw2 filter drops
+    code, out, err = run(capsys, "search", str(stream))
+    assert code == 0 and "filtered-out=1" in out
 
 
 def test_search_budget_keeps_the_report_and_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crumby import (
     CapExceeded,
@@ -148,18 +149,28 @@ def _reference_mask(line: str) -> int:
     return int(bits[: n * (n - 1) // 2][::-1] or "0", 2)
 
 
+def _reference_graph(n: int, mask: int):
+    """The graph of an edge bitmask, its slots walked column by column."""
+    slots = [(i, j) for j in range(1, n) for i in range(j)]
+    return graph_from_edge_list(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+
+
 def test_graph6_decodes_as_the_bitmask_route(census_lines):
     for n in range(1, 8):
         for line in census_lines[n]:
-            assert parse_graph6(line) == graph_from_bitmask(n, _reference_mask(line))
+            mask = _reference_mask(line)
+            g = _reference_graph(n, mask)
+            assert parse_graph6(line) == g and graph_from_bitmask(n, mask) == g
     rng = random.Random(6)
     for n in (0, 1, 2, *range(8, 63)):
         slots = n * (n - 1) // 2
         for density in (0.0, 0.05, 0.5, 1.0):
             mask = sum(1 << k for k in range(slots) if rng.random() < density)
-            line = emit_graph6(graph_from_bitmask(n, mask))
+            g = _reference_graph(n, mask)
+            assert graph_from_bitmask(n, mask) == g
+            line = emit_graph6(g)
             assert _reference_mask(line) == mask
-            assert parse_graph6(line) == graph_from_bitmask(n, mask)
+            assert parse_graph6(line) == g
 
 
 def test_graph6_rejects_malformed_lines():
@@ -223,6 +234,17 @@ def test_dot_empty_graph_is_valid():
 def test_components_partition_and_order():
     g = graph_from_edge_list(6, [(4, 5), (0, 2)])
     assert connected_components(g) == [[0, 2], [1], [3], [4, 5]]
+
+
+@given(strategies.graphs(max_n=9), st.integers(0, (1 << 9) - 1))
+@PROPERTY
+def test_components_within_match_the_induced_subgraph(g, bits):
+    vertices = [v for v in range(g.n) if bits >> v & 1]
+    expected = [
+        [vertices[i] for i in comp]
+        for comp in connected_components(induced_subgraph(g, vertices))
+    ]
+    assert connected_components(g, frozenset(vertices)) == expected
 
 
 def test_empty_graph_is_connected():
