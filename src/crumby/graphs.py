@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Graph6Error, GraphError
@@ -217,11 +217,15 @@ def emit_graph6(g: Graph) -> str:
     )
 
 
-@cache
-def _graph6_slots(n: int) -> tuple[tuple[int, int], ...]:
-    """The edge (i, j) of each graph6 bit of an n-vertex graph, in bit order
-    (see edge_bit_index); built on first use for each n."""
-    return tuple((i, j) for j in range(1, n) for i in range(j))
+# the edge (i, j) of each graph6 bit in bit order (see edge_bit_index); the
+# first n(n-1)/2 entries are the slots of every order n <= 62
+_G6_SLOTS = tuple((i, j) for j in range(1, _G6_MAX_N) for i in range(j))
+
+
+def _slot_of_bit(k: int) -> tuple[int, int]:
+    """The edge (i, j) of bit k: the inverse of edge_bit_index."""
+    j = (1 + isqrt(8 * k + 1)) // 2
+    return k - j * (j - 1) // 2, j
 
 
 def parse_graph6(line: str) -> Graph:
@@ -253,11 +257,11 @@ def _graph_from_bits(n: int, bits: str) -> Graph:
     character is edge slot k (see edge_bit_index)."""
     # slots run column by column, so every row is filled in ascending order;
     # a slot is one pair i < j, so no loop or duplicate edge can arise
-    slots = _graph6_slots(n)
+    slot = _G6_SLOTS.__getitem__ if n <= _G6_MAX_N else _slot_of_bit
     rows: list[list[int]] = [[] for _ in range(n)]
     k = bits.find("1")
     while k >= 0:
-        i, j = slots[k]
+        i, j = slot(k)
         rows[i].append(j)
         rows[j].append(i)
         k = bits.find("1", k + 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,25 @@ def test_bitmask_rejects_bits_beyond_the_edge_slots():
     assert graph_from_bitmask(3, 0b111) == complete_graph(3)
     with pytest.raises(GraphError, match="beyond the 3 edge slots"):
         graph_from_bitmask(3, 1 << 3)
+
+
+def test_bitmask_past_graph6_orders_decodes_without_a_slot_table():
+    """Past n = 62 each set bit's slot is computed, so decoding three edges at
+    n = 2000 allocates nothing of the order of its 1,999,000 slots."""
+    rng = random.Random(7)
+    for n in (63, 100):
+        mask = rng.getrandbits(n * (n - 1) // 2)
+        assert graph_from_bitmask(n, mask) == _reference_graph(n, mask)
+    edges = [(0, 1), (99, 157), (1998, 1999)]
+    mask = sum(1 << edge_bit_index(u, v) for u, v in edges)
+    tracemalloc.start()
+    try:
+        g = graph_from_bitmask(2000, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == graph_from_edge_list(2000, edges)
+    assert peak < 10_000_000
 
 
 def test_edge_bit_index_is_colex():
