@@ -80,7 +80,6 @@ from .graphs import (
 )
 from .lemmas import (
     BoundarySpec,
-    FeasibleSet,
     LemmaReport,
     enumerate_feasible,
     relaxed_feasible,

@@ -27,18 +27,15 @@ from .coloring import (
 from .gadgets import (
     F_AUTOMORPHISM,
     F_ELIMINATION_TABLE,
-    F_ROLES,
     G40_EAR_CYCLE,
     G40_EARS,
-    Q_EXPR,
-    Q_INTERNAL_ROLES,
     build_F,
+    build_F_sp,
     build_G18,
     build_G40,
     build_G40_sp,
     build_R,
     drop_edge,
-    expand,
     g18_elimination_order,
 )
 from .graphs import (
@@ -233,25 +230,17 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
         why or "lowpoint check and ear decomposition both certify 2-connectivity",
     )
 
-    try:
-        sp = build_G40_sp().graph
-        sp_ok, sp_why = sp.edges() == g40.edges(), "labeled edge sets are equal"
-    except ValueError as exc:
-        sp_ok, sp_why = False, str(exc)
-    yield CheckResult("claim", "g40-series-parallel", sp_ok, sp_why)
     f_lg = build_F()
-    q = expand(Q_EXPR)
-    ridx = {role: i for i, role in enumerate(F_ROLES)}
-    mapping = [ridx[role] for role in ("x", "a") + Q_INTERNAL_ROLES]
-    q_mapped = graph_from_edge_list(
-        9, [(mapping[u], mapping[v]) for u, v in q.graph.edges()]
-    )
-    yield CheckResult(
-        "claim",
-        "f-series-parallel",
-        q_mapped.edges() == f_lg.graph.edges(),
-        "expansion of the two-terminal expression equals F under the role map",
-    )
+    for name, build_sp, g, detail in (
+        ("g40-series-parallel", build_G40_sp, g40, "labeled edge sets are equal"),
+        ("f-series-parallel", build_F_sp, f_lg.graph,
+         "expansion of the two-terminal expression equals F under the role map"),
+    ):
+        try:
+            sp_ok, sp_why = build_sp().graph.edges() == g.edges(), detail
+        except ValueError as exc:
+            sp_ok, sp_why = False, str(exc)
+        yield CheckResult("claim", name, sp_ok, sp_why)
 
     accept = all(
         recognize_tw2(g)[0] and find_elimination_order(g) is not None
@@ -272,10 +261,10 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
     k23 = complete_bipartite(2, 3)
     found, witness = has_minor(f_lg.graph, k23)
     witness_ok = found and verify_minor_witness(f_lg.graph, k23, witness)[0]
-    cd = frozenset({ridx["c"], ridx["d"]})
+    f_roles = f_lg.roles()
     merged = MinorWitness(
-        (frozenset({ridx["e"]}), frozenset({ridx["f"]}),
-         frozenset({ridx["g"]}), frozenset({ridx["h"]}), cd)
+        tuple(frozenset({f_roles[role]}) for role in "efgh")
+        + (frozenset({f_roles["c"], f_roles["d"]}),)
     )
     merged_ok = verify_minor_witness(f_lg.graph, k23, merged)[0]
     yield CheckResult(

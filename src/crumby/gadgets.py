@@ -5,14 +5,17 @@ The small gadget F has nine vertices in fixed positions
     x=0 a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8
 
 and edges xa xb ac bd cd ce df eg eh fg fh.  R wraps F with two extra
-vertices s=0, t=1 (F shifted to 2..10) and edges sx st ta.  G18 is two
-copies of F joined by the single edge x1x2; G40 is built from two R's and
-two F's.  The vertex numbers below are the module's convention and are fixed:
-tests and certificates depend on them.
+vertices s=0, t=1 (F shifted to 2..10) and edges sx st ta.  Every bundled
+gadget is assembled from role-labelled copies of F (a copy that also maps
+s and t is a copy of R) plus the edges that join the copies: F and R are
+one copy, G18 is two copies of F joined by the edge x1x2, and G40 is two
+R's and two F's joined by four edges.  The vertex numbers below are the
+module's convention and are fixed: tests and certificates depend on them.
 
 The SpExpr algebra (EdgeLeaf, Series, Parallel, Reverse) expands to labeled
-graphs with a deterministic depth-first vertex numbering; build_G40_sp checks
-that the algebraic construction reproduces build_G40 edge-for-edge.
+graphs with a deterministic depth-first vertex numbering; build_F_sp and
+build_G40_sp check, through one matcher, that the algebraic constructions
+reproduce build_F and build_G40 edge-for-edge.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ExpansionError
-from .graphs import Graph, graph_from_edge_list
+from .graphs import Graph, graph_from_edge_list, relabel
 
 # -- series-parallel expressions ----------------------------------------------
 
@@ -83,11 +86,9 @@ def rev(child: SpExpr) -> Reverse:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A graph with two distinguished terminals and optional role names."""
+    """A graph with optional role names for its vertices."""
 
     graph: Graph
-    terminal_first: int
-    terminal_second: int
     role_labels: dict[int, str] | None = None
 
     def roles(self) -> dict[str, int]:
@@ -141,7 +142,7 @@ def expand(expr: SpExpr) -> LabeledGraph:
         walk(expr, 0, 1)
     except ExpansionError as exc:
         raise ExpansionError(f"{exc} in {expr}") from None
-    return LabeledGraph(graph_from_edge_list(counter[0], sorted(edges)), 0, 1)
+    return LabeledGraph(graph_from_edge_list(counter[0], sorted(edges)))
 
 
 # -- fixed gadget constructions ------------------------------------------------
@@ -153,6 +154,9 @@ F_EDGES_BY_ROLE = (
     ("d", "f"), ("e", "g"), ("e", "h"), ("f", "g"), ("f", "h"),
 )
 
+# the handle that turns a copy of F into a copy of R
+R_HANDLE_EDGES = (("s", "x"), ("s", "t"), ("t", "a"))
+
 # degree-2 roles of F; every other F vertex has degree 3
 F_DEGREE2_ROLES = frozenset({"x", "a", "b", "g", "h"})
 
@@ -160,81 +164,63 @@ F_DEGREE2_ROLES = frozenset({"x", "a", "b", "g", "h"})
 F_AUTOMORPHISM = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 7, 8: 8}
 
 
-def _f_edges(role_to_vertex: dict[str, int]) -> list[tuple[int, int]]:
-    return [(role_to_vertex[a], role_to_vertex[b]) for a, b in F_EDGES_BY_ROLE]
+def _f_copy(first: int) -> dict[str, int]:
+    """F's roles on the vertices first..first+8, in F_ROLES order."""
+    return {role: first + i for i, role in enumerate(F_ROLES)}
+
+
+def _assemble(
+    copies: dict[str, dict[str, int]], joins: tuple[tuple[int, int], ...] = ()
+) -> LabeledGraph:
+    """Copies of F joined by `joins`; each copy is a role -> vertex map.
+
+    A copy that maps s and t is a copy of R and also gets R's handle.  A
+    vertex is labelled by its role followed by the copy's key, and the
+    copies' vertices must number 0..n-1 between them.
+    """
+    edges = list(joins)
+    labels: dict[int, str] = {}
+    for suffix, roles in copies.items():
+        pairs = F_EDGES_BY_ROLE + (R_HANDLE_EDGES if "s" in roles else ())
+        edges += [(roles[a], roles[b]) for a, b in pairs]
+        labels.update({v: role + suffix for role, v in roles.items()})
+    return LabeledGraph(graph_from_edge_list(len(labels), edges), labels)
 
 
 def build_F() -> LabeledGraph:
-    """The 9-vertex gadget, terminals (x, a) = (0, 1)."""
-    roles = {role: i for i, role in enumerate(F_ROLES)}
-    g = graph_from_edge_list(9, _f_edges(roles))
-    return LabeledGraph(g, 0, 1, {v: r for r, v in roles.items()})
+    """The 9-vertex gadget, x=0 and a=1."""
+    return _assemble({"": _f_copy(0)})
 
 
 def build_R() -> LabeledGraph:
     """F wrapped with s=0, t=1 and edges sx, st, ta; F sits on 2..10."""
-    roles = {"s": 0, "t": 1}
-    roles.update({role: i + 2 for i, role in enumerate(F_ROLES)})
-    edges = _f_edges(roles) + [
-        (roles["s"], roles["x"]),
-        (roles["s"], roles["t"]),
-        (roles["t"], roles["a"]),
-    ]
-    g = graph_from_edge_list(11, edges)
-    return LabeledGraph(g, 0, 1, {v: r for r, v in roles.items()})
+    return _assemble({"": {"s": 0, "t": 1, **_f_copy(2)}})
 
 
 def build_G18() -> LabeledGraph:
     """Two copies of F joined by the edge x1-x2; copies on 0..8 and 9..17."""
-    roles1 = {role: i for i, role in enumerate(F_ROLES)}
-    roles2 = {role: i + 9 for i, role in enumerate(F_ROLES)}
-    edges = _f_edges(roles1) + _f_edges(roles2) + [(roles1["x"], roles2["x"])]
-    g = graph_from_edge_list(18, edges)
-    labels = {v: f"{r}1" for r, v in roles1.items()}
-    labels.update({v: f"{r}2" for r, v in roles2.items()})
-    return LabeledGraph(g, 0, 9, labels)
+    return _assemble({"1": _f_copy(0), "2": _f_copy(9)}, ((0, 9),))
 
 
-# G40: R(0,1) and R(11,12), F rooted at 30 toward 22, F rooted at 31 toward
-# 39, joined by edges 1-12, 11-22, 30-31, 39-0.  Flat copy -> role -> vertex.
+# G40: copies 1 and 2 of R, copy 3 of F rooted at 30 toward 22 and copy 4 of
+# F rooted at 31 toward 39, joined by the edges t1-t2, s2-a3, x3-x4, s1-a4.
 G40_COPIES: dict[str, dict[str, int]] = {
-    "R1": {"s": 0, "t": 1, "x": 2, "a": 3, "b": 4, "c": 5, "d": 6,
-           "e": 7, "f": 8, "g": 9, "h": 10},
-    "R2": {"s": 11, "t": 12, "x": 13, "a": 14, "b": 15, "c": 16, "d": 17,
-           "e": 18, "f": 19, "g": 20, "h": 21},
-    "F3": {"x": 30, "a": 22, "b": 23, "c": 24, "d": 25,
-           "e": 26, "f": 27, "g": 28, "h": 29},
-    "F4": {"x": 31, "a": 39, "b": 32, "c": 33, "d": 34,
-           "e": 35, "f": 36, "g": 37, "h": 38},
+    "1": {"s": 0, "t": 1, **_f_copy(2)},
+    "2": {"s": 11, "t": 12, **_f_copy(13)},
+    "3": {"x": 30, "a": 22, "b": 23, "c": 24, "d": 25,
+          "e": 26, "f": 27, "g": 28, "h": 29},
+    "4": {"x": 31, "a": 39, "b": 32, "c": 33, "d": 34,
+          "e": 35, "f": 36, "g": 37, "h": 38},
 }
-
-G40_EDGES: tuple[tuple[int, int], ...] = (
-    (0, 1), (0, 2), (0, 39), (1, 3), (1, 12), (2, 3), (2, 4), (3, 5),
-    (4, 6), (5, 6), (5, 7), (6, 8), (7, 9), (7, 10), (8, 9), (8, 10),
-    (11, 12), (11, 13), (11, 22), (12, 14), (13, 14), (13, 15), (14, 16),
-    (15, 17), (16, 17), (16, 18), (17, 19), (18, 20), (18, 21), (19, 20),
-    (19, 21), (22, 24), (22, 30), (23, 25), (23, 30), (24, 25), (24, 26),
-    (25, 27), (26, 28), (26, 29), (27, 28), (27, 29), (30, 31), (31, 32),
-    (31, 39), (32, 34), (33, 34), (33, 35), (33, 39), (34, 36), (35, 37),
-    (35, 38), (36, 37), (36, 38),
-)
-
-
-def g40_role_labels() -> dict[int, str]:
-    labels: dict[int, str] = {}
-    for copy, roles in G40_COPIES.items():
-        for role, v in roles.items():
-            labels[v] = f"{role}{copy[-1]}"
-    return labels
+G40_JOINS = ((1, 12), (11, 22), (30, 31), (0, 39))
 
 
 def build_G40() -> LabeledGraph:
-    """The 40-vertex graph from the fixed 54-edge table."""
-    g = graph_from_edge_list(40, G40_EDGES)
-    return LabeledGraph(g, 0, 39, g40_role_labels())
+    """The 40-vertex graph: the four copies of G40_COPIES and G40_JOINS."""
+    return _assemble(G40_COPIES, G40_JOINS)
 
 
-# -- algebraic build of G40 ----------------------------------------------------
+# -- algebraic builds of F and G40 ---------------------------------------------
 
 P2 = series(E, E)
 A_EXPR = parallel(E, series(E, parallel(P2, P2), E))
@@ -247,53 +233,53 @@ Q_INTERNAL_ROLES = ("d", "b", "c", "f", "e", "g", "h")
 R_INTERNAL_ROLES = ("x", "a") + Q_INTERNAL_ROLES
 
 
-def _g40_expansion_to_table() -> list[int]:
-    """Expansion-order vertex ids of G40_EXPR mapped to the table numbering.
-
-    Mirrors expand(): root terminals 0 and 39 first, then the series chain
-    junctions interleaved with each module's internal block.
-    """
-    r1, r2 = G40_COPIES["R1"], G40_COPIES["R2"]
-    f3, f4 = G40_COPIES["F3"], G40_COPIES["F4"]
-    out = [0, 39]
-    out.append(r1["t"])                                # junction after R1
-    out.extend(r1[role] for role in R_INTERNAL_ROLES)  # R1 internals
-    out.append(r2["t"])                                # junction after the bridge E
-    out.append(r2["s"])                                # junction after reversed R2
-    out.extend(r2[role] for role in R_INTERNAL_ROLES)  # R2 internals
-    out.append(f3["a"])                                # junction after bridge E
-    out.append(f3["x"])                                # junction after reversed F3
-    out.extend(f3[role] for role in Q_INTERNAL_ROLES)  # F3 internals
-    out.append(f4["x"])                                # junction after bridge E
-    out.extend(f4[role] for role in Q_INTERNAL_ROLES)  # F4 internals
-    return out
+def _in_copy(suffix: str, roles: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(role + suffix for role in roles)
 
 
-def sp_edge_mismatch(expr_graph: Graph, table_graph: Graph) -> list[str]:
+# role labels of G40_EXPR's vertices in expand()'s order: the root terminals
+# s1 and a4, then each series junction before the internals of its module
+G40_EXPANSION_ROLES = (
+    ("s1", "a4", "t1") + _in_copy("1", R_INTERNAL_ROLES)
+    + ("t2", "s2") + _in_copy("2", R_INTERNAL_ROLES)
+    + ("a3", "x3") + _in_copy("3", Q_INTERNAL_ROLES)
+    + ("x4",) + _in_copy("4", Q_INTERNAL_ROLES)
+)
+
+
+def sp_edge_mismatch(expr_graph: Graph, gadget_graph: Graph) -> list[str]:
     """Symmetric difference of edge sets, formatted; empty means equal."""
-    a, b = set(expr_graph.edges()), set(table_graph.edges())
+    a, b = set(expr_graph.edges()), set(gadget_graph.edges())
     report = [f"expansion-only edge {u}-{v}" for u, v in sorted(a - b)]
-    report += [f"table-only edge {u}-{v}" for u, v in sorted(b - a)]
+    report += [f"gadget-only edge {u}-{v}" for u, v in sorted(b - a)]
     return report
 
 
-def build_G40_sp() -> LabeledGraph:
-    """Expand the series-parallel expression for G40 and relabel to the
-    table numbering; any edge mismatch against build_G40 is a hard error."""
-    expanded = expand(G40_EXPR)
-    mapping = _g40_expansion_to_table()
-    if sorted(mapping) != list(range(40)) or expanded.graph.n != 40:
-        raise ExpansionError("G40 expansion relabeling is not a 40-permutation")
-    relabeled = graph_from_edge_list(
-        40, [(mapping[u], mapping[v]) for u, v in expanded.graph.edges()]
-    )
-    mismatch = sp_edge_mismatch(relabeled, build_G40().graph)
+def _match_expansion(
+    expr: SpExpr, roles: tuple[str, ...], lg: LabeledGraph
+) -> LabeledGraph:
+    """Expand `expr` and renumber its vertex i to lg's vertex labelled
+    roles[i]; any edge mismatch against lg is a hard error."""
+    where = lg.roles()
+    expanded = relabel(expand(expr).graph, [where[role] for role in roles])
+    mismatch = sp_edge_mismatch(expanded, lg.graph)
     if mismatch:
         raise ExpansionError(
-            "series-parallel expansion disagrees with the edge table: "
+            "series-parallel expansion disagrees with the gadget: "
             + "; ".join(mismatch)
         )
-    return LabeledGraph(relabeled, 0, 39, g40_role_labels())
+    return LabeledGraph(expanded, lg.role_labels)
+
+
+def build_F_sp() -> LabeledGraph:
+    """F from the expansion of Q_EXPR, checked edge-for-edge against build_F."""
+    return _match_expansion(Q_EXPR, ("x", "a") + Q_INTERNAL_ROLES, build_F())
+
+
+def build_G40_sp() -> LabeledGraph:
+    """G40 from the expansion of G40_EXPR, checked edge-for-edge against
+    build_G40."""
+    return _match_expansion(G40_EXPR, G40_EXPANSION_ROLES, build_G40())
 
 
 # width-2 elimination schedule for one copy of F: role -> remaining neighbors
@@ -345,7 +331,7 @@ def drop_edge(lg: LabeledGraph, role_u: str, role_v: str) -> LabeledGraph:
     if len(edges) == lg.graph.m:
         raise ValueError(f"no edge {role_u}-{role_v} in the gadget")
     g = graph_from_edge_list(lg.graph.n, edges)
-    return LabeledGraph(g, lg.terminal_first, lg.terminal_second, lg.role_labels)
+    return LabeledGraph(g, lg.role_labels)
 
 
 GADGETS = {

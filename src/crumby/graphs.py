@@ -108,6 +108,9 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on `vertices`, renumbered by position in `vertices`."""
     if len(set(vertices)) != len(vertices):
         raise GraphError("induced vertex list has repeats")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"induced vertex {v} is not in [0, {g.n})")
     index = {v: i for i, v in enumerate(vertices)}
     edges = [
         (index[u], index[v])

@@ -23,7 +23,7 @@ solver-free unsatisfiability proof for G18.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .coloring import (
     BLUE,
@@ -75,6 +75,14 @@ def _validate_spec(g: Graph, spec: BoundarySpec) -> dict[int, Color]:
     return fixed
 
 
+def _paths_from(g: Graph, v: int) -> Iterator[tuple[int, int, int]]:
+    """Every path v-p-q in g, p over v's neighbors in order, then q over p's."""
+    for p in g.adj[v]:
+        for q in g.adj[p]:
+            if q != v:
+                yield (v, p, q)
+
+
 def _relaxation(
     g: Graph, spec: BoundarySpec
 ) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
@@ -84,11 +92,7 @@ def _relaxation(
     path v-p-q from an outside-red v is forbidden all-Red, like a P4.
     """
     extra = tuple(
-        (v, p, q)
-        for v in sorted(spec.outside_red)
-        for p in g.adj[v]
-        for q in g.adj[p]
-        if q != v
+        path for v in sorted(spec.outside_red) for path in _paths_from(g, v)
     )
     return spec.boundary, extra
 
@@ -110,24 +114,11 @@ def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
     return next(violations(g, c.red_set(), *_relaxation(g, spec)), None) is None
 
 
-@dataclass(frozen=True)
-class FeasibleSet:
-    """All colorings passing C1-C4, in lexicographic order (B before R)."""
-
-    spec: BoundarySpec
-    colorings: tuple[Coloring, ...]
-
-    def __len__(self) -> int:
-        return len(self.colorings)
-
-    def __iter__(self):
-        return iter(self.colorings)
-
-
-def enumerate_feasible(g: Graph, spec: BoundarySpec) -> FeasibleSet:
-    """Every coloring that agrees with the assumptions and passes C1-C4."""
+def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:
+    """Every coloring that agrees with the assumptions and passes C1-C4, in
+    lexicographic order (B before R)."""
     fixed = _validate_spec(g, spec)
-    return FeasibleSet(spec, _relaxed_colorings(g, *_relaxation(g, spec), fixed))
+    return _relaxed_colorings(g, *_relaxation(g, spec), fixed)
 
 
 # -- lemma reports --------------------------------------------------------------
@@ -188,7 +179,7 @@ def _scenario(
         feasible_count=len(fs),
         passed=counterexample is None,
         counterexample=counterexample,
-        colorings=fs.colorings,
+        colorings=fs,
     )
 
 
@@ -252,13 +243,7 @@ def richness_witness(
     red = c.red_set()
     if v not in red:
         return None
-    for p in g.adj[v]:
-        if p not in red:
-            continue
-        for q in g.adj[p]:
-            if q != v and q in red:
-                return (v, p, q)
-    return None
+    return next((path for path in _paths_from(g, v) if red.issuperset(path)), None)
 
 
 def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -511,6 +512,35 @@ def test_search_generate(capsys):
     assert "total tested=9 sat=9 unsat=0" in out
 
 
+@pytest.mark.parametrize(
+    "flags, filters, total, unsat",
+    [
+        ((), "connected,subcubic,tw2", "tested=23 sat=23 unsat=0 filtered-out=89", ()),
+        (("--biconnected",), "connected,subcubic,tw2,biconnected",
+         "tested=5 sat=5 unsat=0 filtered-out=107", ()),
+        (("--no-tw2",), "connected,subcubic",
+         "tested=29 sat=28 unsat=1 filtered-out=83", ("ELv_",)),
+        (("--no-subcubic",), "connected,tw2",
+         "tested=56 sat=56 unsat=0 filtered-out=56", ()),
+        (("--no-connected",), "subcubic,tw2",
+         "tested=23 sat=23 unsat=0 filtered-out=89", ()),
+        (("--no-subcubic", "--no-tw2"), "connected",
+         "tested=112 sat=106 unsat=6 filtered-out=0",
+         ("ELv_", "Ef~_", "E]~o", "E}~o", "E~~o", "E~~w")),
+    ],
+    ids=["default", "biconnected", "no-tw2", "no-subcubic", "no-connected",
+         "no-subcubic-no-tw2"],
+)
+def test_search_filter_flags(capsys, flags, filters, total, unsat):
+    code, out, _ = run(capsys, "search", "--generate", "6", *flags)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == f"filters: {filters}"
+    assert f"total {total} skipped=0" in lines
+    found = [line for line in lines if line.startswith("unsat-instance:")]
+    assert found == [f"unsat-instance: {g6}" for g6 in unsat]
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_search_refuses_a_generate_order_below_one(capsys, n):
     code, out, err = run(capsys, "search", "--generate", n)
@@ -577,3 +607,38 @@ def test_verify_paper_formats_check_lines(capsys, monkeypatch):
     assert "PASS [claims] demo-pass" in out
     assert "FAIL [regressions] demo-fail: bad" in out
     assert "1/2 checks passed" in out
+
+
+# sha256 of `gadget NAME --format edgelist`, then graph6, then dot stdout,
+# concatenated; G40 and G40-sp print the same graph with the same labels
+GADGET_STDOUT_SHA256 = {
+    "F": "e87f4c36bb33383f99f0e0e6a23316eddf6f3779094aa42c56b2a2cf85acdc10",
+    "R": "4763b4130ac0aba53d742206a065650e49dc1800490cf5af07680bd18b6d655c",
+    "G18": "2a5e34550d263ac38e0b926443c880ab835be35905e82e70528316d96ca6f55d",
+    "G40": "ccfc9db3ff6bf47e91149fe4260ac140b1f1a1e5cbb989173853099971fdcfef",
+    "G40-sp": "ccfc9db3ff6bf47e91149fe4260ac140b1f1a1e5cbb989173853099971fdcfef",
+}
+
+
+@pytest.mark.parametrize(
+    "commands, digest",
+    [
+        ([["verify-paper", "--quick"]],
+         "0feb3a8ffdc88599b8f47d2afba9212dd0ce40d29ead4aeccbd4917822534c1a"),
+        ([["lemmas", "--machine", "--verbose"]],
+         "76bbe214a88f968ecc1b22fb8ccce8ca101485abeecf7410f6325b981b07d01f"),
+    ] + [
+        ([["gadget", name, "--format", fmt] for fmt in ("edgelist", "graph6", "dot")],
+         digest)
+        for name, digest in GADGET_STDOUT_SHA256.items()
+    ],
+    ids=["verify-paper-quick", "lemmas-machine-verbose"]
+    + [f"gadget-{name}" for name in GADGET_STDOUT_SHA256],
+)
+def test_stdout_is_pinned(capsys, commands, digest):
+    out = ""
+    for argv in commands:
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

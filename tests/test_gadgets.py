@@ -8,9 +8,12 @@ from crumby.gadgets import (
     E,
     F_AUTOMORPHISM,
     F_DEGREE2_ROLES,
-    G40_EDGES,
     GADGETS,
+    Q_EXPR,
+    Q_INTERNAL_ROLES,
+    _match_expansion,
     build_F,
+    build_F_sp,
     build_G18,
     build_G40,
     build_G40_sp,
@@ -32,14 +35,14 @@ PROPERTY = settings(max_examples=60, deadline=None)
 def test_single_edge_expansion():
     lg = expand(E)
     assert lg.graph.edges() == [(0, 1)]
-    assert (lg.terminal_first, lg.terminal_second) == (0, 1)
+    assert lg.graph.degree(0) == lg.graph.degree(1) == 1
 
 
 def test_series_chains_through_fresh_vertices():
     lg = expand(series(E, E, E))
     assert lg.graph.n == 4 and lg.graph.m == 3
-    assert lg.graph.degree(lg.terminal_first) == 1
-    assert lg.graph.degree(lg.terminal_second) == 1
+    assert lg.graph.degree(0) == 1
+    assert lg.graph.degree(1) == 1
 
 
 def test_parallel_duplicate_edge_is_rejected_with_context():
@@ -71,7 +74,7 @@ def test_parallel_is_commutative_up_to_isomorphism():
 def test_every_expansion_is_connected_with_width_at_most_two(expr):
     lg = expand(expr)
     assert is_connected(lg.graph)
-    assert lg.terminal_first != lg.terminal_second
+    assert lg.graph.degree(0) >= 1 and lg.graph.degree(1) >= 1
     accepted, _ = recognize_tw2(lg.graph)
     assert accepted
 
@@ -122,7 +125,7 @@ def test_g18_is_two_linked_copies(g18):
 
 def test_g40_shape(g40):
     g = g40.graph
-    assert g.n == 40 and g.m == 54 and len(G40_EDGES) == 54
+    assert g.n == 40 and g.m == 54
     assert g.max_degree() == 3
     degree2 = {v for v in range(g.n) if g.degree(v) == 2}
     assert degree2 == {4, 9, 10, 15, 20, 21, 23, 28, 29, 32, 37, 38}
@@ -131,6 +134,15 @@ def test_g40_shape(g40):
 def test_g40_sp_expansion_matches_the_edge_table(g40):
     lg = build_G40_sp()
     assert lg.graph == g40.graph
+
+
+def test_f_sp_expansion_matches_the_gadget(f_gadget):
+    assert build_F_sp() == f_gadget
+
+
+def test_expansion_under_a_wrong_role_order_is_refused(f_gadget):
+    with pytest.raises(ExpansionError, match="expansion-only edge 1-2"):
+        _match_expansion(Q_EXPR, ("a", "x") + Q_INTERNAL_ROLES, f_gadget)
 
 
 def test_sp_edge_mismatch_reports_symmetric_difference(g40):

@@ -137,6 +137,12 @@ def test_induced_subgraph_of_k4_triangle():
     assert induced_subgraph(complete_graph(4), [0, 2, 3]) == complete_graph(3)
 
 
+@pytest.mark.parametrize("stray", [99, 3, -1])
+def test_induced_subgraph_refuses_vertices_outside_the_graph(stray):
+    with pytest.raises(GraphError, match=rf"induced vertex {stray} is not in \[0, 3\)"):
+        induced_subgraph(complete_graph(3), [0, stray])
+
+
 # -- serialization -----------------------------------------------------------
 
 
