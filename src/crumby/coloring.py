@@ -33,6 +33,8 @@ import numpy as np
 from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
+# every coloring mask is below 1 << EXHAUSTIVE_CAP; _feasible_chunks holds
+# them in int32, so the cap may not pass 31
 EXHAUSTIVE_CAP = 24
 _CHUNK_BITS = 20
 
@@ -187,7 +189,8 @@ def _feasible_chunks(
     total = 1 << n
     chunk = 1 << min(n, _CHUNK_BITS)
     for start in range(0, total, chunk):
-        red = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        # int32: every mask is below 1 << n <= 1 << EXHAUSTIVE_CAP
+        red = np.arange(start, min(start + chunk, total), dtype=np.int32)
         ok = (red & fixed_mask) == fixed_red
         for v in range(n):
             is_red = (red & bit[v]) != 0
@@ -492,6 +495,16 @@ def backtracking_solve(g: Graph, budget: int | None = None) -> SolveResult:
 
 
 class _Dpll:
+    """DPLL state: values, a trail, and per clause the variable that first
+    satisfied it and its count of free literals (kept while unsatisfied).
+
+    Pure literals are read from the clause states, but only at candidate
+    variables: those of clauses satisfied since the last completed pass.
+    After a completed pass no free variable is pure, and a variable can only
+    become pure when a clause that contains it is satisfied.  Undo returns
+    to a choice mark taken right after a completed pass, so it drops the
+    candidates; the root pass starts with every variable."""
+
     def __init__(self, f: CnfFormula, budget: int | None) -> None:
         self.f = f
         self.budget = budget
@@ -503,17 +516,13 @@ class _Dpll:
             for lit in clause:
                 (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
         self.occ = [pos + neg for pos, neg in zip(self.pos_occ, self.neg_occ)]
+        self.clause_vars = [tuple(map(abs, c)) for c in f.clauses]
         # the variable whose assignment first satisfied each clause, 0 if
         # none; free literals are counted only while a clause is unsatisfied
         self.sat = [0] * len(f.clauses)
         self.n_free = [len(c) for c in f.clauses]
-        # occurrences of each literal in clauses not yet satisfied: var at
-        # index var, -var at nv + var; slots[ci] holds those of ci's literals
-        # (non-negative indices keep the list subscripts on the fast path)
-        self.free_occ = [len(occ) for occ in self.pos_occ] + [
-            len(occ) for occ in self.neg_occ[1:]
-        ]
-        self.slots = [[lit if lit > 0 else nv - lit for lit in c] for c in f.clauses]
+        self.touched = list(range(1, nv + 1))  # pure-literal candidates
+        self.low = 1  # every variable below low is assigned
         self.trail: list[int] = []
         self.nodes = 0
         self.propagations = 0
@@ -525,12 +534,13 @@ class _Dpll:
         self.trail.append(var)
         sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
         unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
-        sat, n_free, free_occ, slots = self.sat, self.n_free, self.free_occ, self.slots
+        sat, n_free, touched, clause_vars = (
+            self.sat, self.n_free, self.touched, self.clause_vars
+        )
         for ci in sat_occ:
             if not sat[ci]:
                 sat[ci] = var
-                for slot in slots[ci]:
-                    free_occ[slot] -= 1
+                touched.extend(clause_vars[ci])
         conflict = False
         for ci in unsat_occ:
             if not sat[ci]:
@@ -539,19 +549,23 @@ class _Dpll:
                     conflict = True
         return not conflict
 
-    def _unit_literal(self, ci: int) -> int:
-        for lit in self.f.clauses[ci]:
-            if self.val[abs(lit)] == 0:
-                return lit
-        raise AssertionError("unit clause without a free literal")
-
     def _propagate_units(self, seed_vars: list[int]) -> bool:
+        """Assign the free literal of each unit clause until none is left.
+        Only clauses where a seed's literal is false can have become unit;
+        a free seed (at the root) has all its clauses scanned."""
+        val, sat, n_free, clauses = self.val, self.sat, self.n_free, self.f.clauses
         queue = deque(seed_vars)
         while queue:
             var = queue.popleft()
-            for ci in self.occ[var]:
-                if not self.sat[ci] and self.n_free[ci] == 1:
-                    lit = self._unit_literal(ci)
+            x = val[var]
+            falsified = self.neg_occ if x > 0 else self.pos_occ if x else self.occ
+            for ci in falsified[var]:
+                if not sat[ci] and n_free[ci] == 1:
+                    for lit in clauses[ci]:
+                        if not val[abs(lit)]:
+                            break
+                    else:
+                        raise AssertionError("unit clause without a free literal")
                     self.propagations += 1
                     if not self._assign(abs(lit), lit > 0):
                         return False
@@ -565,32 +579,47 @@ class _Dpll:
     def _pure_literals(self) -> bool:
         """Assign single-polarity and unconstrained variables; sound for both
         Sat and Unsat, applied once per decision level.  Each round reads the
-        polarities of all free variables before it assigns any of them."""
-        nv, val, free_occ = self.f.num_vars, self.val, self.free_occ
-        while True:
-            pure = [
-                (var, free_occ[var] > 0)
-                for var in range(1, nv + 1)
-                if val[var] == 0 and not (free_occ[var] and free_occ[nv + var])
-            ]
-            fixed_any = False
-            for var, pos in pure:
-                if self.val[var] != 0:
+        polarities of all free candidates before it assigns any of them, in
+        ascending order; a variable is positive iff an unsatisfied clause
+        contains +var, so unconstrained ones default to false (Blue)."""
+        val, sat, pos_occ, neg_occ, touched = (
+            self.val, self.sat, self.pos_occ, self.neg_occ, self.touched
+        )
+        while touched:
+            candidates = sorted(set(touched))
+            touched.clear()
+            pure = []
+            for var in candidates:
+                if val[var]:
                     continue
-                fixed_any = True
+                for ci in pos_occ[var]:
+                    if not sat[ci]:
+                        break
+                else:
+                    pure.append((var, False))
+                    continue
+                for ci in neg_occ[var]:
+                    if not sat[ci]:
+                        break
+                else:
+                    pure.append((var, True))
+            for var, value in pure:
+                if val[var]:
+                    continue
                 self.propagations += 1
-                # unconstrained variables default to false (Blue)
-                if not self._set(var, pos):
+                if not self._set(var, value):
                     return False
-            if not fixed_any:
-                return True
+        return True
 
     def _undo_to(self, mark: int) -> None:
-        sat, n_free, free_occ, slots = self.sat, self.n_free, self.free_occ, self.slots
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            value = self.val[var] == 1
-            self.val[var] = 0
+        """Return to the state at trail length mark, which a completed
+        pure-literal pass left with no pure candidates."""
+        val, sat, n_free = self.val, self.sat, self.n_free
+        undone = self.trail[mark:]
+        del self.trail[mark:]
+        for var in reversed(undone):
+            value = val[var] == 1
+            val[var] = 0
             sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
             unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
             for ci in unsat_occ:
@@ -599,8 +628,9 @@ class _Dpll:
             for ci in sat_occ:
                 if sat[ci] == var:  # ci is unsatisfied again
                     sat[ci] = 0
-                    for slot in slots[ci]:
-                        free_occ[slot] += 1
+        if undone:
+            self.low = min(self.low, min(undone))
+        self.touched.clear()
 
     def _backtrack(
         self, choices: list[tuple[int, int, bool]]
@@ -621,12 +651,16 @@ class _Dpll:
         Each level runs the pure-literal pass, then decides the lowest free
         variable, True (Red) first."""
         choices: list[tuple[int, int, bool]] = []
+        val, end = self.val, len(self.val)
         while True:
             if self._pure_literals():
-                var = next((v for v in range(1, len(self.val)) if not self.val[v]), None)
-                if var is None:
+                low = self.low
+                while low < end and val[low]:
+                    low += 1
+                self.low = low
+                if low == end:
                     return True
-                choice = (var, len(self.trail), True)
+                choice = (low, len(self.trail), True)
             else:
                 choice = self._backtrack(choices)
             while choice is not None:

@@ -511,8 +511,7 @@ def _walk_p4(g: Graph, within: frozenset[int] | None) -> Iterator[tuple[int, ...
                 if p3 == p1:
                     continue
                 for p4 in adj[p3]:
-                    if p4 == p1 or p4 == p2:
-                        continue
-                    walk = (p1, p2, p3, p4)
-                    if walk <= (p4, p3, p2, p1):
-                        yield walk
+                    # the four vertices are distinct, so the walk is the
+                    # lesser of its two directions exactly when p1 < p4
+                    if p1 < p4 and p4 != p2:
+                        yield p1, p2, p3, p4

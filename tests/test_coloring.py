@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from crumby import (
     expand,
     graph_from_edge_list,
     parse_graph6,
+    relabel,
     verify_crumby,
     verify_crumby_by_components,
 )
@@ -303,6 +305,34 @@ def test_backtracking_solves_a_long_path_in_one_pass():
     result = backtracking_solve(path_graph(20_000))
     assert result.status is Status.SAT
     assert (result.nodes, result.propagations) == (10_000, 10_000)
+
+
+# sha256 of the dpll_solve certificates of G18 under four relabelings, then
+# G40 under two, drawn from one random.Random(15); 16-hex prefix.  These
+# refutations take 216, 240, 160, 202, 22,110 and 15,418 nodes: the deepest
+# pure-literal and backtracking paths, which the census barely reaches.
+RELABELED_REFUTATION_DIGEST = "d6308880a951c071"
+
+
+def test_dpll_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for g, copies in ((g18.graph, 4), (g40.graph, 2)):
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            result = dpll_solve(relabel(g, perm))
+            assert result.status is Status.UNSAT
+            digest.update(emit_solve_certificate(result).encode())
+    assert digest.hexdigest()[:16] == RELABELED_REFUTATION_DIGEST
+
+
+def test_dpll_solves_a_long_path_in_one_pass():
+    # decisions and pure-literal rounds read only the variables they may
+    # change; a scan over every variable per level makes this quadratic
+    result = dpll_solve(path_graph(20_000))
+    assert result.status is Status.SAT
+    assert (result.nodes, result.propagations) == (9_999, 10_001)
 
 
 def test_isolated_vertex_keeps_instances_solvable(census):
