@@ -69,7 +69,6 @@ from .graphs import (
     enumerate_p4,
     graph_from_bitmask,
     graph_from_edge_list,
-    induced_subgraph,
     is_biconnected,
     is_bipartite,
     is_connected,

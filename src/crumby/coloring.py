@@ -311,13 +311,13 @@ def encode_cnf(g: Graph) -> CnfFormula:
     for v in range(g.n):
         lits = [-(v + 1)] + [u + 1 for u in g.adj[v]]
         fam2.append(tuple(sorted(lits, key=abs)))
-    fam3 = set()
-    for path in enumerate_p4(g):
-        fam3.add(tuple(sorted((-(p + 1) for p in path), key=abs)))
+    # families 1 and 3 are one-signed, so plain tuple order over the
+    # variables is the key order; family 3 is negated once sorted
+    fam3 = {tuple(sorted(p + 1 for p in path)) for path in enumerate_p4(g)}
     clauses = (
-        sorted(fam1, key=_clause_key)
+        sorted(fam1)
         + sorted(fam2, key=_clause_key)
-        + sorted(fam3, key=_clause_key)
+        + [tuple(-x for x in clause) for clause in sorted(fam3)]
     )
     return CnfFormula(g.n, tuple(clauses))
 

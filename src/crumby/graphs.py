@@ -104,22 +104,6 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     return graph_from_edge_list(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on `vertices`, renumbered by position in `vertices`."""
-    if len(set(vertices)) != len(vertices):
-        raise GraphError("induced vertex list has repeats")
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise GraphError(f"induced vertex {v} is not in [0, {g.n})")
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return graph_from_edge_list(len(vertices), edges)
-
-
 def complete_graph(n: int) -> Graph:
     return graph_from_edge_list(n, combinations(range(n), 2))
 

@@ -9,8 +9,10 @@ decision procedures is a fatal CrossCheckError, never a report entry.
 generate_small provides a self-contained census of all connected graphs on
 at most 7 vertices up to isomorphism, for tests and desk-scale runs: it keeps
 every edge mask of K_n that is least in its orbit, with orbit minima built up
-one vertex at a time along a chain of coset representatives.  Larger surveys
-are expected to pipe in external generator output.
+one vertex at a time along a chain of coset representatives.  The first levels
+are tables over just the edges that permuting the low vertices moves; the
+fixed edges are put back at lookup.  Larger surveys are expected to pipe in
+external generator output.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .graphs import (
 from .minorfree import find_elimination_order
 
 GENERATE_CAP = 7
-_FULL_LEVELS = 4  # orbit-minimum levels kept as tables over all masks
+_FULL_LEVELS = 4  # orbit-minimum levels kept as tables over the moved edges
 
 
 # -- built-in census -------------------------------------------------------------
@@ -75,6 +77,34 @@ def _coset_images(masks: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.stack(images)
 
 
+def _moved_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
+    """(mask, shift, offset) blocks of the edge bits that permuting vertices
+    0..k-1 can move: an edge moves iff its lower endpoint is below k.  In
+    edge_bit_index order these are the low C(k, 2) bits, then the low k bits
+    of each column j >= k, which start at bit C(j, 2).  Block b packs into
+    the table index at b's offset: ((m >> shift) & mask) << offset."""
+    blocks = [((1 << k * (k - 1) // 2) - 1, 0, 0)]
+    for j in range(k, n):
+        blocks.append(((1 << k) - 1, j * (j - 1) // 2, k * (k - 1) // 2 + k * (j - k)))
+    return blocks
+
+
+def _compress(masks: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
+    """Table index of each mask's moved edges."""
+    index = np.zeros_like(masks)
+    for mask, shift, offset in blocks:
+        index |= ((masks >> shift) & mask) << offset
+    return index
+
+
+def _expand(index: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
+    """Inverse of _compress: the mask of moved edges each table index packs."""
+    masks = np.zeros_like(index)
+    for mask, shift, offset in blocks:
+        masks |= ((index >> offset) & mask) << shift
+    return masks
+
+
 def generate_small(n: int) -> list[str]:
     """All connected graphs on n vertices up to isomorphism, as graph6 lines.
 
@@ -82,11 +112,15 @@ def generate_small(n: int) -> list[str]:
     under relabelling, in ascending mask order.  With F_k(m) the least image
     of m when vertices 0..k-1 are permuted, F_1 is the identity and
     F_{k+1}(m) = min over j of F_k(c_j(m)) (see _coset_images).  The first
-    _FULL_LEVELS levels are tables over all masks: since c_j = c_{j+1} o s_j,
+    _FULL_LEVELS levels are tables, indexed by the moved edges only (those
+    with an endpoint below _FULL_LEVELS, see _moved_blocks): the other,
+    fixed edges keep their bits under every permutation of the low vertices,
+    so F_k(m) = F_k(m & moved) | (m & fixed).  Since c_j = c_{j+1} o s_j,
     the table of F_k o c_j is that of F_k o c_{j+1} gathered through s_j.
     A mask least in its orbit is least under every S_k, so past the tables
-    only the masks with F_k(m) == m are kept, and F_k is evaluated at just
-    their coset images, down to the last table.
+    only the masks with F_k(m) == m are kept (the table's fixed points with
+    every choice of fixed edges), and F_k is evaluated at just their coset
+    images, down to the last table.
     """
     if n > GENERATE_CAP:
         raise CapExceeded(
@@ -95,21 +129,30 @@ def generate_small(n: int) -> list[str]:
         )
     if n < 1:
         raise ValueError(f"generation needs at least 1 vertex, got {n}")
-    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int32)
-    table = masks
     full = min(n, _FULL_LEVELS)
+    blocks = _moved_blocks(n, full)
+    moved = sum(mask << shift for mask, shift, _ in blocks)
+    fixed = ((1 << n * (n - 1) // 2) - 1) & ~moved
+    masks = _expand(np.arange(1 << moved.bit_count(), dtype=np.int32), blocks)
+    swaps = [_compress(_swap_adjacent(masks, n, j), blocks) for j in range(full - 1)]
+    table = masks
     for k in range(1, full):
         gathered = least = table
         for j in range(k - 1, -1, -1):
-            gathered = gathered[_swap_adjacent(masks, n, j)]
+            gathered = gathered[swaps[j]]
             least = np.minimum(least, gathered)
         table = least
-    reps = np.flatnonzero(table == masks)
+    fixed_choices = np.zeros(1, dtype=np.int32)
+    for bit in range(fixed.bit_length()):
+        if fixed >> bit & 1:
+            fixed_choices = np.concatenate([fixed_choices, fixed_choices | 1 << bit])
+    reps = np.sort((masks[table == masks] | fixed_choices[:, None]).ravel())
     for k in range(full, n):
         images = reps
         for level in range(k, full - 1, -1):
             images = _coset_images(images, n, level)
-        least = table[images].reshape(-1, len(reps)).min(axis=0)
+        least = table[_compress(images, blocks)] | (images & fixed)
+        least = least.reshape(-1, len(reps)).min(axis=0)
         reps = reps[least == reps]
     lines = []
     for mask in reps.tolist():

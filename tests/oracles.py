@@ -6,15 +6,33 @@ lowpoints, per-vertex deletion instead of one pass.  Keep inputs small.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 
 from crumby import (
     BoundarySpec,
     Coloring,
     Graph,
+    GraphError,
     connected_components,
     edge_bit_index,
-    induced_subgraph,
+    graph_from_edge_list,
 )
+
+
+def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
+    """Subgraph induced on `vertices`, renumbered by position in `vertices`."""
+    if len(set(vertices)) != len(vertices):
+        raise GraphError("induced vertex list has repeats")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"induced vertex {v} is not in [0, {g.n})")
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [
+        (index[u], index[v])
+        for u, v in g.edges()
+        if u in index and v in index
+    ]
+    return graph_from_edge_list(len(vertices), edges)
 
 
 def naive_is_crumby(g: Graph, c: Coloring) -> bool:

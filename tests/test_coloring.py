@@ -193,6 +193,24 @@ def test_cnf_has_no_duplicate_clauses():
     assert len(set(clauses)) == len(clauses)
 
 
+# sha256 of emit_dimacs(encode_cnf(g)) over every census line (n = 1..7, in
+# census order), then G18, G40 and G40 under one random.Random(16)
+# relabeling; 16-hex prefix.  Clause order is part of these bytes.
+DIMACS_DIGEST = "7e075fe2ed55cd73"
+
+
+def test_dimacs_bytes_are_pinned(census_lines, g18, g40):
+    graphs = [parse_graph6(line) for n in range(1, 8) for line in census_lines[n]]
+    perm = list(range(g40.graph.n))
+    random.Random(16).shuffle(perm)
+    graphs += [g18.graph, g40.graph, relabel(g40.graph, perm)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(emit_dimacs(encode_cnf(g)).encode())
+    assert len(graphs) == 999
+    assert digest.hexdigest()[:16] == DIMACS_DIGEST
+
+
 def test_dimacs_format():
     text = emit_dimacs(encode_cnf(complete_graph(2)))
     lines = text.splitlines()
@@ -325,6 +343,26 @@ def test_dpll_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
             assert result.status is Status.UNSAT
             digest.update(emit_solve_certificate(result).encode())
     assert digest.hexdigest()[:16] == RELABELED_REFUTATION_DIGEST
+
+
+# sha256 of the backtracking_solve certificates of the same six relabelings
+# (random.Random(15): G18 four times, then G40 twice); 16-hex prefix.  These
+# refutations take 598, 1,056, 458, 710, 141,240 and 100,990 nodes, so every
+# rule of the graph search fires deep in the tree, far from the census.
+RELABELED_BACKTRACKING_DIGEST = "504a29ccd89ad86e"
+
+
+def test_backtracking_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for g, copies in ((g18.graph, 4), (g40.graph, 2)):
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            result = backtracking_solve(relabel(g, perm))
+            assert result.status is Status.UNSAT
+            digest.update(emit_solve_certificate(result).encode())
+    assert digest.hexdigest()[:16] == RELABELED_BACKTRACKING_DIGEST
 
 
 def test_dpll_solves_a_long_path_in_one_pass():
