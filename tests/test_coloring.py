@@ -332,17 +332,22 @@ def test_backtracking_solves_a_long_path_in_one_pass():
 RELABELED_REFUTATION_DIGEST = "d6308880a951c071"
 
 
-def test_dpll_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
+def relabeled_refutations_digest(solve, g18, g40) -> str:
     rng = random.Random(15)
     digest = hashlib.sha256()
     for g, copies in ((g18.graph, 4), (g40.graph, 2)):
         for _ in range(copies):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            result = dpll_solve(relabel(g, perm))
+            result = solve(relabel(g, perm))
             assert result.status is Status.UNSAT
             digest.update(emit_solve_certificate(result).encode())
-    assert digest.hexdigest()[:16] == RELABELED_REFUTATION_DIGEST
+    return digest.hexdigest()[:16]
+
+
+def test_dpll_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
+    digest = relabeled_refutations_digest(dpll_solve, g18, g40)
+    assert digest == RELABELED_REFUTATION_DIGEST
 
 
 # sha256 of the backtracking_solve certificates of the same six relabelings
@@ -353,16 +358,8 @@ RELABELED_BACKTRACKING_DIGEST = "504a29ccd89ad86e"
 
 
 def test_backtracking_refutation_trees_of_relabeled_gadgets_are_pinned(g18, g40):
-    rng = random.Random(15)
-    digest = hashlib.sha256()
-    for g, copies in ((g18.graph, 4), (g40.graph, 2)):
-        for _ in range(copies):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            result = backtracking_solve(relabel(g, perm))
-            assert result.status is Status.UNSAT
-            digest.update(emit_solve_certificate(result).encode())
-    assert digest.hexdigest()[:16] == RELABELED_BACKTRACKING_DIGEST
+    digest = relabeled_refutations_digest(backtracking_solve, g18, g40)
+    assert digest == RELABELED_BACKTRACKING_DIGEST
 
 
 def test_dpll_solves_a_long_path_in_one_pass():
