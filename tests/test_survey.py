@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from crumby import (
@@ -16,6 +18,7 @@ from crumby import (
     SurveyFilters,
     bitmask_of_graph,
     complete_graph,
+    edge_bit_index,
     emit_graph6,
     generate_small,
     graph_from_edge_list,
@@ -103,6 +106,60 @@ def test_census_holds_every_connected_orbit_minimum_at_order_five(census):
         if is_connected(graph_from_bitmask(5, mask))
     }
     assert minima == reps
+
+
+def _relabelled(mask: int, n: int, perm: list[int]) -> int:
+    edges = [(a, b) for b in range(n) for a in range(b) if mask >> edge_bit_index(a, b) & 1]
+    return sum(1 << edge_bit_index(*sorted((perm[a], perm[b]))) for a, b in edges)
+
+
+def _coset_perm(n: int, k: int, j: int) -> list[int]:
+    """c_j = s_{k-1} o ... o s_j: j goes to k, each of j+1..k one step down."""
+    return [k if v == j else v - 1 if j < v <= k else v for v in range(n)]
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_coset_images_are_yielded_one_representative_at_a_time(k):
+    rng = random.Random(k)
+    masks = np.array([rng.getrandbits(21) for _ in range(6)], dtype=np.int32)
+    images = crumby.survey._each_coset_image(masks, 7, k)
+    assert next(images) is masks  # c_k is the identity
+    for j in range(k - 1, -1, -1):
+        perm = _coset_perm(7, k, j)
+        assert next(images).tolist() == [_relabelled(m, 7, perm) for m in masks.tolist()]
+    assert next(images, None) is None
+
+
+def test_chain_images_apply_the_higher_level_first():
+    masks = np.array([0b101100111000110101011, 0b11100000111], dtype=np.int32)
+    expected = [
+        [
+            _relabelled(_relabelled(m, 7, _coset_perm(7, 5, j)), 7, _coset_perm(7, 4, i))
+            for m in masks.tolist()
+        ]
+        for j in range(5, -1, -1)
+        for i in range(4, -1, -1)
+    ]
+    images = crumby.survey._chain_images(masks, 7, 5, 4)
+    assert [image.tolist() for image in images] == expected
+
+
+def test_census_at_order_seven_folds_its_coset_images_one_at_a_time():
+    # all 210 images of the last level held at once peaked at 22.4 MiB
+    for n in range(1, 7):
+        generate_small(n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        generate_small(7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # -- the survey harness ------------------------------------------------------
