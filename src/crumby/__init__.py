@@ -81,7 +81,6 @@ from .lemmas import (
     BoundarySpec,
     LemmaReport,
     enumerate_feasible,
-    relaxed_feasible,
     verify_lemma1_i,
     verify_lemma1_ii,
     verify_lemma2,

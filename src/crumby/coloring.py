@@ -103,31 +103,21 @@ class Violation:
 # -- verification ----------------------------------------------------------------
 
 
-def violations(
-    g: Graph,
-    red: frozenset[int],
-    exempt: frozenset[int] = frozenset(),
-    extra: tuple[tuple[int, ...], ...] = (),
-) -> Iterator[Violation]:
-    """Yield the violations of (a)-(c) by the red set `red`, relaxed by data.
+def violations(g: Graph, red: frozenset[int]) -> Iterator[Violation]:
+    """Yield the violations of (a)-(c) by the red set `red`.
 
-    Red vertices in `exempt` need no Red neighbor, and every path in `extra`
-    is forbidden all-Red like a P4.  With the defaults this is plain
-    crumbiness.  A P4 of g is all Red exactly when it is a P4 of the red
-    subgraph G[red], so only G[red] is searched, in place.
+    A P4 of g is all Red exactly when it is a P4 of the red subgraph G[red],
+    so only G[red] is searched, in place.
     """
     adj = g.adj
     for v in range(g.n):
         if v in red:
-            if v not in exempt and not any(u in red for u in adj[v]):
+            if not any(u in red for u in adj[v]):
                 yield Violation(ViolationKind.RED_ISOLATED, vertex=v)
         elif sum(1 for u in adj[v] if u not in red) >= 2:
             yield Violation(ViolationKind.BLUE_DEGREE, vertex=v)
     for path in _walk_p4(g, red):
         yield Violation(ViolationKind.RED_P4, path=path)
-    for path in extra:
-        if all(p in red for p in path):
-            yield Violation(ViolationKind.RED_P4, path=path)
 
 
 def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
@@ -173,7 +163,9 @@ def _feasible_chunks(
     fixed: dict[int, Color] | None = None,
 ):
     """Yield (offset, ok): ok[i] true iff red-mask offset+i agrees with the
-    vertex colors in `fixed` and has no violations(g, ..., exempt, extra).
+    vertex colors in `fixed` and passes (a)-(c) relaxed by data: a Red vertex
+    in `exempt` needs no Red neighbor, and every path in `extra` is forbidden
+    all-Red like a P4.  With the defaults this is plain crumbiness.
 
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
@@ -220,8 +212,9 @@ def _relaxed_colorings(
     extra: tuple[tuple[int, ...], ...],
     fixed: dict[int, Color],
 ) -> tuple[Coloring, ...]:
-    """Every coloring that agrees with `fixed` and passes (a)-(c) relaxed by
-    `exempt` and `extra` (see violations), in lexicographic order, B < R."""
+    """Every coloring that agrees with `fixed` and passes (a)-(c) with the
+    Red vertices in `exempt` needing no Red neighbor and every path in `extra`
+    forbidden all-Red, in lexicographic order, B < R."""
     _check_exhaustive_cap(g)
     out = []
     for start, ok in _feasible_chunks(g, exempt, extra, fixed):

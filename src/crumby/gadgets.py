@@ -157,9 +157,6 @@ F_EDGES_BY_ROLE = (
 # the handle that turns a copy of F into a copy of R
 R_HANDLE_EDGES = (("s", "x"), ("s", "t"), ("t", "a"))
 
-# degree-2 roles of F; every other F vertex has degree 3
-F_DEGREE2_ROLES = frozenset({"x", "a", "b", "g", "h"})
-
 # swapping these pairs (x, g, h fixed) is an automorphism of F
 F_AUTOMORPHISM = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 7, 8: 8}
 

@@ -469,22 +469,20 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
 # -- paths on four vertices --------------------------------------------------
 
 
-def enumerate_p4(
-    g: Graph, within: frozenset[int] | None = None
-) -> list[tuple[int, int, int, int]]:
-    """All paths on 4 distinct vertices, one orientation each; with `within`,
-    only those of the induced subgraph G[within].
+def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
+    """All paths on 4 distinct vertices, one orientation each.
 
     A path (p1,p2,p3,p4) is kept iff (p1,p2,p3,p4) <= (p4,p3,p2,p1); output
     ascends.  These are subgraph paths: chords among the four vertices are
     allowed.
     """
-    return list(_walk_p4(g, within))
+    return list(_walk_p4(g, None))
 
 
 def _walk_p4(g: Graph, within: frozenset[int] | None) -> Iterator[tuple[int, ...]]:
-    """enumerate_p4's paths, one at a time.  Rows are sorted, so the nested
-    walk meets the paths in ascending order."""
+    """enumerate_p4's paths, one at a time; with `within`, only those of the
+    induced subgraph G[within].  Rows are sorted, so the nested walk meets the
+    paths in ascending order."""
     adj = g.adj
     if within is not None:
         adj = [tuple(u for u in row if u in within) if v in within else ()

@@ -34,7 +34,6 @@ from .coloring import (
     _relaxed_colorings,
     dpll_solve,
     verify_crumby_by_components,
-    violations,
 )
 from .errors import BoundarySpecError
 from .gadgets import LabeledGraph, build_F, build_G18, build_R
@@ -86,7 +85,7 @@ def _paths_from(g: Graph, v: int) -> Iterator[tuple[int, int, int]]:
 def _relaxation(
     g: Graph, spec: BoundarySpec
 ) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
-    """C2 and C4 as data for the coloring checkers.
+    """C2 and C4 as data for the feasibility sweep.
 
     C2: boundary vertices are exempt from the Red-support test.  C4: every
     path v-p-q from an outside-red v is forbidden all-Red, like a P4.
@@ -95,23 +94,6 @@ def _relaxation(
         path for v in sorted(spec.outside_red) for path in _paths_from(g, v)
     )
     return spec.boundary, extra
-
-
-def relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
-    """True iff the coloring satisfies C1-C4 under `spec`.
-
-    The coloring must agree with `spec.assumptions`.
-    """
-    fixed = _validate_spec(g, spec)
-    if len(c) != g.n:
-        raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    for v, color in fixed.items():
-        if c.colors[v] is not color:
-            raise BoundarySpecError(
-                f"coloring assigns vertex {v} {c.colors[v].value},"
-                f" spec fixes it to {color.value}"
-            )
-    return next(violations(g, c.red_set(), *_relaxation(g, spec)), None) is None
 
 
 def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:

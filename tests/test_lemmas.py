@@ -12,12 +12,14 @@ from crumby import (
     CapExceeded,
     Coloring,
     LemmaReport,
+    Violation,
+    ViolationKind,
     backtracking_solve,
     complete_graph,
     enumerate_feasible,
     graph_from_edge_list,
-    relaxed_feasible,
     verify_crumby,
+    verify_crumby_by_components,
     verify_lemma1_i,
     verify_lemma1_ii,
     verify_lemma2,
@@ -55,12 +57,6 @@ def test_spec_rejects_contradictory_fixes():
         enumerate_feasible(K2, spec)
 
 
-def test_relaxed_feasible_rejects_colorings_that_break_assumptions():
-    spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED),))
-    with pytest.raises(BoundarySpecError, match="fixes it to"):
-        relaxed_feasible(K2, spec, Coloring.from_text("B B"))
-
-
 # -- the relaxed conditions --------------------------------------------------
 
 
@@ -71,7 +67,7 @@ def test_unbounded_piece_reduces_to_plain_verification():
 
 def test_boundary_red_vertex_needs_no_inside_support():
     spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED),))
-    assert relaxed_feasible(K2, spec, Coloring.from_text("R B"))
+    assert Coloring.from_text("R B") in enumerate_feasible(K2, spec)
 
 
 def test_outside_red_flag_blocks_inside_red_paths():
@@ -79,45 +75,52 @@ def test_outside_red_flag_blocks_inside_red_paths():
     spec = BoundarySpec(
         frozenset({0}), assumptions=((0, Color.RED),), outside_red=frozenset({0})
     )
-    assert not relaxed_feasible(p3, spec, Coloring.from_text("R R R"))
-    assert relaxed_feasible(p3, spec, Coloring.from_text("R R B"))
+    feasible = enumerate_feasible(p3, spec)
+    assert Coloring.from_text("R R R") not in feasible
+    assert Coloring.from_text("R R B") in feasible
 
 
 def test_inside_red_path_is_fine_without_the_flag():
     p3 = path_graph(3)
     spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED),))
-    assert relaxed_feasible(p3, spec, Coloring.from_text("R R R"))
+    assert Coloring.from_text("R R R") in enumerate_feasible(p3, spec)
 
 
 def test_blue_constraint_applies_on_the_boundary_too():
     # outside contact can only add blue neighbors, so the inside check stands
     p3 = path_graph(3)
     spec = BoundarySpec(frozenset({1}))
-    assert not relaxed_feasible(p3, spec, Coloring.from_text("B B B"))
-    assert relaxed_feasible(p3, spec, Coloring.from_text("R R B"))
+    feasible = enumerate_feasible(p3, spec)
+    assert Coloring.from_text("B B B") not in feasible
+    assert Coloring.from_text("R R B") in feasible
 
 
-def red_pairs_after_blue_path(n: int) -> tuple:
-    """Blue path 0-1-2 (vertex 1 breaks C1) plus Red edges covering 3..n-1."""
-    g = graph_from_edge_list(n, [(0, 1), (1, 2)] + [(v, v + 1) for v in range(3, n - 1, 2)])
-    return g, Coloring.from_red_set(n, set(range(3, n)))
+def blue_pairs_after_blue_path(n: int) -> tuple:
+    """A path 0-1-2 and disjoint edges n-2 - n-1, n-4 - n-3, ... down to 3 or
+    4, colored Red on the top edge and Blue elsewhere: vertex 1 breaks (a),
+    and nothing else does."""
+    pairs = [(v - 1, v) for v in range(n - 1, 3, -2)]
+    g = graph_from_edge_list(n, [(0, 1), (1, 2)] + pairs)
+    return g, Coloring.from_red_set(n, {n - 2, n - 1})
 
 
 @pytest.mark.parametrize("n", [33, 40, 63, 64, 71])
-def test_relaxed_feasible_is_exact_on_large_graphs(n):
-    g, c = red_pairs_after_blue_path(n)
-    spec = BoundarySpec(frozenset({0, n - 1}), outside_red=frozenset({n - 1}))
-    assert not relaxed_feasible(g, spec, c)
-    assert not oracles.naive_relaxed_feasible(g, spec, c)
-    fixed = Coloring.from_red_set(n, set(range(3, n)) | {1})
-    assert relaxed_feasible(g, spec, fixed) == oracles.naive_relaxed_feasible(g, spec, fixed)
+def test_verifiers_are_exact_on_large_graphs(n):
+    g, c = blue_pairs_after_blue_path(n)
+    assert verify_crumby(g, c) == (False, [Violation(ViolationKind.BLUE_DEGREE, vertex=1)])
+    assert not oracles.naive_is_crumby(g, c)
+    assert not verify_crumby_by_components(g, c)
+    fixed = Coloring.from_red_set(n, c.red_set() | {0, 1})
+    assert verify_crumby(g, fixed) == (True, [])
+    assert oracles.naive_is_crumby(g, fixed)
+    assert verify_crumby_by_components(g, fixed)
 
 
 @st.composite
-def large_relaxed_instances(draw):
-    """A subcubic graph on 33..56 vertices, a near-crumby coloring and a spec.
+def large_colorings(draw):
+    """A subcubic graph on 33..56 vertices and a near-crumby coloring.
 
-    Random colorings of graphs this size break C1 almost everywhere, so the
+    Random colorings of graphs this size break (a) almost everywhere, so the
     coloring is a crumby one (when the graph has one) with one or two flips.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -135,17 +138,16 @@ def large_relaxed_instances(draw):
     result = backtracking_solve(g)
     reds = set(result.coloring.red_set()) if result.coloring else set()
     reds ^= set(rng.sample(range(n), rng.randint(1, 2)))
-    boundary = set(rng.sample(range(n), rng.randint(0, 6)))
-    flags = {v for v in boundary if rng.random() < 0.5}
-    spec = BoundarySpec(frozenset(boundary), outside_red=frozenset(flags))
-    return g, spec, Coloring.from_red_set(n, reds)
+    return g, Coloring.from_red_set(n, reds)
 
 
-@given(large_relaxed_instances())
+@given(large_colorings())
 @PROPERTY
-def test_relaxed_feasible_matches_the_naive_oracle_on_large_graphs(instance):
-    g, spec, c = instance
-    assert relaxed_feasible(g, spec, c) == oracles.naive_relaxed_feasible(g, spec, c)
+def test_verifiers_match_the_naive_oracle_on_large_graphs(instance):
+    g, c = instance
+    expected = oracles.naive_is_crumby(g, c)
+    assert verify_crumby(g, c)[0] == expected
+    assert verify_crumby_by_components(g, c) == expected
 
 
 def test_enumeration_is_lexicographic_and_capped():
@@ -161,7 +163,7 @@ def test_enumeration_is_lexicographic_and_capped():
 def test_crumby_colorings_are_always_feasible(pair):
     g, c = pair
     if verify_crumby(g, c)[0]:
-        assert relaxed_feasible(g, BoundarySpec(frozenset()), c)
+        assert c in enumerate_feasible(g, BoundarySpec(frozenset()))
 
 
 @st.composite
@@ -206,26 +208,50 @@ def glue_pendant_path(piece, length: int):
     return graph_from_edge_list(n + length, edges)
 
 
+def restriction_kinds(piece, length: int) -> set:
+    """Hang a path of `length` new vertices off vertex 0 of `piece`, and
+    check that every crumby coloring of the host restricts to a feasible
+    coloring of the piece: boundary {0}, 0's color fixed, and 0 flagged
+    outside-red exactly when its outside neighbor is Red.  Returns the
+    (0's color, flagged) pairs that occur."""
+    host = glue_pendant_path(piece, length)
+    kinds = set()
+    feasible = {}
+    for bits in range(1 << host.n):
+        reds = {v for v in range(host.n) if bits >> v & 1}
+        if not verify_crumby(host, Coloring.from_red_set(host.n, reds))[0]:
+            continue
+        inside = Coloring.from_red_set(piece.n, {v for v in reds if v < piece.n})
+        flagged = 0 in reds and piece.n in reds
+        spec = BoundarySpec(
+            frozenset({0}),
+            assumptions=((0, inside.colors[0]),),
+            outside_red=frozenset({0}) if flagged else frozenset(),
+        )
+        if spec not in feasible:
+            feasible[spec] = frozenset(enumerate_feasible(piece, spec))
+        assert inside in feasible[spec]
+        kinds.add((inside.colors[0], flagged))
+    return kinds
+
+
 def test_restrictions_of_crumby_colorings_are_feasible(f_gadget):
-    piece = f_gadget.graph
+    assert f_gadget.role_labels[0] == "x"
+    # x is never Blue: by Lemma 1(i) a would be Red without support.  A Red
+    # x occurs both flagged and not, so the C4 case is exercised
     for length in (1, 2):
-        host = glue_pendant_path(piece, length)
-        hits = 0
-        for bits in range(1 << host.n):
-            reds = {v for v in range(host.n) if bits >> v & 1}
-            whole = Coloring.from_red_set(host.n, reds)
-            if not verify_crumby(host, whole)[0]:
-                continue
-            hits += 1
-            inside = Coloring.from_red_set(piece.n, {v for v in reds if v < piece.n})
-            flagged = 0 in reds and piece.n in reds
-            spec = BoundarySpec(
-                frozenset({0}),
-                assumptions=((0, Color.RED if 0 in reds else Color.BLUE),),
-                outside_red=frozenset({0}) if flagged else frozenset(),
-            )
-            assert relaxed_feasible(piece, spec, inside)
-        assert hits > 0, "the host itself must be colorable for the test to bite"
+        assert restriction_kinds(f_gadget.graph, length) == {
+            (Color.RED, False), (Color.RED, True)
+        }
+
+
+def test_restrictions_of_crumby_colorings_of_r_are_feasible(r_gadget):
+    assert r_gadget.role_labels[0] == "s"
+    # a Red s is rich inside R (Lemma 2), so its outside neighbor is Blue
+    for length in (1, 2):
+        assert restriction_kinds(r_gadget.graph, length) == {
+            (Color.BLUE, False), (Color.RED, False)
+        }
 
 
 # -- the shipped lemma scenarios ---------------------------------------------
