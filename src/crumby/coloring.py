@@ -33,10 +33,16 @@ import numpy as np
 from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
-# every coloring mask is below 1 << EXHAUSTIVE_CAP; _feasible_chunks holds
-# them in int32, so the cap may not pass 31
 EXHAUSTIVE_CAP = 24
-_CHUNK_BITS = 20
+# both numpy kernels (_feasible_chunks, survey.generate_small) work through
+# _chunks: 2^15 entries, 128 KiB of int32, so a chunk and its temporaries stay
+# in a core's L2 cache and peak memory does not grow with the input
+_CHUNK_BITS = 15
+if EXHAUSTIVE_CAP > 31:
+    raise ImportError(
+        f"EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}: _feasible_chunks holds every"
+        " coloring mask below 1 << EXHAUSTIVE_CAP in int32, so it may not pass 31"
+    )
 
 
 class Color(Enum):
@@ -156,6 +162,13 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
 
 # -- vectorized exhaustive core ----------------------------------------------
 
+def _chunks(size: int) -> Iterator[slice]:
+    """Consecutive slices of range(size), 1 << _CHUNK_BITS long."""
+    step = 1 << _CHUNK_BITS
+    for start in range(0, size, step):
+        yield slice(start, min(start + step, size))
+
+
 def _feasible_chunks(
     g: Graph,
     exempt: frozenset[int] = frozenset(),
@@ -178,11 +191,9 @@ def _feasible_chunks(
     forbidden = sorted({sum(bit[p] for p in path) for path in paths})
     fixed_mask = sum(bit[v] for v in fixed)
     fixed_red = sum(bit[v] for v, color in fixed.items() if color is RED)
-    total = 1 << n
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, total, chunk):
-        # int32: every mask is below 1 << n <= 1 << EXHAUSTIVE_CAP
-        red = np.arange(start, min(start + chunk, total), dtype=np.int32)
+    for part in _chunks(1 << n):
+        # int32: every mask is below 1 << n <= 1 << EXHAUSTIVE_CAP <= 1 << 31
+        red = np.arange(part.start, part.stop, dtype=np.int32)
         ok = (red & fixed_mask) == fixed_red
         for v in range(n):
             is_red = (red & bit[v]) != 0
@@ -192,7 +203,7 @@ def _feasible_chunks(
             ok &= is_red | ((blue_nb & (blue_nb - 1)) == 0)  # <= 1 Blue neighbor
         for m in forbidden:
             ok &= (red & m) != m
-        yield start, ok
+        yield part.start, ok
 
 
 def _mask_to_coloring(n: int, mask: int) -> Coloring:

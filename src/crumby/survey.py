@@ -10,9 +10,9 @@ generate_small provides a self-contained census of all connected graphs on
 at most 7 vertices up to isomorphism, for tests and desk-scale runs: it keeps
 every edge mask of K_n that is least in its orbit, with orbit minima built up
 one vertex at a time along a chain of coset representatives.  The first levels
-are tables over just the edges that permuting the low vertices moves; the
-fixed edges are put back at lookup.  Larger surveys are expected to pipe in
-external generator output.
+share one table over just the edges that permuting the low vertices moves;
+the fixed edges are put back at lookup.  Larger surveys are expected to pipe
+in external generator output.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .coloring import (
     EXHAUSTIVE_CAP,
     Status,
+    _chunks,
     backtracking_solve,
     dpll_solve,
     exhaustive_solve,
@@ -42,7 +43,12 @@ from .graphs import (
 from .minorfree import find_elimination_order
 
 GENERATE_CAP = 7
-_FULL_LEVELS = 4  # orbit-minimum levels kept as tables over the moved edges
+_FULL_LEVELS = 4  # orbit-minimum levels kept in one table over the moved edges
+if GENERATE_CAP * (GENERATE_CAP - 1) // 2 > 31:
+    raise ImportError(
+        f"GENERATE_CAP = {GENERATE_CAP}: K_{GENERATE_CAP} has more than 31"
+        " edges, and generate_small holds its edge masks in int32"
+    )
 
 
 # -- built-in census -------------------------------------------------------------
@@ -115,6 +121,24 @@ def _expand(index: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray
     return masks
 
 
+def _least_image(
+    table: np.ndarray,
+    images: Iterator[np.ndarray],
+    blocks: list[tuple[int, int, int]],
+    fixed: int,
+) -> np.ndarray:
+    """Running minimum over images of the table's value for each image's
+    moved edges, with its fixed edges put back."""
+    least = None
+    for image in images:
+        candidate = table[_compress(image, blocks)] | (image & fixed)
+        if least is None:
+            least = candidate
+        else:
+            np.minimum(least, candidate, out=least)
+    return least
+
+
 def generate_small(n: int) -> list[str]:
     """All connected graphs on n vertices up to isomorphism, as graph6 lines.
 
@@ -122,18 +146,21 @@ def generate_small(n: int) -> list[str]:
     under relabelling, in ascending mask order.  With F_k(m) the least image
     of m when vertices 0..k-1 are permuted, F_1 is the identity and
     F_{k+1}(m) = min over j of F_k(c_j(m)) (see _each_coset_image).  The first
-    _FULL_LEVELS levels are tables, indexed by the moved edges only (those
+    _FULL_LEVELS levels are one table, indexed by the moved edges only (those
     with an endpoint below _FULL_LEVELS, see _moved_blocks): the other,
     fixed edges keep their bits under every permutation of the low vertices,
-    so F_k(m) = F_k(m & moved) | (m & fixed).  Since c_j = c_{j+1} o s_j,
-    the table of F_k o c_j is that of F_k o c_{j+1} gathered through s_j.
-    A mask least in its orbit is least under every S_k, so past the tables
-    only the masks with F_k(m) == m are kept (the table's fixed points with
-    every choice of fixed edges), and F_k is evaluated at just their coset
-    images, down to the last table.  Those images are folded into a running
-    minimum one chain of cosets at a time (see _chain_images), so only a few
-    arrays of len(reps) are live beside the table; at n = 7 the numpy arrays
-    peak at 8.1 MiB (tracemalloc), set by the table build.
+    so F_k(m) = F_k(m & moved) | (m & fixed).  Each level overwrites the
+    table in place: an entry read is either F_k(c_j(m)) or, if its chunk was
+    already raised, F_{k+1}(c_j(m)) = F_{k+1}(m), and both are at least
+    F_{k+1}(m), so the minimum is still exact.  A mask least in its orbit is
+    least under every S_k, so past the table only the masks with
+    F_k(m) == m are kept (the table's fixed points with every choice of fixed
+    edges), and F_k is evaluated at just their coset images, down to the
+    table.  Those images are folded into a running minimum one chain of
+    cosets at a time (see _chain_images).  Every step runs over the sweep's
+    chunks (see coloring._chunks), so beside the table (2^18 int32 at
+    n = 7) and the kept masks only a few chunk-sized arrays are live; at
+    n = 7 the numpy arrays peak at 2.9 MiB (tracemalloc).
     """
     if n > GENERATE_CAP:
         raise CapExceeded(
@@ -146,29 +173,35 @@ def generate_small(n: int) -> list[str]:
     blocks = _moved_blocks(n, full)
     moved = sum(mask << shift for mask, shift, _ in blocks)
     fixed = ((1 << n * (n - 1) // 2) - 1) & ~moved
-    masks = _expand(np.arange(1 << moved.bit_count(), dtype=np.int32), blocks)
-    swaps = [_compress(_swap_adjacent(masks, n, j), blocks) for j in range(full - 1)]
-    table = masks
+    size = 1 << moved.bit_count()
+
+    def masks(part: slice) -> np.ndarray:
+        return _expand(np.arange(part.start, part.stop, dtype=np.int32), blocks)
+
+    table = np.empty(size, dtype=np.int32)
+    for part in _chunks(size):
+        table[part] = masks(part)
     for k in range(1, full):
-        gathered = least = table
-        for j in range(k - 1, -1, -1):
-            gathered = gathered[swaps[j]]
-            least = np.minimum(least, gathered)
-        table = least
-    del swaps
+        for part in _chunks(size):
+            table[part] = _least_image(
+                table, _each_coset_image(masks(part), n, k), blocks, fixed
+            )
     fixed_choices = np.zeros(1, dtype=np.int32)
     for bit in range(fixed.bit_length()):
         if fixed >> bit & 1:
             fixed_choices = np.concatenate([fixed_choices, fixed_choices | 1 << bit])
-    reps = np.sort((masks[table == masks] | fixed_choices[:, None]).ravel())
-    del masks
+    points = []
+    for part in _chunks(size):
+        values = masks(part)
+        points.append(values[table[part] == values])
+    reps = np.sort((np.concatenate(points) | fixed_choices[:, None]).ravel())
     for k in range(full, n):
-        # the identity chain gives F_full(m) <= m, so starting at m is exact
-        least = reps.copy()
-        for image in _chain_images(reps, n, k, full):
-            candidate = table[_compress(image, blocks)] | (image & fixed)
-            np.minimum(least, candidate, out=least)
-        reps = reps[least == reps]
+        kept = []
+        for part in _chunks(len(reps)):
+            chunk = reps[part]
+            least = _least_image(table, _chain_images(chunk, n, k, full), blocks, fixed)
+            kept.append(chunk[least == chunk])
+        reps = np.concatenate(kept)
     lines = []
     for mask in reps.tolist():
         g = graph_from_bitmask(n, mask)

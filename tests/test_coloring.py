@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,6 +163,24 @@ def test_exhaustive_returns_lexicographically_least_coloring(census):
 def test_exhaustive_cap_is_enforced():
     with pytest.raises(CapExceeded, match="24"):
         count_crumby(graph_from_edge_list(25, []))
+
+
+def test_g18_sweep_runs_in_cache_sized_chunks(g18):
+    # one full-width chunk of all 2^18 masks would pass the bound (4.5 MiB)
+    exhaustive_solve(g18.graph)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = exhaustive_solve(g18.graph)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (result.status, result.nodes) == (Status.UNSAT, 1 << 18)
+    assert peak < 1.5 * 2**20
 
 
 def test_empty_graph_is_trivially_colorable():
