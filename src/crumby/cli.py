@@ -98,7 +98,7 @@ def _read_text(spec: str) -> str:
     return Path(spec).read_text()
 
 
-def _emit(g: Graph, fmt: str, labels=None) -> str:
+def _emit(g: Graph, fmt: str, labels: dict[int, str]) -> str:
     if fmt == "edgelist":
         return emit_edge_list(g)
     if fmt == "graph6":

@@ -183,6 +183,10 @@ def _feasible_chunks(
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
     """
+    if g.n > EXHAUSTIVE_CAP:
+        raise CapExceeded(
+            f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
+        )
     n = g.n
     fixed = fixed or {}
     bit = [1 << (n - 1 - v) for v in range(n)]
@@ -210,13 +214,6 @@ def _mask_to_coloring(n: int, mask: int) -> Coloring:
     return Coloring.from_red_set(n, {v for v in range(n) if mask >> (n - 1 - v) & 1})
 
 
-def _check_exhaustive_cap(g: Graph) -> None:
-    if g.n > EXHAUSTIVE_CAP:
-        raise CapExceeded(
-            f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
-        )
-
-
 def _relaxed_colorings(
     g: Graph,
     exempt: frozenset[int],
@@ -226,7 +223,6 @@ def _relaxed_colorings(
     """Every coloring that agrees with `fixed` and passes (a)-(c) with the
     Red vertices in `exempt` needing no Red neighbor and every path in `extra`
     forbidden all-Red, in lexicographic order, B < R."""
-    _check_exhaustive_cap(g)
     out = []
     for start, ok in _feasible_chunks(g, exempt, extra, fixed):
         out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
@@ -235,7 +231,6 @@ def _relaxed_colorings(
 
 def count_crumby(g: Graph) -> int:
     """Exact number of crumby colorings of g (n <= 24)."""
-    _check_exhaustive_cap(g)
     return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(g))
 
 
@@ -270,7 +265,6 @@ def exhaustive_solve(g: Graph) -> SolveResult:
     Unsat is only reported after the entire space was enumerated; `nodes`
     counts colorings examined.
     """
-    _check_exhaustive_cap(g)
     t0 = time.perf_counter()
     for start, ok in _feasible_chunks(g):
         hits = np.nonzero(ok)[0]

@@ -86,20 +86,18 @@ def rev(child: SpExpr) -> Reverse:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A graph with optional role names for its vertices."""
+    """A graph with a role name for each of its vertices."""
 
     graph: Graph
-    role_labels: dict[int, str] | None = None
+    role_labels: dict[int, str]
 
     def roles(self) -> dict[str, int]:
         """Role name -> vertex, the inverse of role_labels."""
-        if self.role_labels is None:
-            raise ValueError("gadget has no role labels")
         return {role: v for v, role in self.role_labels.items()}
 
 
-def expand(expr: SpExpr) -> LabeledGraph:
-    """Expand a two-terminal expression into a simple graph.
+def expand(expr: SpExpr) -> Graph:
+    """Expand a two-terminal expression into a simple, unlabelled graph.
 
     Vertex numbering is deterministic: the root terminals become 0 and 1,
     and internal vertices are allocated depth-first, with the junctions of a
@@ -142,7 +140,7 @@ def expand(expr: SpExpr) -> LabeledGraph:
         walk(expr, 0, 1)
     except ExpansionError as exc:
         raise ExpansionError(f"{exc} in {expr}") from None
-    return LabeledGraph(graph_from_edge_list(counter[0], sorted(edges)))
+    return graph_from_edge_list(counter[0], sorted(edges))
 
 
 # -- fixed gadget constructions ------------------------------------------------
@@ -258,7 +256,7 @@ def _match_expansion(
     """Expand `expr` and renumber its vertex i to lg's vertex labelled
     roles[i]; any edge mismatch against lg is a hard error."""
     where = lg.roles()
-    expanded = relabel(expand(expr).graph, [where[role] for role in roles])
+    expanded = relabel(expand(expr), [where[role] for role in roles])
     mismatch = sp_edge_mismatch(expanded, lg.graph)
     if mismatch:
         raise ExpansionError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, Graph6Error, GraphError
@@ -125,6 +124,9 @@ def edge_bit_index(i: int, j: int) -> int:
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
+    """The n-vertex graph of an edge mask; n is capped at graph6's 62."""
+    if n > _G6_MAX_N:
+        raise CapExceeded(f"bitmask graphs are capped at n <= {_G6_MAX_N}, got {n}")
     nbits = n * (n - 1) // 2 if n > 0 else 0
     if mask >> nbits:
         raise GraphError(f"bitmask has bits beyond the {nbits} edge slots of n={n}")
@@ -209,12 +211,6 @@ def emit_graph6(g: Graph) -> str:
 _G6_SLOTS = tuple((i, j) for j in range(1, _G6_MAX_N) for i in range(j))
 
 
-def _slot_of_bit(k: int) -> tuple[int, int]:
-    """The edge (i, j) of bit k: the inverse of edge_bit_index."""
-    j = (1 + isqrt(8 * k + 1)) // 2
-    return k - j * (j - 1) // 2, j
-
-
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line.  Strict: rejects anything off-spec."""
     s = line.rstrip("\n")
@@ -244,11 +240,10 @@ def _graph_from_bits(n: int, bits: str) -> Graph:
     character is edge slot k (see edge_bit_index)."""
     # slots run column by column, so every row is filled in ascending order;
     # a slot is one pair i < j, so no loop or duplicate edge can arise
-    slot = _G6_SLOTS.__getitem__ if n <= _G6_MAX_N else _slot_of_bit
     rows: list[list[int]] = [[] for _ in range(n)]
     k = bits.find("1")
     while k >= 0:
-        i, j = slot(k)
+        i, j = _G6_SLOTS[k]
         rows[i].append(j)
         rows[j].append(i)
         k = bits.find("1", k + 1)

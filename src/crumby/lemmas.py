@@ -82,25 +82,19 @@ def _paths_from(g: Graph, v: int) -> Iterator[tuple[int, int, int]]:
                 yield (v, p, q)
 
 
-def _relaxation(
-    g: Graph, spec: BoundarySpec
-) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
-    """C2 and C4 as data for the feasibility sweep.
+def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:
+    """Every coloring that agrees with the assumptions and passes C1-C4, in
+    lexicographic order (B before R).
 
-    C2: boundary vertices are exempt from the Red-support test.  C4: every
-    path v-p-q from an outside-red v is forbidden all-Red, like a P4.
+    C2 and C4 reach the feasibility sweep as data.  C2: boundary vertices are
+    exempt from the Red-support test.  C4: every path v-p-q from an
+    outside-red v is forbidden all-Red, like a P4.
     """
+    fixed = _validate_spec(g, spec)
     extra = tuple(
         path for v in sorted(spec.outside_red) for path in _paths_from(g, v)
     )
-    return spec.boundary, extra
-
-
-def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:
-    """Every coloring that agrees with the assumptions and passes C1-C4, in
-    lexicographic order (B before R)."""
-    fixed = _validate_spec(g, spec)
-    return _relaxed_colorings(g, *_relaxation(g, spec), fixed)
+    return _relaxed_colorings(g, spec.boundary, extra, fixed)
 
 
 # -- lemma reports --------------------------------------------------------------

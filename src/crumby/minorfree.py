@@ -266,8 +266,6 @@ def has_minor(
             f" got {pattern.n}"
         )
     k = pattern.n
-    if k == 0:
-        return True, MinorWitness(())
     if g.n < k or g.m < pattern.m:
         return False, None
 

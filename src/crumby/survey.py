@@ -101,7 +101,7 @@ def _moved_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
     the table index at b's offset: ((m >> shift) & mask) << offset."""
     blocks = [((1 << k * (k - 1) // 2) - 1, 0, 0)]
     for j in range(k, n):
-        blocks.append(((1 << k) - 1, j * (j - 1) // 2, k * (k - 1) // 2 + k * (j - k)))
+        blocks.append(((1 << k) - 1, edge_bit_index(0, j), k * (k - 1) // 2 + k * (j - k)))
     return blocks
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from crumby import (
+    BoundarySpec,
     BudgetExhausted,
     CapExceeded,
     CnfFormula,
@@ -20,6 +21,7 @@ from crumby import (
     emit_dimacs,
     emit_solve_certificate,
     encode_cnf,
+    enumerate_feasible,
     exhaustive_solve,
     expand,
     graph_from_edge_list,
@@ -160,9 +162,31 @@ def test_exhaustive_returns_lexicographically_least_coloring(census):
             assert result.status is Status.UNSAT
 
 
-def test_exhaustive_cap_is_enforced():
-    with pytest.raises(CapExceeded, match="24"):
-        count_crumby(graph_from_edge_list(25, []))
+SWEEPS = {
+    "exhaustive_solve": exhaustive_solve,
+    "count_crumby": count_crumby,
+    "enumerate_feasible": lambda g: enumerate_feasible(g, BoundarySpec(frozenset())),
+}
+
+
+@pytest.mark.parametrize("n", [25, 200_000])
+@pytest.mark.parametrize("entry", SWEEPS)
+def test_exhaustive_cap_is_enforced(entry, n):
+    # the refusal comes before anything runs over g: not even its P4 walk
+    g = path_graph(n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CapExceeded, match="n <= 24"):
+            SWEEPS[entry](g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_g18_sweep_runs_in_cache_sized_chunks(g18):
@@ -294,7 +318,7 @@ def test_three_solvers_agree_beyond_the_census(g):
 @given(strategies.sp_expressions())
 @settings(max_examples=120, deadline=None)
 def test_three_solvers_agree_on_series_parallel_expansions(expr):
-    g = expand(expr).graph
+    g = expand(expr)
     assume(g.n <= 20)
     assert_three_way_agreement(g)
 

@@ -257,6 +257,12 @@ def test_minor_witness_requires_every_pattern_edge():
     assert not ok and "edge" in reason
 
 
+def test_the_empty_pattern_is_a_minor_of_every_host(g18):
+    empty = graph_from_edge_list(0, [])
+    for host in (empty, graph_from_edge_list(1, []), g18.graph):
+        assert has_minor(host, empty) == (True, MinorWitness(()))
+
+
 def test_pattern_in_itself():
     found, witness = has_minor(K4, K4)
     assert found
