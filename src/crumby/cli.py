@@ -8,6 +8,8 @@ Exit codes are a stable contract across all subcommands:
 
 `search` exits 2 when no line of its stream is a graph6 graph (every line
 skipped, or no line at all): a stream that decided nothing is bad input.
+Every other subcommand reads one graph, so a graph6 file with a second graph
+line is refused (exit 2) rather than read up to its first.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 
@@ -42,6 +45,8 @@ from .errors import BudgetExhausted, CertificateError, CrossCheckError
 from .gadgets import GADGETS
 from .graphs import (
     Graph,
+    complete_bipartite,
+    complete_graph,
     cut_vertices,
     emit_dot,
     emit_edge_list,
@@ -69,22 +74,25 @@ def load_graph(spec: str) -> Graph:
     if not path.exists():
         raise ValueError(f"{spec!r} is neither a bundled gadget nor a file")
     text = path.read_text()
-    first = next(
-        (s for s in (line.strip() for line in text.splitlines())
-         if s and not s.startswith("#")),
-        None,
+    data = (
+        s for s in (line.strip() for line in text.splitlines())
+        if s and not s.startswith("#")
     )
+    first = next(data, None)
     if first is None:
         raise ValueError(f"{spec}: no graph data in file")
     tokens = first.split()
     if len(tokens) >= 2 and all(t.isdigit() for t in tokens[:2]):
         return parse_edge_list(text)
+    if next(data, None) is not None:
+        raise ValueError(
+            f"{spec}: more than one graph6 line; this command reads one graph"
+            " (survey a stream of graphs with `crumby search`)"
+        )
     return parse_graph6(first)
 
 
 def _load_pattern(spec: str) -> Graph:
-    from .graphs import complete_bipartite, complete_graph
-
     if spec == "K4":
         return complete_graph(4)
     if spec == "K23":
@@ -254,19 +262,21 @@ def cmd_lemmas(args) -> int:
 def cmd_search(args) -> int:
     if args.generate is not None and args.input is not None:
         raise ValueError("give either an input file or --generate, not both")
-    if args.generate is not None:
-        lines = generate_small(args.generate)
-    elif args.input is not None:
-        lines = _read_text(args.input).splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
     filters = SurveyFilters(
         connected=not args.no_connected,
         subcubic=not args.no_subcubic,
         tw2=not args.no_tw2,
         biconnected=args.biconnected,
     )
-    report = survey_stream(lines, filters, budget=args.budget)
+    # a file or stdin is read one line at a time, never whole
+    if args.generate is not None:
+        source = nullcontext(generate_small(args.generate))
+    elif args.input in (None, "-"):
+        source = nullcontext(sys.stdin)
+    else:
+        source = open(args.input)
+    with source as lines:
+        report = survey_stream(lines, filters, budget=args.budget)
     print("\n".join(report.text_lines()))
     if args.report:
         Path(args.report).write_text("\n".join(report.machine_lines()) + "\n")
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="survey a graph6 stream")
     p.add_argument("input", nargs="?", default=None,
-                   help="graph6 file (default: stdin)")
+                   help="graph6 file, or - for stdin (the default)")
     p.add_argument("--generate", type=int, default=None, metavar="N",
                    help="survey the built-in census of connected graphs on N<=7 vertices")
     p.add_argument("--no-connected", action="store_true")

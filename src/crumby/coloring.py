@@ -34,13 +34,13 @@ from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
 EXHAUSTIVE_CAP = 24
-# both numpy kernels (_feasible_chunks, survey.generate_small) work through
+# both numpy kernels (_feasible_masks, survey.generate_small) work through
 # _chunks: 2^15 entries, 128 KiB of int32, so a chunk and its temporaries stay
 # in a core's L2 cache and peak memory does not grow with the input
 _CHUNK_BITS = 15
 if EXHAUSTIVE_CAP > 31:
     raise ImportError(
-        f"EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}: _feasible_chunks holds every"
+        f"EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}: _feasible_masks holds every"
         " coloring mask below 1 << EXHAUSTIVE_CAP in int32, so it may not pass 31"
     )
 
@@ -169,13 +169,13 @@ def _chunks(size: int) -> Iterator[slice]:
         yield slice(start, min(start + step, size))
 
 
-def _feasible_chunks(
+def _feasible_masks(
     g: Graph,
     exempt: frozenset[int] = frozenset(),
     extra: tuple[tuple[int, ...], ...] = (),
     fixed: dict[int, Color] | None = None,
-):
-    """Yield (offset, ok): ok[i] true iff red-mask offset+i agrees with the
+) -> Iterator[int]:
+    """Yield, in ascending order, every red-set mask that agrees with the
     vertex colors in `fixed` and passes (a)-(c) relaxed by data: a Red vertex
     in `exempt` needs no Red neighbor, and every path in `extra` is forbidden
     all-Red like a P4.  With the defaults this is plain crumbiness.
@@ -207,31 +207,16 @@ def _feasible_chunks(
             ok &= is_red | ((blue_nb & (blue_nb - 1)) == 0)  # <= 1 Blue neighbor
         for m in forbidden:
             ok &= (red & m) != m
-        yield part.start, ok
+        yield from red[ok].tolist()
 
 
 def _mask_to_coloring(n: int, mask: int) -> Coloring:
     return Coloring.from_red_set(n, {v for v in range(n) if mask >> (n - 1 - v) & 1})
 
 
-def _relaxed_colorings(
-    g: Graph,
-    exempt: frozenset[int],
-    extra: tuple[tuple[int, ...], ...],
-    fixed: dict[int, Color],
-) -> tuple[Coloring, ...]:
-    """Every coloring that agrees with `fixed` and passes (a)-(c) with the
-    Red vertices in `exempt` needing no Red neighbor and every path in `extra`
-    forbidden all-Red, in lexicographic order, B < R."""
-    out = []
-    for start, ok in _feasible_chunks(g, exempt, extra, fixed):
-        out.extend(_mask_to_coloring(g.n, start + int(i)) for i in np.nonzero(ok)[0])
-    return tuple(out)
-
-
 def count_crumby(g: Graph) -> int:
     """Exact number of crumby colorings of g (n <= 24)."""
-    return sum(int(np.count_nonzero(ok)) for _, ok in _feasible_chunks(g))
+    return sum(1 for _ in _feasible_masks(g))
 
 
 class Status(Enum):
@@ -250,9 +235,17 @@ class SolveResult:
 
 
 def _result(
-    solver: str, coloring: Coloring | None, nodes: int, propagations: int, t0: float
+    solver: str,
+    g: Graph,
+    coloring: Coloring | None,
+    nodes: int,
+    propagations: int,
+    t0: float,
 ) -> SolveResult:
-    """Sat iff a coloring was found; `elapsed` runs from t0 to now."""
+    """Sat iff a coloring was found, and only once verify_crumby accepts it
+    on g; `elapsed` runs from t0 to now."""
+    if coloring is not None and not verify_crumby(g, coloring)[0]:
+        raise AssertionError(f"{solver} produced a non-crumby coloring")
     status = Status.UNSAT if coloring is None else Status.SAT
     return SolveResult(
         status, coloring, solver, nodes, propagations, time.perf_counter() - t0
@@ -266,12 +259,10 @@ def exhaustive_solve(g: Graph) -> SolveResult:
     counts colorings examined.
     """
     t0 = time.perf_counter()
-    for start, ok in _feasible_chunks(g):
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            mask = start + int(hits[0])
-            return _result("exhaustive", _mask_to_coloring(g.n, mask), mask + 1, 0, t0)
-    return _result("exhaustive", None, 1 << g.n, 0, t0)
+    mask = next(_feasible_masks(g), None)
+    if mask is None:
+        return _result("exhaustive", g, None, 1 << g.n, 0, t0)
+    return _result("exhaustive", g, _mask_to_coloring(g.n, mask), mask + 1, 0, t0)
 
 
 # -- CNF encoding ------------------------------------------------------------
@@ -295,7 +286,7 @@ def encode_cnf(g: Graph) -> CnfFormula:
     1. (x_v | x_u | x_w) for each v and unordered pair {u,w} of neighbors:
        a Blue vertex tolerates at most one Blue neighbor.
     2. (~x_v | x_u1 | ... ) over v's neighbors: Red needs Red support; for an
-       isolated v this is the unit (~x_v).
+       isolated v this is the unit (~x_v), the only unit clause emitted.
     3. (~x_p1 | ~x_p2 | ~x_p3 | ~x_p4) per canonical 4-path: no all-Red path.
 
     Clause literals are sorted by variable; families appear in order 1, 2, 3,
@@ -484,9 +475,7 @@ def backtracking_solve(g: Graph, budget: int | None = None) -> SolveResult:
     t0 = time.perf_counter()
     search = _GraphSearch(g, budget)
     coloring = search.coloring() if search.dfs() else None
-    if coloring is not None and not verify_crumby(g, coloring)[0]:
-        raise AssertionError("solver produced a non-crumby coloring")
-    return _result("backtracking", coloring, search.nodes, search.propagations, t0)
+    return _result("backtracking", g, coloring, search.nodes, search.propagations, t0)
 
 
 # -- DPLL on the clause encoding ----------------------------------------------
@@ -501,7 +490,9 @@ class _Dpll:
     After a completed pass no free variable is pure, and a variable can only
     become pure when a clause that contains it is satisfied.  Undo returns
     to a choice mark taken right after a completed pass, so it drops the
-    candidates; the root pass starts with every variable."""
+    candidates; the root pass starts with every variable.  An isolated
+    vertex's unit clause (~x_v) needs no unit pass of its own: x_v occurs
+    in no clause positively, so the root pass assigns it false."""
 
     def __init__(self, f: CnfFormula, budget: int | None) -> None:
         self.f = f
@@ -513,7 +504,6 @@ class _Dpll:
         for ci, clause in enumerate(f.clauses):
             for lit in clause:
                 (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
-        self.occ = [pos + neg for pos, neg in zip(self.pos_occ, self.neg_occ)]
         self.clause_vars = [tuple(map(abs, c)) for c in f.clauses]
         # the variable whose assignment first satisfied each clause, 0 if
         # none; free literals are counted only while a clause is unsatisfied
@@ -547,16 +537,15 @@ class _Dpll:
                     conflict = True
         return not conflict
 
-    def _propagate_units(self, seed_vars: list[int]) -> bool:
+    def _propagate_units(self, var: int) -> bool:
         """Assign the free literal of each unit clause until none is left.
-        Only clauses where a seed's literal is false can have become unit;
-        a free seed (at the root) has all its clauses scanned."""
+        Only clauses where the literal of var, or of a variable assigned
+        since, is false can have become unit."""
         val, sat, n_free, clauses = self.val, self.sat, self.n_free, self.f.clauses
-        queue = deque(seed_vars)
+        queue = deque([var])
         while queue:
             var = queue.popleft()
-            x = val[var]
-            falsified = self.neg_occ if x > 0 else self.pos_occ if x else self.occ
+            falsified = self.neg_occ if val[var] > 0 else self.pos_occ
             for ci in falsified[var]:
                 if not sat[ci] and n_free[ci] == 1:
                     for lit in clauses[ci]:
@@ -572,7 +561,7 @@ class _Dpll:
 
     def _set(self, var: int, value: bool) -> bool:
         """Assign var, then propagate the units it leaves; False on a conflict."""
-        return self._assign(var, value) and self._propagate_units([var])
+        return self._assign(var, value) and self._propagate_units(var)
 
     def _pure_literals(self) -> bool:
         """Assign single-polarity and unconstrained variables; sound for both
@@ -684,15 +673,11 @@ def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
     matches backtracking_solve.
     """
     t0 = time.perf_counter()
-    f = encode_cnf(g)
-    d = _Dpll(f, budget)
+    d = _Dpll(encode_cnf(g), budget)
     coloring = None
-    # every variable seeds the root propagation, so unit clauses fire first
-    if d._propagate_units(list(range(1, f.num_vars + 1))) and d.dfs():
+    if d.dfs():
         coloring = Coloring(tuple(RED if x == 1 else BLUE for x in d.val[1:]))
-        if not verify_crumby(g, coloring)[0]:
-            raise AssertionError("dpll produced a non-crumby coloring")
-    return _result("dpll", coloring, d.nodes, d.propagations, t0)
+    return _result("dpll", g, coloring, d.nodes, d.propagations, t0)
 
 
 def emit_solve_certificate(result: SolveResult) -> str:

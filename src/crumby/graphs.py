@@ -464,13 +464,29 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
 # -- paths on four vertices --------------------------------------------------
 
 
+# enumerate_p4 refuses a graph that may have more P4s than this: both search
+# solvers and encode_cnf hold every P4 (backtracking about 400 bytes each)
+P4_CAP = 1_000_000
+
+
 def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
     """All paths on 4 distinct vertices, one orientation each.
 
     A path (p1,p2,p3,p4) is kept iff (p1,p2,p3,p4) <= (p4,p3,p2,p1); output
     ascends.  These are subgraph paths: chords among the four vertices are
     allowed.
+
+    Before the walk, the count is bounded by the sum over edges uv of
+    (d(u)-1)(d(v)-1), which exceeds it by three per triangle; above P4_CAP
+    the graph is refused with CapExceeded.
     """
+    out = [len(row) - 1 for row in g.adj]  # d(v) - 1
+    bound = sum(out[v] * out[u] for v, row in enumerate(g.adj) for u in row if v < u)
+    if bound > P4_CAP:
+        raise CapExceeded(
+            f"graphs are capped at {P4_CAP} P4s (paths on four vertices);"
+            f" this one may have up to {bound}"
+        )
     return list(_walk_p4(g, None))
 
 

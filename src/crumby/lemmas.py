@@ -31,7 +31,8 @@ from .coloring import (
     Color,
     Coloring,
     Status,
-    _relaxed_colorings,
+    _feasible_masks,
+    _mask_to_coloring,
     dpll_solve,
     verify_crumby_by_components,
 )
@@ -94,7 +95,10 @@ def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:
     extra = tuple(
         path for v in sorted(spec.outside_red) for path in _paths_from(g, v)
     )
-    return _relaxed_colorings(g, spec.boundary, extra, fixed)
+    return tuple(
+        _mask_to_coloring(g.n, mask)
+        for mask in _feasible_masks(g, spec.boundary, extra, fixed)
+    )
 
 
 # -- lemma reports --------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Chunk width is a memory knob: no answer may depend on it.
 
-Both numpy kernels, the colouring sweep behind exhaustive_solve,
-count_crumby and enumerate_feasible, and the census table build in
-generate_small, run over chunks of 1 << coloring._CHUNK_BITS entries.  Each
+Both numpy kernels, the colouring sweep (coloring._feasible_masks, whose
+stream of feasible masks exhaustive_solve, count_crumby and
+enumerate_feasible read) and the census table build in generate_small, run
+over chunks of 1 << coloring._CHUNK_BITS entries.  Each
 test computes its answers at the default width, then again with far narrower
 chunks, so that every sweep spans many chunk boundaries, and requires the
 same bytes.  Eight-entry chunks are used wherever the sweep is small enough;

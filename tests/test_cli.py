@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -107,6 +108,16 @@ def test_graph_files_load_in_both_formats(tmp_path, capsys):
     assert code == 0
     code2, out2, _ = run(capsys, "solve", write_k2(tmp_path))
     assert code2 == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "check-tw2"])
+def test_a_graph6_file_with_two_graphs_is_refused(tmp_path, capsys, command):
+    # G18, then K2: reading only the first line would answer for G18 alone
+    g6 = tmp_path / "two.g6"
+    g6.write_text(emit_graph6(build_G18().graph) + "\nA_\n")
+    code, out, err = run(capsys, command, str(g6))
+    assert code == 2 and out == ""
+    assert "more than one graph6 line" in err and "crumby search" in err
 
 
 def test_missing_file_is_an_error(capsys):
@@ -385,6 +396,36 @@ def test_check_minor_refuses_an_oversized_pattern_before_allocating(tmp_path, pa
     assert "internal error" not in proc.stderr
 
 
+_DENSE_FILES = {
+    "k62.g6": lambda: emit_graph6(complete_graph(62)) + "\n",
+    "k150.txt": lambda: emit_edge_list(complete_graph(150)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (name, argv)
+        for name in _DENSE_FILES
+        for argv in (["solve"], ["solve", "--method", "dpll"], ["cnf"])
+    ]
+    + [("k62.g6", ["search", "--no-subcubic", "--no-tw2"])],
+)
+def test_dense_inputs_are_refused_before_their_p4s_are_built(tmp_path, name, argv):
+    """K62 and K150 have 6.7 and 243 million P4s.  The child caps its own
+    address space at 1 GiB, so building them fails this test instead of
+    exiting 2 with the cap message."""
+    graph = tmp_path / name
+    graph.write_text(_DENSE_FILES[name]())
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, argv[0], str(graph), *argv[1:]],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "capped at 1000000 P4s" in proc.stderr
+    assert "internal error" not in proc.stderr and proc.stdout == ""
+
+
 def test_check_minor_absence(capsys):
     code, out, _ = run(capsys, "check-minor", "R", "--pattern", "K4")
     assert code == 1 and "minor: no" in out
@@ -556,17 +597,29 @@ def test_search_report_file(tmp_path, capsys):
 
 
 def test_search_reads_stdin_stream(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(build_G18().graph) + "\n"))
     code, out, _ = run(capsys, "search")
     assert code == 0
     assert "unsat=1" in out
 
 
-def test_search_of_a_stream_with_no_graph6_line_exits_2(tmp_path, capsys, monkeypatch):
-    import io
+class _LinesOnly(io.StringIO):
+    """A stdin that can only be iterated: read() fails the test."""
 
+    def read(self, *args):
+        raise AssertionError("the stream was read whole")
+
+
+@pytest.mark.parametrize("argv", [["search"], ["search", "-"]])
+def test_search_streams_stdin_line_by_line(capsys, monkeypatch, argv):
+    g18_line = emit_graph6(build_G18().graph)
+    monkeypatch.setattr("sys.stdin", _LinesOnly(f"A_\n{g18_line}\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "total tested=2 sat=1 unsat=1" in out
+
+
+def test_search_of_a_stream_with_no_graph6_line_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "search", write_k2(tmp_path))
     assert code == 2 and "total tested=0" in out and "skipped=2" in out
     assert "error: no line of the stream is a graph6 graph" in err

@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 
 from crumby import (
+    BLUE,
     BoundarySpec,
     BudgetExhausted,
     CapExceeded,
     CnfFormula,
     Coloring,
+    GADGETS,
     Status,
     backtracking_solve,
     complete_graph,
@@ -31,13 +32,11 @@ from crumby import (
     verify_crumby_by_components,
 )
 from crumby.coloring import Violation, ViolationKind
+import crumby.coloring
 from tests import oracles, strategies
+from tests.helpers import path_graph, traced_peak
 
 PROPERTY = settings(max_examples=80, deadline=None)
-
-
-def path_graph(n: int):
-    return graph_from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cnf_satisfied(f: CnfFormula, reds: set[int]) -> bool:
@@ -174,37 +173,35 @@ SWEEPS = {
 def test_exhaustive_cap_is_enforced(entry, n):
     # the refusal comes before anything runs over g: not even its P4 walk
     g = path_graph(n)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+
+    def refused():
         with pytest.raises(CapExceeded, match="n <= 24"):
             SWEEPS[entry](g)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 2**20
+
+    assert traced_peak(refused) < 2**20
 
 
 def test_g18_sweep_runs_in_cache_sized_chunks(g18):
     # one full-width chunk of all 2^18 masks would pass the bound (4.5 MiB)
-    exhaustive_solve(g18.graph)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = exhaustive_solve(g18.graph)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    result = exhaustive_solve(g18.graph)
     assert (result.status, result.nodes) == (Status.UNSAT, 1 << 18)
-    assert peak < 1.5 * 2**20
+    assert traced_peak(lambda: exhaustive_solve(g18.graph)) < 1.5 * 2**20
+
+
+SOLVERS = {
+    "exhaustive": exhaustive_solve,
+    "backtracking": backtracking_solve,
+    "dpll": dpll_solve,
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_every_sat_answer_is_rechecked(monkeypatch, solver):
+    # K2 is Sat for all three; a verify_crumby that rejects every coloring
+    # must turn each solver's answer into an error that names the solver
+    monkeypatch.setattr(crumby.coloring, "verify_crumby", lambda g, c: (False, []))
+    with pytest.raises(AssertionError, match=f"{solver} produced a non-crumby"):
+        SOLVERS[solver](complete_graph(2))
 
 
 def test_empty_graph_is_trivially_colorable():
@@ -411,6 +408,25 @@ def test_dpll_solves_a_long_path_in_one_pass():
     result = dpll_solve(path_graph(20_000))
     assert result.status is Status.SAT
     assert (result.nodes, result.propagations) == (9_999, 10_001)
+
+
+@pytest.mark.parametrize(
+    "name, status, nodes, propagations",
+    [("G18", Status.UNSAT, 122, 214), ("F", Status.SAT, 4, 5)],
+)
+def test_dpll_assigns_isolated_vertices_by_the_pure_literal_rule(
+    name, status, nodes, propagations
+):
+    # an isolated v's only clause is the unit (~x_v): the first pure-literal
+    # pass sets it Blue, one propagation and no node per isolated vertex
+    g = GADGETS[name]().graph
+    padded = graph_from_edge_list(g.n + 3, g.edges())
+    for h, extra in ((g, 0), (padded, 3)):
+        result = dpll_solve(h)
+        assert (result.status, result.nodes) == (status, nodes)
+        assert result.propagations == propagations + extra
+    if result.coloring is not None:
+        assert result.coloring.colors[g.n:] == (BLUE,) * 3
 
 
 def test_isolated_vertex_keeps_instances_solvable(census):

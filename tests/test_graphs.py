@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,18 +34,11 @@ from crumby import (
     relabel,
     verify_ear_decomposition,
 )
-from crumby.graphs import EDGE_LIST_MAX_N
+from crumby.graphs import EDGE_LIST_MAX_N, P4_CAP
 from tests import oracles, strategies
+from tests.helpers import cycle_graph, path_graph, traced_peak
 
 PROPERTY = settings(max_examples=80, deadline=None)
-
-
-def path_graph(n: int):
-    return graph_from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int):
-    return graph_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # -- construction ------------------------------------------------------------
@@ -101,14 +93,12 @@ def test_bitmask_past_graph6_orders_is_refused():
     """Orders past graph6's n <= 62 are refused before anything is sized by
     n, so even n = 10**9 allocates nothing of the order of its slots."""
     for n in (63, 10**9):
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(CapExceeded, match="62"):
                 graph_from_bitmask(n, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(refused) < 2**20
 
 
 def test_edge_bit_index_is_colex():
@@ -371,6 +361,21 @@ def test_p4_known_counts():
     for n in (4, 5, 6):
         expected = n * (n - 1) * (n - 2) * (n - 3) // 2
         assert len(enumerate_p4(complete_graph(n))) == expected
+
+
+def test_p4_count_is_capped_before_the_walk():
+    # the bound sum of (d(u)-1)(d(v)-1) over edges uv is C(n,2)(n-2)^2 on K_n:
+    # 911,088 for K38, 1,014,429 for K39 and 6,807,600 for K62
+    assert P4_CAP == 1_000_000
+    for n in (39, 62):
+        g = complete_graph(n)
+
+        def refused():
+            with pytest.raises(CapExceeded, match=f"capped at {P4_CAP} P4s"):
+                enumerate_p4(g)
+
+        assert traced_peak(refused) < 2**20
+    assert len(enumerate_p4(path_graph(20_000))) == 19_997
 
 
 @given(strategies.graphs(max_n=7))

@@ -27,14 +27,11 @@ from crumby import (
 from crumby.certs import emit_elimination_order, emit_reduction_trace
 from crumby.minorfree import ReductionStep
 from tests import strategies
+from tests.helpers import cycle_graph, path_graph
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 K4 = complete_graph(4)
-
-
-def cycle_graph(n: int):
-    return graph_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # -- elimination orders ------------------------------------------------------
@@ -191,7 +188,7 @@ def test_tw2_routes_are_pinned_on_the_census(census_lines):
 
 def test_tw2_routes_take_each_step_without_a_rescan(ladder):
     # a rescan of the workspace for every step makes these take seconds
-    path = graph_from_edge_list(20_000, [(v, v + 1) for v in range(19_999)])
+    path = path_graph(20_000)
     accepted, trace = recognize_tw2(path)
     assert accepted
     assert Counter(step.rule for step in trace) == {
@@ -321,7 +318,7 @@ def test_g18_is_searched_block_by_block(g18):
 def test_k4_witness_lies_in_its_block():
     # the 6-cycle 0..5 glued at the cut vertex 5 to the K4 on 5..8; a search
     # of the whole host would seed at 0 and route it into a branch set
-    edges = [(v, v + 1) for v in range(5)] + [(5, 0)]
+    edges = cycle_graph(6).edges()
     edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
     g = graph_from_edge_list(9, edges)
     found, witness = has_minor(g, K4)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -31,6 +30,7 @@ from crumby import (
 from crumby.coloring import Coloring
 import crumby.survey
 from tests import oracles
+from tests.helpers import traced_peak
 
 
 EXPECTED_CENSUS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -151,18 +151,7 @@ def test_census_at_order_seven_folds_its_coset_images_one_at_a_time():
     # in the table build would pass the bound (8.1 MiB)
     for n in range(1, 7):
         generate_small(n)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        generate_small(7)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(lambda: generate_small(7)) < 4 * 2**20
 
 
 # -- the survey harness ------------------------------------------------------
