@@ -7,7 +7,9 @@ Exit codes are a stable contract across all subcommands:
   2  error, refused input, indeterminate (budget ran out), or a crash
 
 `search` exits 2 when no line of its stream is a graph6 graph (every line
-skipped, or no line at all): a stream that decided nothing is bad input.
+skipped, or no line at all): a stream that decided nothing is bad input.  It
+also exits 2, after its report, when a cap refused a line or the budget ran
+out on one: a graph left undecided is not a pass.
 Every other subcommand reads one graph, so a graph6 file with a second graph
 line is refused (exit 2) rather than read up to its first.
 """
@@ -280,11 +282,15 @@ def cmd_search(args) -> int:
     print("\n".join(report.text_lines()))
     if args.report:
         Path(args.report).write_text("\n".join(report.machine_lines()) + "\n")
+    # a refused or undecided graph is not a pass, whatever the rest says
+    for lineno, reason in report.refused:
+        print(f"error: line {lineno} refused: {reason}", file=sys.stderr)
     if report.undecided:
         print(
             f"indeterminate: the budget ran out on {len(report.undecided)} graphs",
             file=sys.stderr,
         )
+    if report.refused or report.undecided:
         return EXIT_ERROR
     if report.tested + report.filtered_out == 0:
         print("error: no line of the stream is a graph6 graph", file=sys.stderr)

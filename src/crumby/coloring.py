@@ -404,67 +404,58 @@ class _GraphSearch:
             self._force_red_around(v, queue)
         return True
 
-    def set_and_propagate(self, v: int, color: int) -> bool:
-        queue: deque = deque()
-        if not self._apply(v, color, queue):
-            return False
-        assign = self.assign
-        while queue:
-            w, c = queue.popleft()
-            if assign[w] != _UNSET:
-                if assign[w] != c:
-                    return False
-                continue
-            self.propagations += 1
-            if not self._apply(w, c, queue):
-                return False
-        return True
-
-    def undo_to(self, mark: int) -> None:
-        assign = self.assign
-        for v in self.trail[mark:]:
-            assign[v] = _UNSET
-        del self.trail[mark:]
-
-    def _backtrack(
-        self, choices: list[tuple[int, int, int]]
-    ) -> tuple[int, int, int] | None:
-        """Undo open choices, latest first, up to one that still has Blue to
-        try; returns that choice, or None once the search space is spent."""
-        while choices:
-            v, mark, color = choices.pop()
-            self.undo_to(mark)
-            if color == _RED:
-                return v, mark, _BLUE
-        return None
-
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
-        (vertex, trail mark, color), so depth is not bound by recursion."""
+        (vertex, trail mark, color), so depth is not bound by recursion.
+        Each node sets its choice and runs the queue of forced moves, first
+        in first out; a conflict undoes open choices, latest first, up to
+        one that still has Blue to try."""
+        assign, trail, apply = self.assign, self.trail, self._apply
+        n, budget = self.g.n, self.budget
+        nodes, propagations = self.nodes, self.propagations
         choices: list[tuple[int, int, int]] = []
-        assign, n = self.assign, self.g.n
+        queue: deque = deque()
         low = 0  # every vertex below low is colored
-        while True:
-            while low < n and assign[low] != _UNSET:
-                low += 1
-            if low == n:
-                return True
-            choice = (low, len(self.trail), _RED)
+        try:
             while True:
-                self.nodes += 1
-                if self.budget is not None and self.nodes > self.budget:
-                    raise BudgetExhausted(
-                        f"backtracking budget of {self.budget} nodes exhausted",
-                        nodes=self.nodes,
-                    )
-                choices.append(choice)
-                if self.set_and_propagate(choice[0], choice[2]):
-                    break
-                choice = self._backtrack(choices)
-                if choice is None:
-                    return False
-            # a choice's vertex was the lowest unset one when it was made
-            low = choice[0]
+                while low < n and assign[low] != _UNSET:
+                    low += 1
+                if low == n:
+                    return True
+                v, color = low, _RED
+                while True:
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise BudgetExhausted(
+                            f"backtracking budget of {budget} nodes exhausted",
+                            nodes=nodes,
+                        )
+                    choices.append((v, len(trail), color))
+                    ok = apply(v, color, queue)
+                    while ok and queue:
+                        w, c = queue.popleft()
+                        if assign[w] != _UNSET:
+                            ok = assign[w] == c
+                        else:
+                            propagations += 1
+                            ok = apply(w, c, queue)
+                    if ok:
+                        break
+                    queue.clear()
+                    while choices:
+                        v, mark, color = choices.pop()
+                        for u in trail[mark:]:
+                            assign[u] = _UNSET
+                        del trail[mark:]
+                        if color == _RED:
+                            color = _BLUE
+                            break
+                    else:
+                        return False
+                # a choice's vertex was the lowest unset one when it was made
+                low = v
+        finally:
+            self.nodes, self.propagations = nodes, propagations
 
     def coloring(self) -> Coloring:
         return Coloring(tuple(RED if a == _RED else BLUE for a in self.assign))
@@ -482,30 +473,41 @@ def backtracking_solve(g: Graph, budget: int | None = None) -> SolveResult:
 
 
 class _Dpll:
-    """DPLL state: values, a trail, and per clause the variable that first
-    satisfied it and its count of free literals (kept while unsatisfied).
+    """DPLL state: values, a trail of literals, and per clause the literal
+    that first satisfied it and its count of free literals (kept while
+    unsatisfied).  val, occ and near are indexed by literal, a negative lit
+    from the end of the list, so no step branches on a value to pick its
+    list: val[lit] is 1 when lit is true, and occ[lit] lists the clauses
+    that contain lit.
 
     Pure literals are read from the clause states, but only at candidate
-    variables: those of clauses satisfied since the last completed pass.
-    After a completed pass no free variable is pure, and a variable can only
-    become pure when a clause that contains it is satisfied.  Undo returns
-    to a choice mark taken right after a completed pass, so it drops the
-    candidates; the root pass starts with every variable.  An isolated
-    vertex's unit clause (~x_v) needs no unit pass of its own: x_v occurs
-    in no clause positively, so the root pass assigns it false."""
+    variables.  near[lit] holds the variables of the clauses that contain
+    lit, and each assignment of lit adds near[lit] to the candidates.  This
+    is exact: after a completed pass no free variable is pure, and a free
+    variable can only become pure when a clause that contains it is
+    satisfied, so it is in near of the literal that satisfied that clause.
+    Every other candidate is assigned or not pure and is skipped, so each
+    round finds the same pure set, in the same ascending order, as the
+    variables of the newly satisfied clauses alone would give; a round that
+    assigns nothing still ends the pass.  Undo returns to a choice mark
+    taken right after a completed pass, so it drops the candidates; the
+    root pass starts with every variable.  An isolated vertex's unit clause
+    (~x_v) needs no unit pass of its own: x_v occurs in no clause
+    positively, so the root pass assigns it false."""
 
     def __init__(self, f: CnfFormula, budget: int | None) -> None:
         self.f = f
         self.budget = budget
         nv = f.num_vars
-        self.val = [0] * (nv + 1)  # 0 unknown, 1 true, -1 false
-        self.pos_occ: list[list[int]] = [[] for _ in range(nv + 1)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(nv + 1)]
+        self.val = [0] * (2 * nv + 1)  # 0 unknown, 1 true, -1 false
+        self.occ: list[list[int]] = [[] for _ in range(2 * nv + 1)]
         for ci, clause in enumerate(f.clauses):
             for lit in clause:
-                (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
-        self.clause_vars = [tuple(map(abs, c)) for c in f.clauses]
-        # the variable whose assignment first satisfied each clause, 0 if
+                self.occ[lit].append(ci)
+        self.near = [
+            tuple({abs(x) for ci in cis for x in f.clauses[ci]}) for cis in self.occ
+        ]
+        # the literal whose assignment first satisfied each clause, 0 if
         # none; free literals are counted only while a clause is unsatisfied
         self.sat = [0] * len(f.clauses)
         self.n_free = [len(c) for c in f.clauses]
@@ -515,53 +517,46 @@ class _Dpll:
         self.nodes = 0
         self.propagations = 0
 
-    def _assign(self, var: int, value: bool) -> bool:
-        """Record var's value; returns False on an emptied clause.  Every
-        occurrence is visited even past a conflict, so undo stays symmetric."""
-        self.val[var] = 1 if value else -1
-        self.trail.append(var)
-        sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
-        unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
-        sat, n_free, touched, clause_vars = (
-            self.sat, self.n_free, self.touched, self.clause_vars
-        )
-        for ci in sat_occ:
-            if not sat[ci]:
-                sat[ci] = var
-                touched.extend(clause_vars[ci])
-        conflict = False
-        for ci in unsat_occ:
-            if not sat[ci]:
-                n_free[ci] -= 1
-                if not n_free[ci]:
-                    conflict = True
-        return not conflict
-
-    def _propagate_units(self, var: int) -> bool:
-        """Assign the free literal of each unit clause until none is left.
-        Only clauses where the literal of var, or of a variable assigned
-        since, is false can have become unit."""
-        val, sat, n_free, clauses = self.val, self.sat, self.n_free, self.f.clauses
-        queue = deque([var])
-        while queue:
-            var = queue.popleft()
-            falsified = self.neg_occ if val[var] > 0 else self.pos_occ
-            for ci in falsified[var]:
+    def _set(self, lit: int) -> bool:
+        """Assign lit, then the free literal of each unit clause it leaves
+        until none is left; False on an emptied clause.  Only clauses where
+        an assigned literal is false can have become unit: they are walked
+        first in first out, and each unit is assigned where its clause is
+        found.  An assignment counts down all of its false occurrences, and
+        checks them for conflict, before the walk goes on; it visits every
+        occurrence even past a conflict, so undo stays symmetric."""
+        val, sat, n_free, occ, near = self.val, self.sat, self.n_free, self.occ, self.near
+        clauses, trail, touched = self.f.clauses, self.trail, self.touched
+        falsified: list[int] = []  # grows while it is walked
+        walk = iter(falsified)
+        while True:
+            val[lit], val[-lit] = 1, -1
+            trail.append(lit)
+            touched.extend(near[lit])
+            for ci in occ[lit]:
+                if not sat[ci]:
+                    sat[ci] = lit
+            false_occ = occ[-lit]
+            conflict = False
+            for ci in false_occ:
+                if not sat[ci]:
+                    n_free[ci] -= 1
+                    if not n_free[ci]:
+                        conflict = True
+            if conflict:
+                return False
+            falsified += false_occ
+            for ci in walk:
                 if not sat[ci] and n_free[ci] == 1:
-                    for lit in clauses[ci]:
-                        if not val[abs(lit)]:
-                            break
-                    else:
-                        raise AssertionError("unit clause without a free literal")
-                    self.propagations += 1
-                    if not self._assign(abs(lit), lit > 0):
-                        return False
-                    queue.append(abs(lit))
-        return True
-
-    def _set(self, var: int, value: bool) -> bool:
-        """Assign var, then propagate the units it leaves; False on a conflict."""
-        return self._assign(var, value) and self._propagate_units(var)
+                    break
+            else:
+                return True
+            for lit in clauses[ci]:
+                if not val[lit]:
+                    break
+            else:
+                raise AssertionError("unit clause without a free literal")
+            self.propagations += 1
 
     def _pure_literals(self) -> bool:
         """Assign single-polarity and unconstrained variables; sound for both
@@ -569,9 +564,7 @@ class _Dpll:
         polarities of all free candidates before it assigns any of them, in
         ascending order; a variable is positive iff an unsatisfied clause
         contains +var, so unconstrained ones default to false (Blue)."""
-        val, sat, pos_occ, neg_occ, touched = (
-            self.val, self.sat, self.pos_occ, self.neg_occ, self.touched
-        )
+        val, sat, occ, touched = self.val, self.sat, self.occ, self.touched
         while touched:
             candidates = sorted(set(touched))
             touched.clear()
@@ -579,66 +572,62 @@ class _Dpll:
             for var in candidates:
                 if val[var]:
                     continue
-                for ci in pos_occ[var]:
+                for ci in occ[var]:
                     if not sat[ci]:
                         break
                 else:
-                    pure.append((var, False))
+                    pure.append(-var)
                     continue
-                for ci in neg_occ[var]:
+                for ci in occ[-var]:
                     if not sat[ci]:
                         break
                 else:
-                    pure.append((var, True))
-            for var, value in pure:
-                if val[var]:
+                    pure.append(var)
+            for lit in pure:
+                if val[lit]:
                     continue
                 self.propagations += 1
-                if not self._set(var, value):
+                if not self._set(lit):
                     return False
         return True
 
     def _undo_to(self, mark: int) -> None:
         """Return to the state at trail length mark, which a completed
         pure-literal pass left with no pure candidates."""
-        val, sat, n_free = self.val, self.sat, self.n_free
+        val, sat, n_free, occ = self.val, self.sat, self.n_free, self.occ
         undone = self.trail[mark:]
         del self.trail[mark:]
-        for var in reversed(undone):
-            value = val[var] == 1
-            val[var] = 0
-            sat_occ = self.pos_occ[var] if value else self.neg_occ[var]
-            unsat_occ = self.neg_occ[var] if value else self.pos_occ[var]
-            for ci in unsat_occ:
+        for lit in reversed(undone):
+            val[lit] = val[-lit] = 0
+            for ci in occ[-lit]:
                 if not sat[ci]:
                     n_free[ci] += 1
-            for ci in sat_occ:
-                if sat[ci] == var:  # ci is unsatisfied again
+            for ci in occ[lit]:
+                if sat[ci] == lit:  # ci is unsatisfied again
                     sat[ci] = 0
-        if undone:
-            self.low = min(self.low, min(undone))
         self.touched.clear()
 
-    def _backtrack(
-        self, choices: list[tuple[int, int, bool]]
-    ) -> tuple[int, int, bool] | None:
-        """Undo open choices, latest first, up to one that still has False
-        to try; returns that choice, or None once the search space is spent.
-        Undoing a choice also undoes the pure-literal pass that followed it."""
+    def _backtrack(self, choices: list[tuple[int, int]]) -> tuple[int, int] | None:
+        """Undo open choices (literal, trail mark), latest first, up to one
+        that still has False to try; returns that choice, or None once the
+        search space is spent.  Undoing a choice also undoes the
+        pure-literal pass that followed it."""
         while choices:
-            var, mark, value = choices.pop()
+            lit, mark = choices.pop()
             self._undo_to(mark)
-            if value:
-                return var, mark, False
+            # a choice's variable was the lowest free one when it was made
+            self.low = abs(lit)
+            if lit > 0:
+                return -lit, mark
         return None
 
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
-        (variable, trail mark, value), so depth is not bound by recursion.
-        Each level runs the pure-literal pass, then decides the lowest free
+        (literal, trail mark), so depth is not bound by recursion.  Each
+        level runs the pure-literal pass, then decides the lowest free
         variable, True (Red) first."""
-        choices: list[tuple[int, int, bool]] = []
-        val, end = self.val, len(self.val)
+        choices: list[tuple[int, int]] = []
+        val, end = self.val, self.f.num_vars + 1
         while True:
             if self._pure_literals():
                 low = self.low
@@ -647,7 +636,7 @@ class _Dpll:
                 self.low = low
                 if low == end:
                     return True
-                choice = (low, len(self.trail), True)
+                choice = (low, len(self.trail))
             else:
                 choice = self._backtrack(choices)
             while choice is not None:
@@ -658,8 +647,7 @@ class _Dpll:
                         nodes=self.nodes,
                     )
                 choices.append(choice)
-                var, _, value = choice
-                if self._set(var, value):
+                if self._set(choice[0]):
                     break
                 choice = self._backtrack(choices)
             if choice is None:
@@ -676,7 +664,9 @@ def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
     d = _Dpll(encode_cnf(g), budget)
     coloring = None
     if d.dfs():
-        coloring = Coloring(tuple(RED if x == 1 else BLUE for x in d.val[1:]))
+        coloring = Coloring(
+            tuple(RED if x == 1 else BLUE for x in d.val[1 : g.n + 1])
+        )
     return _result("dpll", g, coloring, d.nodes, d.propagations, t0)
 
 

@@ -249,6 +249,7 @@ class SurveyReport:
     skipped: tuple[tuple[int, str], ...]  # (line number, reason)
     filtered_out: int
     undecided: tuple[tuple[int, str], ...]  # (line number, graph6)
+    refused: tuple[tuple[int, str], ...]  # (line number, cap message)
 
     @property
     def tested(self) -> int:
@@ -276,6 +277,8 @@ class SurveyReport:
             lines.append(f"skipped line {lineno}: {reason}")
         for lineno, text in self.undecided:
             lines.append(f"undecided line {lineno}: {text}")
+        for lineno, reason in self.refused:
+            lines.append(f"refused line {lineno}: {reason}")
         return lines
 
     def machine_lines(self) -> list[str]:
@@ -295,6 +298,9 @@ class SurveyReport:
         )
         lines.extend(
             f"undecided_line={lineno} graph6={text}" for lineno, text in self.undecided
+        )
+        lines.extend(
+            f"refused_line={lineno} reason={reason}" for lineno, reason in self.refused
         )
         return lines
 
@@ -329,7 +335,8 @@ def survey_stream(
     """Decide every filtered graph of a graph6 stream; see module docstring.
 
     Malformed lines are recorded and skipped, and so are graphs whose
-    decision runs out of budget (undecided).  Unsat answers that any
+    decision runs out of budget (undecided) or that a cap refuses (refused,
+    with the cap's message).  Unsat answers that any
     cross-check contradicts raise CrossCheckError.  A graph is reported by
     its stripped input line, which parse_graph6 accepts only when it is the
     graph's one graph6 encoding.
@@ -339,6 +346,7 @@ def survey_stream(
     unsat_lines: list[str] = []
     skipped: list[tuple[int, str]] = []
     undecided: list[tuple[int, str]] = []
+    refused: list[tuple[int, str]] = []
     filtered_out = 0
     for lineno, raw in enumerate(lines, 1):
         text = raw.strip()
@@ -357,6 +365,9 @@ def survey_stream(
         except BudgetExhausted:
             undecided.append((lineno, text))
             continue
+        except CapExceeded as exc:
+            refused.append((lineno, str(exc)))
+            continue
         counts = per_n.setdefault(g.n, [0, 0, 0])
         counts[0] += 1
         if status is Status.SAT:
@@ -374,4 +385,5 @@ def survey_stream(
         skipped=tuple(skipped),
         filtered_out=filtered_out,
         undecided=tuple(undecided),
+        refused=tuple(refused),
     )

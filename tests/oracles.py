@@ -73,13 +73,62 @@ def naive_relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
     return True
 
 
+def naive_crumby_colorings(g: Graph) -> list[Coloring]:
+    """Every crumby coloring of g, by checking all 2^n of them."""
+    colorings = (
+        Coloring.from_red_set(g.n, {v for v in range(g.n) if bits >> v & 1})
+        for bits in range(1 << g.n)
+    )
+    return [c for c in colorings if naive_is_crumby(g, c)]
+
+
 def naive_count_crumby(g: Graph) -> int:
-    total = 0
-    for bits in range(1 << g.n):
-        reds = {v for v in range(g.n) if bits >> v & 1}
-        if naive_is_crumby(g, Coloring.from_red_set(g.n, reds)):
-            total += 1
-    return total
+    return len(naive_crumby_colorings(g))
+
+
+def naive_is_bipartite(g: Graph) -> bool:
+    """Some 2-coloring of the vertices leaves no edge inside one side."""
+    return any(
+        all((bits >> u & 1) != (bits >> v & 1) for u, v in g.edges())
+        for bits in range(1 << g.n)
+    )
+
+
+def naive_has_k23_minor(g: Graph) -> bool:
+    """K2,3 is a minor of g iff g has disjoint connected vertex sets A and B
+    and three vertices outside both that each have a neighbor in A and one
+    in B.  Given any K2,3 model, cut each of the three small branch sets
+    down to a vertex with a neighbor in B and put the rest of a path from
+    it to A into A; A stays connected and the sets stay disjoint."""
+    nbr = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    connected = [m for m in range(1, 1 << g.n) if _is_connected_mask(nbr, m)]
+    around = {mask: _union(nbr, mask) for mask in connected}
+    for a in connected:
+        for b in connected:
+            if a < b and not a & b:
+                common = around[a] & around[b] & ~(a | b)
+                if bin(common).count("1") >= 3:
+                    return True
+    return False
+
+
+def _union(nbr: list[int], mask: int) -> int:
+    """The vertices with a neighbor in mask, as a mask."""
+    out = 0
+    for v, around in enumerate(nbr):
+        if mask >> v & 1:
+            out |= around
+    return out
+
+
+def _is_connected_mask(nbr: list[int], mask: int) -> bool:
+    """mask induces a connected subgraph (grown from its lowest vertex)."""
+    seen = mask & -mask
+    while True:
+        grown = seen | (_union(nbr, seen) & mask)
+        if grown == seen:
+            return seen == mask
+        seen = grown
 
 
 def naive_cut_vertices(g: Graph) -> list[int]:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,11 @@ from crumby import (
     build_G40,
     complete_bipartite,
     complete_graph,
+    connected_components,
     emit_edge_list,
     emit_graph6,
     find_elimination_order,
+    generate_small,
     graph_from_edge_list,
     has_minor,
     recognize_tw2,
@@ -35,6 +39,7 @@ from crumby.certs import (
 from crumby.checks import CheckResult
 from crumby.cli import main
 from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
+from tests import oracles
 
 
 def run(capsys, *argv):
@@ -423,7 +428,32 @@ def test_dense_inputs_are_refused_before_their_p4s_are_built(tmp_path, name, arg
     )
     assert proc.returncode == 2, proc.stderr
     assert "capped at 1000000 P4s" in proc.stderr
-    assert "internal error" not in proc.stderr and proc.stdout == ""
+    assert "internal error" not in proc.stderr
+    if argv[0] == "search":  # the survey names the refused line in its report
+        assert "total tested=0" in proc.stdout
+        assert "refused line 1: " in proc.stdout
+        assert "capped at 1000000 P4s" in proc.stdout
+    else:
+        assert proc.stdout == ""
+
+
+def test_search_reports_a_refused_line_and_goes_on(tmp_path, capsys):
+    stream = tmp_path / "stream.g6"
+    census = generate_small(3)  # the path and the triangle, both sat
+    k62 = emit_graph6(complete_graph(62))
+    stream.write_text(f"{census[0]}\n{k62}\n{census[1]}\n")
+    report = tmp_path / "report.txt"
+    code, out, err = run(
+        capsys, "search", str(stream), "--no-subcubic", "--no-tw2",
+        "--report", str(report),
+    )
+    assert code == 2
+    assert "total tested=2 sat=2 unsat=0 filtered-out=0 skipped=0" in out
+    refused = [line for line in out.splitlines() if line.startswith("refused")]
+    assert len(refused) == 1 and refused[0].startswith("refused line 2: ")
+    assert "capped at 1000000 P4s" in refused[0]
+    assert "error: line 2 refused: " in err and "capped at 1000000 P4s" in err
+    assert "refused_line=2 reason=" in report.read_text()
 
 
 def test_check_minor_absence(capsys):
@@ -695,3 +725,54 @@ def test_stdout_is_pinned(capsys, commands, digest):
         assert code == 0
         out += text
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the exit-code contract against independent answers ---------------------------
+
+
+def _contract_graphs(seed: int, count: int):
+    """Seeded random graphs on 1..9 vertices, of every density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        yield graph_from_edge_list(
+            n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        )
+
+
+def test_exit_codes_match_independent_answers(tmp_path, capsys):
+    """0 and 1 are answers: each must match a naive oracle or the route the
+    README pairs with the command; 2 must never occur on valid input."""
+    rng = random.Random(22)
+    graph, coloring = tmp_path / "g.g6", tmp_path / "c.txt"
+    seen = set()
+    for g in _contract_graphs(22, 60):
+        graph.write_text(emit_graph6(g) + "\n")
+        crumby_colorings = oracles.naive_crumby_colorings(g)
+        if crumby_colorings and rng.random() < 0.5:
+            c = rng.choice(crumby_colorings)
+        else:
+            c = Coloring.from_red_set(g.n, {v for v in range(g.n) if rng.random() < 0.5})
+        coloring.write_text(c.to_text() + "\n")
+        connected = len(connected_components(g)) == 1
+        expected = {
+            ("solve", "--method", "backtracking"): bool(crumby_colorings),
+            ("solve", "--method", "dpll"): bool(crumby_colorings),
+            ("solve", "--method", "exhaustive"): bool(crumby_colorings),
+            ("verify", str(coloring)): oracles.naive_is_crumby(g, c),
+            ("check-tw2",): not has_minor(g, complete_graph(4))[0],
+            ("check-biconnected",): (
+                g.n >= 3 and connected and not oracles.naive_cut_vertices(g)
+            ),
+            ("check-bipartite",): oracles.naive_is_bipartite(g),
+            ("check-minor", "--pattern", "K4"): find_elimination_order(g) is None,
+            ("check-minor", "--pattern", "K23"): oracles.naive_has_k23_minor(g),
+        }
+        for (command, *rest), answer in expected.items():
+            code, _, err = run(capsys, command, str(graph), *rest)
+            assert code != 2, (command, emit_graph6(g), err)
+            assert code == (0 if answer else 1), (command, rest, emit_graph6(g))
+            seen.add((command, *rest[:2], code))
+    # both answers of every command were exercised
+    assert len(seen) == 2 * len(expected), sorted(seen)

@@ -442,3 +442,96 @@ def test_solve_certificate_layout(f_gadget):
     assert keys == ["status", "solver", "nodes", "propagations", "coloring"]
     coloring = Coloring.from_text(text.splitlines()[-1].split(": ", 1)[1])
     assert verify_crumby(f_gadget.graph, coloring)[0]
+
+
+def breadth_first_relabeling(g, rng: random.Random, root: int):
+    """g relabeled in breadth-first order from root, each vertex's neighbors
+    visited in a shuffled order: the shape of the benchmark's certify
+    instances, whose refutations run deepest."""
+    order, head = [root], 0
+    seen = {root}
+    while head < len(order):
+        nbrs = list(g.adj[order[head]])
+        head += 1
+        rng.shuffle(nbrs)
+        for u in nbrs:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    return relabel(g, perm)
+
+
+# sha256 of the backtracking_solve then dpll_solve certificates of G40 under
+# four breadth-first relabelings (roots 0, 13, 26 and 39, one
+# random.Random(40) for the neighbor orders); 16-hex prefix.  Backtracking
+# takes 28,928, 28,198, 19,236 and 18,638 nodes, DPLL 7,908, 7,702, 7,250
+# and 4,502.  Computed before the solvers' loops were flattened.
+BREADTH_FIRST_G40_DIGEST = "db1b8b66b7ca412a"
+
+
+def test_breadth_first_g40_refutations_are_pinned(g40):
+    rng = random.Random(40)
+    digest = hashlib.sha256()
+    for root in (0, 13, 26, 39):
+        g = breadth_first_relabeling(g40.graph, rng, root)
+        for solve in (backtracking_solve, dpll_solve):
+            result = solve(g)
+            assert result.status is Status.UNSAT
+            digest.update(emit_solve_certificate(result).encode())
+    assert digest.hexdigest()[:16] == BREADTH_FIRST_G40_DIGEST
+
+
+class _CheckedDpll(crumby.coloring._Dpll):
+    """DPLL that, after every completed pure-literal pass, finds the pure
+    free variables by brute force: from the values alone, over every
+    variable and every clause.  The pass reads only candidate variables, so
+    a candidate set that missed one would show here."""
+
+    passes = 0
+
+    def _pure_literals(self) -> bool:
+        if not super()._pure_literals():
+            return False
+        val = self.val
+        open_lits = {
+            lit
+            for clause in self.f.clauses
+            if not any(val[abs(lit)] == (1 if lit > 0 else -1) for lit in clause)
+            for lit in clause
+        }
+        pure = [
+            var
+            for var in range(1, self.f.num_vars + 1)
+            if not val[var] and (var not in open_lits or -var not in open_lits)
+        ]
+        assert not pure, f"free variables {pure} are pure after a completed pass"
+        self.passes += 1
+        return True
+
+
+def checked_dpll(g, budget=None) -> _CheckedDpll:
+    d = _CheckedDpll(encode_cnf(g), budget)
+    try:
+        d.dfs()
+    except BudgetExhausted:
+        pass
+    return d
+
+
+def test_no_free_variable_is_pure_after_a_pass_on_relabeled_gadgets(g18, g40):
+    rng = random.Random(22)
+    for g, budget in ((g18.graph, None), (g40.graph, 1000)):
+        for root in (0, g.n // 2):
+            d = checked_dpll(breadth_first_relabeling(g, rng, root), budget)
+            assert d.passes > 80  # a pass completes at about every other node
+
+
+@given(strategies.subcubic_graphs(max_n=16))
+@PROPERTY
+def test_no_free_variable_is_pure_after_a_pass(g):
+    d = checked_dpll(g)
+    result = dpll_solve(g)
+    assert (d.nodes, d.propagations) == (result.nodes, result.propagations)
