@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every bundled claim and regression check",
     )
     p.add_argument("--quick", action="store_true",
-                   help="skip the 2^18 exhaustive-oracle checks")
+                   help="skip one check, g18-unsat-exhaustive (the 2^18 sweep)")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

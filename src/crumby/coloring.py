@@ -28,8 +28,6 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator
 
-import numpy as np
-
 from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
@@ -187,6 +185,8 @@ def _feasible_masks(
         raise CapExceeded(
             f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
         )
+    import numpy as np  # only the kernels load numpy, not `import crumby`
+
     n = g.n
     fixed = fixed or {}
     bit = [1 << (n - 1 - v) for v in range(n)]
@@ -489,11 +489,11 @@ class _Dpll:
     Every other candidate is assigned or not pure and is skipped, so each
     round finds the same pure set, in the same ascending order, as the
     variables of the newly satisfied clauses alone would give; a round that
-    assigns nothing still ends the pass.  Undo returns to a choice mark
-    taken right after a completed pass, so it drops the candidates; the
-    root pass starts with every variable.  An isolated vertex's unit clause
-    (~x_v) needs no unit pass of its own: x_v occurs in no clause
-    positively, so the root pass assigns it false."""
+    assigns nothing still ends the pass.  The undo lives in dfs: it returns
+    to a choice mark taken right after a completed pass, so it drops the
+    candidates; the root pass starts with every variable.  An isolated
+    vertex's unit clause (~x_v) needs no unit pass of its own: x_v occurs
+    in no clause positively, so the root pass assigns it false."""
 
     def __init__(self, f: CnfFormula, budget: int | None) -> None:
         self.f = f
@@ -512,7 +512,6 @@ class _Dpll:
         self.sat = [0] * len(f.clauses)
         self.n_free = [len(c) for c in f.clauses]
         self.touched = list(range(1, nv + 1))  # pure-literal candidates
-        self.low = 1  # every variable below low is assigned
         self.trail: list[int] = []
         self.nodes = 0
         self.propagations = 0
@@ -591,67 +590,53 @@ class _Dpll:
                     return False
         return True
 
-    def _undo_to(self, mark: int) -> None:
-        """Return to the state at trail length mark, which a completed
-        pure-literal pass left with no pure candidates."""
-        val, sat, n_free, occ = self.val, self.sat, self.n_free, self.occ
-        undone = self.trail[mark:]
-        del self.trail[mark:]
-        for lit in reversed(undone):
-            val[lit] = val[-lit] = 0
-            for ci in occ[-lit]:
-                if not sat[ci]:
-                    n_free[ci] += 1
-            for ci in occ[lit]:
-                if sat[ci] == lit:  # ci is unsatisfied again
-                    sat[ci] = 0
-        self.touched.clear()
-
-    def _backtrack(self, choices: list[tuple[int, int]]) -> tuple[int, int] | None:
-        """Undo open choices (literal, trail mark), latest first, up to one
-        that still has False to try; returns that choice, or None once the
-        search space is spent.  Undoing a choice also undoes the
-        pure-literal pass that followed it."""
-        while choices:
-            lit, mark = choices.pop()
-            self._undo_to(mark)
-            # a choice's variable was the lowest free one when it was made
-            self.low = abs(lit)
-            if lit > 0:
-                return -lit, mark
-        return None
-
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
-        (literal, trail mark), so depth is not bound by recursion.  Each
-        level runs the pure-literal pass, then decides the lowest free
-        variable, True (Red) first."""
+        (literal, trail mark), so depth is not bound by recursion.  After
+        the root pure-literal pass, each node decides the lowest free
+        variable, True (Red) first, then runs _set and the pure-literal
+        pass; a conflict undoes open choices, latest first, up to one that
+        still has False to try.  Undoing a choice also undoes the pass that
+        followed it."""
+        val, sat, n_free, occ = self.val, self.sat, self.n_free, self.occ
+        trail, touched, budget = self.trail, self.touched, self.budget
+        end = self.f.num_vars + 1
         choices: list[tuple[int, int]] = []
-        val, end = self.val, self.f.num_vars + 1
+        low = 1  # every variable below low is assigned
+        ok = self._pure_literals()
         while True:
-            if self._pure_literals():
-                low = self.low
+            if ok:
                 while low < end and val[low]:
                     low += 1
-                self.low = low
                 if low == end:
                     return True
-                choice = (low, len(self.trail))
+                lit = low
             else:
-                choice = self._backtrack(choices)
-            while choice is not None:
-                self.nodes += 1
-                if self.budget is not None and self.nodes > self.budget:
-                    raise BudgetExhausted(
-                        f"dpll budget of {self.budget} nodes exhausted",
-                        nodes=self.nodes,
-                    )
-                choices.append(choice)
-                if self._set(choice[0]):
-                    break
-                choice = self._backtrack(choices)
-            if choice is None:
-                return False
+                while choices:
+                    lit, mark = choices.pop()
+                    for x in reversed(trail[mark:]):
+                        val[x] = val[-x] = 0
+                        for ci in occ[-x]:
+                            if not sat[ci]:
+                                n_free[ci] += 1
+                        for ci in occ[x]:
+                            if sat[ci] == x:  # ci is unsatisfied again
+                                sat[ci] = 0
+                    del trail[mark:]
+                    touched.clear()  # each mark follows a completed pass
+                    if lit > 0:
+                        break
+                else:
+                    return False
+                # a choice's variable was the lowest free one when it was made
+                low, lit = lit, -lit
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExhausted(
+                    f"dpll budget of {budget} nodes exhausted", nodes=self.nodes
+                )
+            choices.append((lit, len(trail)))
+            ok = self._set(lit) and self._pure_literals()
 
 
 def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .coloring import (
     EXHAUSTIVE_CAP,
     Status,
@@ -107,7 +105,7 @@ def _moved_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
 
 def _compress(masks: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
     """Table index of each mask's moved edges."""
-    index = np.zeros_like(masks)
+    index = masks & 0
     for mask, shift, offset in blocks:
         index |= ((masks >> shift) & mask) << offset
     return index
@@ -115,7 +113,7 @@ def _compress(masks: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarr
 
 def _expand(index: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
     """Inverse of _compress: the mask of moved edges each table index packs."""
-    masks = np.zeros_like(index)
+    masks = index & 0
     for mask, shift, offset in blocks:
         masks |= ((index >> offset) & mask) << shift
     return masks
@@ -129,6 +127,8 @@ def _least_image(
 ) -> np.ndarray:
     """Running minimum over images of the table's value for each image's
     moved edges, with its fixed edges put back."""
+    import numpy as np
+
     least = None
     for image in images:
         candidate = table[_compress(image, blocks)] | (image & fixed)
@@ -169,6 +169,8 @@ def generate_small(n: int) -> list[str]:
         )
     if n < 1:
         raise ValueError(f"generation needs at least 1 vertex, got {n}")
+    import numpy as np  # only the kernels load numpy, not `import crumby`
+
     full = min(n, _FULL_LEVELS)
     blocks = _moved_blocks(n, full)
     moved = sum(mask << shift for mask, shift, _ in blocks)

@@ -94,6 +94,27 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == emit_graph6(build_G18().graph)
 
 
+# a child interpreter that runs two CLI calls that need no numpy kernel,
+# then one that does, and prints whether numpy was loaded after each
+_NUMPY_PROBE = (
+    "import contextlib, io, sys\nimport crumby\nfrom crumby.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    codes = main(['solve', 'G18']), main(['check-tw2', 'G40'])\n"
+    "print(*codes, 'numpy' in sys.modules)\n"
+    "crumby.count_crumby(crumby.graph_from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+def test_numpy_loads_only_when_a_kernel_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1 0 False", "True"]
+
+
 def test_gadget_dot_labels_roles(capsys):
     code, out, _ = run(capsys, "gadget", "F", "--format", "dot")
     assert code == 0 and 'label="x"' in out

@@ -485,23 +485,30 @@ def test_breadth_first_g40_refutations_are_pinned(g40):
 
 
 class _CheckedDpll(crumby.coloring._Dpll):
-    """DPLL that, after every completed pure-literal pass, finds the pure
-    free variables by brute force: from the values alone, over every
-    variable and every clause.  The pass reads only candidate variables, so
-    a candidate set that missed one would show here."""
+    """DPLL that, after every completed pure-literal pass, recomputes from
+    the values alone, over every clause and every variable, what the search
+    keeps incrementally: which clauses are satisfied, by which literal, how
+    many free literals each unsatisfied clause has, and which free variables
+    are pure.  The pass reads only candidate variables, so a candidate set
+    that missed one would show here; every undo in dfs is followed by _set
+    and a completed pass, so a clause state the undo left wrong shows too."""
 
     passes = 0
 
     def _pure_literals(self) -> bool:
         if not super()._pure_literals():
             return False
-        val = self.val
-        open_lits = {
-            lit
-            for clause in self.f.clauses
-            if not any(val[abs(lit)] == (1 if lit > 0 else -1) for lit in clause)
-            for lit in clause
-        }
+        val, sat, n_free = self.val, self.sat, self.n_free
+        open_lits = set()
+        for ci, clause in enumerate(self.f.clauses):
+            true = [lit for lit in clause if val[lit] == 1]
+            if true:
+                assert sat[ci] in true, f"clause {ci} is satisfied by {sat[ci]}"
+            else:
+                assert not sat[ci], f"clause {ci} has no true literal"
+                free = sum(1 for lit in clause if not val[lit])
+                assert n_free[ci] == free, f"clause {ci} counts {n_free[ci]} free"
+                open_lits.update(clause)
         pure = [
             var
             for var in range(1, self.f.num_vars + 1)
