@@ -87,8 +87,6 @@ from .lemmas import (
     verify_theorem1_composition,
 )
 from .minorfree import (
-    EliminationOrder,
-    MinorWitness,
     ReductionStep,
     elimination_steps,
     elimination_width,

@@ -13,14 +13,12 @@ certificate against a graph without re-running any search:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .errors import CapExceeded, CertificateError, GraphError
 from .graphs import EarDecomposition, Graph, graph_from_edge_list, verify_ear_decomposition
 from .minorfree import (
     MINOR_PATTERN_CAP,
-    EliminationOrder,
-    MinorWitness,
     ReductionStep,
     elimination_width,
     replay_reduction_trace,
@@ -28,28 +26,11 @@ from .minorfree import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """A parsed reduction-trace document: the vertex count it is for and
-    its rule applications in order."""
-
-    n: int
-    steps: tuple[ReductionStep, ...]
-
-
-Certificate = (
-    EliminationOrder
-    | ReductionTrace
-    | tuple[Graph, MinorWitness]
-    | EarDecomposition
-)
-
-
-def emit_elimination_order(order: EliminationOrder) -> str:
+def emit_elimination_order(order: Sequence[int]) -> str:
     lines = [
         "type: elimination-order",
-        f"n: {len(order.order)}",
-        "order: " + " ".join(map(str, order.order)),
+        f"n: {len(order)}",
+        "order: " + " ".join(map(str, order)),
     ]
     return "\n".join(lines) + "\n"
 
@@ -61,13 +42,13 @@ def emit_reduction_trace(n: int, trace: list[ReductionStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_minor_witness(pattern: Graph, witness: MinorWitness) -> str:
+def emit_minor_witness(pattern: Graph, branch_sets: Sequence[frozenset[int]]) -> str:
     lines = [
         "type: minor-witness",
         f"pattern-n: {pattern.n}",
         "pattern-edges: " + " ".join(f"{u}-{v}" for u, v in pattern.edges()),
     ]
-    for i, branch in enumerate(witness.branch_sets):
+    for i, branch in enumerate(branch_sets):
         lines.append(f"branch-{i}: " + " ".join(map(str, sorted(branch))))
     return "\n".join(lines) + "\n"
 
@@ -144,8 +125,10 @@ def _fields(
     return fields, values
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Parse any certificate document; the type line picks the shape."""
+def parse_certificate(text: str) -> tuple[str, object]:
+    """Parse any certificate document into (type, body).  The type line picks
+    the body: a vertex tuple, (n, steps), (pattern, branch sets) or an
+    EarDecomposition."""
     entries = _entries(text)
     key, kind = entries[0]
     if key != "type":
@@ -157,16 +140,16 @@ def parse_certificate(text: str) -> Certificate:
         order = _ints(fields["order"], "order")
         if len(order) != _int(fields["n"], "n"):
             raise CertificateError("order length disagrees with n")
-        return EliminationOrder(tuple(order))
+        return kind, tuple(order)
     if kind == "reduction-trace":
         trace = []
         for value in values:
             rule, _, args = value.partition(" ")
             trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
-        return ReductionTrace(_int(fields["n"], "n"), tuple(trace))
+        return kind, (_int(fields["n"], "n"), tuple(trace))
     if kind == "ear-decomposition":
         ears = tuple(tuple(_ints(value, "ear")) for value in values)
-        return EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
+        return kind, EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
     pn = _int(fields["pattern-n"], "pattern-n")
     if pn > MINOR_PATTERN_CAP:  # refused before anything is sized by it
         raise CapExceeded(
@@ -191,34 +174,27 @@ def parse_certificate(text: str) -> Certificate:
         if key not in fields:
             raise CertificateError(f"minor-witness is missing {key}")
         branches.append(frozenset(_ints(fields[key], key)))
-    return pattern, MinorWitness(tuple(branches))
+    return kind, (pattern, tuple(branches))
 
 
-def certificate_kind(cert: Certificate) -> str:
-    """The type line of the document that parse_certificate read cert from."""
-    if isinstance(cert, EliminationOrder):
-        return "elimination-order"
-    if isinstance(cert, EarDecomposition):
-        return "ear-decomposition"
-    return "reduction-trace" if isinstance(cert, ReductionTrace) else "minor-witness"
-
-
-def validate_certificate(g: Graph, cert: Certificate) -> tuple[bool, str]:
-    """Replay a parsed certificate against g; returns (ok, detail)."""
-    if isinstance(cert, EliminationOrder):
+def validate_certificate(g: Graph, cert: tuple[str, object]) -> tuple[bool, str]:
+    """Replay a parsed (type, body) certificate against g; returns (ok, detail)."""
+    kind, body = cert
+    if kind == "elimination-order":
         try:
-            width = elimination_width(g, cert)
+            width = elimination_width(g, body)
         except ValueError as exc:
             return False, str(exc)
         return width <= 2, f"width={width}"
-    if isinstance(cert, EarDecomposition):
-        ok, reason = verify_ear_decomposition(g, cert)
+    if kind == "ear-decomposition":
+        ok, reason = verify_ear_decomposition(g, body)
         return ok, reason or "open ear decomposition covers the graph"
-    if isinstance(cert, ReductionTrace):
-        if cert.n != g.n:
-            return False, f"certificate is for n={cert.n}, the graph has {g.n} vertices"
-        ok, reason = replay_reduction_trace(g, list(cert.steps))
-        return ok, reason or f"workspace emptied in {len(cert.steps)} steps"
-    pattern, witness = cert
-    ok, reason = verify_minor_witness(g, pattern, witness)
+    if kind == "reduction-trace":
+        n, steps = body
+        if n != g.n:
+            return False, f"certificate is for n={n}, the graph has {g.n} vertices"
+        ok, reason = replay_reduction_trace(g, list(steps))
+        return ok, reason or f"workspace emptied in {len(steps)} steps"
+    pattern, branch_sets = body
+    ok, reason = verify_minor_witness(g, pattern, branch_sets)
     return ok, reason or "branch sets model the pattern"

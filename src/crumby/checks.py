@@ -58,8 +58,6 @@ from .lemmas import (
     verify_lemma2,
 )
 from .minorfree import (
-    EliminationOrder,
-    MinorWitness,
     elimination_steps,
     elimination_width,
     find_elimination_order,
@@ -196,7 +194,7 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
         f"connected, cut vertices {cuts}, max degree {g18.max_degree()},"
         f" {g18.m} edges",
     )
-    order = EliminationOrder(g18_elimination_order())
+    order = g18_elimination_order()
     width = elimination_width(g18, order)
     steps = elimination_steps(g18, order)
     roles = build_G18().roles()
@@ -262,10 +260,8 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
     found, witness = has_minor(f_lg.graph, k23)
     witness_ok = found and verify_minor_witness(f_lg.graph, k23, witness)[0]
     f_roles = f_lg.roles()
-    merged = MinorWitness(
-        tuple(frozenset({f_roles[role]}) for role in "efgh")
-        + (frozenset({f_roles["c"], f_roles["d"]}),)
-    )
+    merged = [frozenset({f_roles[role]}) for role in "efgh"]
+    merged.append(frozenset({f_roles["c"], f_roles["d"]}))
     merged_ok = verify_minor_witness(f_lg.graph, k23, merged)[0]
     yield CheckResult(
         "claim",

@@ -24,7 +24,6 @@ from itertools import islice
 from pathlib import Path
 
 from .certs import (
-    certificate_kind,
     emit_elimination_order,
     emit_minor_witness,
     emit_reduction_trace,
@@ -123,13 +122,13 @@ def _check_certificate(
     given kinds prove the subcommand's claim, and a minor witness proves it
     only for the pattern asked about (when one is given)."""
     cert = parse_certificate(_read_text(path))
-    kind = certificate_kind(cert)
+    kind, body = cert
     if kind not in kinds:
         raise CertificateError(
             f"a {kind} certificate does not prove this claim;"
             f" expected {' or '.join(kinds)}"
         )
-    if pattern is not None and cert[0] != pattern:
+    if pattern is not None and body[0] != pattern:
         raise CertificateError("the minor witness is for a different pattern")
     ok, detail = validate_certificate(g, cert)
     print(f"certificate: {'valid' if ok else 'invalid'} ({detail})")
@@ -142,9 +141,19 @@ def cmd_gadget(args) -> int:
     return EXIT_PASS
 
 
+def _refuse_budget(args, why: str) -> None:
+    """A --budget that no search would read is refused, not ignored."""
+    if args.budget is not None:
+        raise ValueError(
+            "--budget bounds the backtracking, DPLL and minor searches;"
+            f" it does not apply here: {why}"
+        )
+
+
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
     if args.method == "exhaustive":
+        _refuse_budget(args, "the exhaustive sweep always reads all 2^n colourings")
         result = exhaustive_solve(g)
     elif args.method == "dpll":
         result = dpll_solve(g, budget=args.budget)
@@ -193,10 +202,11 @@ def cmd_check_tw2(args) -> int:
         raise CrossCheckError(
             "reduction recognizer and greedy elimination disagree"
         )
-    # emit flags write a clean certificate document to stdout
-    if args.emit_trace:
+    # emit flags write a clean certificate document to stdout; with no
+    # certificate to write, the verdict line stands alone
+    if accepted and args.emit_trace:
         sys.stdout.write(emit_reduction_trace(g.n, trace))
-    elif args.emit_order and order is not None:
+    elif accepted and args.emit_order:
         sys.stdout.write(emit_elimination_order(order))
     else:
         print(f"treewidth-at-most-2: {'yes' if accepted else 'no'}")
@@ -228,6 +238,7 @@ def cmd_check_bipartite(args) -> int:
 def cmd_check_minor(args) -> int:
     g = load_graph(args.graph)
     if args.certificate:
+        _refuse_budget(args, "a certificate is replayed, not searched")
         pattern = _load_pattern(args.pattern) if args.pattern else None
         return _check_certificate(g, args.certificate, ("minor-witness",), pattern)
     pattern = _load_pattern(args.pattern or "K4")

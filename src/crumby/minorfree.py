@@ -18,6 +18,7 @@ was exhausted, and running out of budget raises BudgetExhausted.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
@@ -29,11 +30,6 @@ MINOR_PATTERN_CAP = 6
 
 
 # -- elimination orders --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    order: tuple[int, ...]
 
 
 def _eliminate(nbr: list[set[int]], v: int) -> tuple[int, ...]:
@@ -50,22 +46,22 @@ def _eliminate(nbr: list[set[int]], v: int) -> tuple[int, ...]:
 
 
 def elimination_steps(
-    g: Graph, order: EliminationOrder
+    g: Graph, order: Sequence[int]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Per-step (vertex, remaining neighbors) trace of an elimination run."""
-    if sorted(order.order) != list(range(g.n)):
+    if sorted(order) != list(range(g.n)):
         raise ValueError("elimination order is not a permutation of the vertices")
     nbr = [set(row) for row in g.adj]
-    return [(v, _eliminate(nbr, v)) for v in order.order]
+    return [(v, _eliminate(nbr, v)) for v in order]
 
 
-def elimination_width(g: Graph, order: EliminationOrder) -> int:
+def elimination_width(g: Graph, order: Sequence[int]) -> int:
     """Largest remaining-neighbor count along the order (0 for empty graphs)."""
     steps = elimination_steps(g, order)
     return max((len(rem) for _, rem in steps), default=0)
 
 
-def find_elimination_order(g: Graph) -> EliminationOrder | None:
+def find_elimination_order(g: Graph) -> tuple[int, ...] | None:
     """Greedy width-2 elimination: repeatedly take the lowest-index vertex of
     current degree <= 2, from a heap (eliminating never raises a degree, so a
     vertex stays eligible once pushed).  Succeeds for treewidth <= 2 graphs."""
@@ -80,7 +76,7 @@ def find_elimination_order(g: Graph) -> EliminationOrder | None:
             if not queued[u] and len(nbr[u]) <= 2:
                 queued[u] = True
                 heappush(ready, u)
-    return EliminationOrder(tuple(order)) if len(order) == g.n else None
+    return tuple(order) if len(order) == g.n else None
 
 
 # -- reduction recognizer --------------------------------------------------------
@@ -197,17 +193,11 @@ def replay_reduction_trace(
 # -- minor containment -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorWitness:
-    """branch_sets[i] is the connected host set modeling pattern vertex i."""
-
-    branch_sets: tuple[frozenset[int], ...]
-
-
 def verify_minor_witness(
-    g: Graph, pattern: Graph, witness: MinorWitness
+    g: Graph, pattern: Graph, sets: Sequence[frozenset[int]]
 ) -> tuple[bool, str | None]:
-    sets = witness.branch_sets
+    """Check a minor model: sets[i] is the connected host set modeling
+    pattern vertex i."""
     if len(sets) != pattern.n:
         return False, f"witness has {len(sets)} branch sets for {pattern.n} vertices"
     seen: set[int] = set()
@@ -248,7 +238,7 @@ def _low_bit(mask: int) -> int:
 
 def has_minor(
     g: Graph, pattern: Graph, budget: int | None = None
-) -> tuple[bool, MinorWitness | None]:
+) -> tuple[bool, tuple[frozenset[int], ...] | None]:
     """Exhaustive search for a minor model of `pattern` in `g`.
 
     Branch sets are grown one pattern vertex at a time by a fixed plan: seed
@@ -258,7 +248,8 @@ def has_minor(
     routed in a loop, so the recursion depth is the plan length (at most 21
     steps) for any host.  A 2-connected pattern is searched for one block of
     the host at a time, in ascending block order, under one node count.
-    Exact for pattern.n <= 6; the node budget guards large hosts.
+    Exact for pattern.n <= 6; the node budget guards large hosts.  Returns
+    (found, branch sets indexed by pattern vertex, or None).
     """
     if pattern.n > MINOR_PATTERN_CAP:
         raise CapExceeded(
@@ -377,8 +368,7 @@ def has_minor(
     branch = [frozenset()] * k
     for pos, pv in enumerate(porder):
         branch[pv] = frozenset(v for v in range(g.n) if sets[pos] >> v & 1)
-    witness = MinorWitness(tuple(branch))
-    ok, why = verify_minor_witness(g, pattern, witness)
+    ok, why = verify_minor_witness(g, pattern, branch)
     if not ok:
         raise AssertionError(f"minor search produced a bad witness: {why}")
-    return True, witness
+    return True, tuple(branch)

@@ -132,6 +132,20 @@ MUTANTS = (
         _LEMMAS,
     ),
     Mutant(
+        "C4: paths from every boundary vertex are forbidden all-Red",
+        "crumby/lemmas.py",
+        "        path for v in sorted(spec.outside_red) for path in _paths_from(g, v)\n",
+        "        path for v in sorted(spec.boundary) for path in _paths_from(g, v)\n",
+        (
+            "tests/test_lemmas.py::test_inside_red_path_is_fine_without_the_flag",
+            "tests/test_lemmas.py::test_enumeration_matches_the_naive_oracle",
+            "tests/test_lemmas.py::test_restrictions_of_crumby_colorings_are_feasible",
+            "tests/test_lemmas.py::test_restrictions_of_crumby_colorings_of_r_are_feasible",
+            "tests/test_lemmas.py::test_lemma1_ii_reports",
+            "tests/test_lemmas.py::test_lemma2_reports",
+        ),
+    ),
+    Mutant(
         "the sweep's chunks all start at mask 0",
         "crumby/coloring.py",
         "        red = np.arange(part.start, part.stop, dtype=np.int32)\n",
@@ -151,6 +165,36 @@ MUTANTS = (
         "            for v in mg.keys() & args:\n",
         "            for v in mg.keys() & args[:1]:\n",
         ("tests/test_minorfree.py::test_tw2_routes_are_pinned_on_the_census",),
+    ),
+    Mutant(
+        "the P4 set is built before the P4 cap refuses it",
+        "crumby/graphs.py",
+        "    out = [len(row) - 1 for row in g.adj]  # d(v) - 1\n",
+        "    built = list(_walk_p4(g, None))\n"
+        "    out = [len(row) - 1 for row in g.adj]  # d(v) - 1\n",
+        # K62's P4s fit in the test's 1 GiB child, so only K150 kills this
+        tuple(
+            "tests/test_cli.py::test_dense_inputs_are_refused_before_their_p4s_are_built"
+            f"[k150.txt-argv{i}]"
+            for i in (3, 4, 5)
+        ),
+    ),
+    Mutant(
+        "graph6 slots are read row by row instead of column by column",
+        "crumby/graphs.py",
+        "        i, j = _G6_SLOTS[k]\n",
+        "        i, j = [(a, b) for a in range(n) for b in range(a + 1, n)][k]\n",
+        (
+            "tests/test_graphs.py::test_graph6_decodes_as_the_bitmask_route",
+            "tests/test_graphs.py::test_graph6_round_trip",
+        ),
+    ),
+    Mutant(
+        "a certificate of another type is replayed for a claim",
+        "crumby/cli.py",
+        "    if kind not in kinds:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_certificates_prove_only_their_own_claim",),
     ),
     Mutant(
         "an exhausted budget exits 1",

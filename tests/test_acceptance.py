@@ -17,7 +17,6 @@ import pytest
 from crumby import (
     Coloring,
     EarDecomposition,
-    EliminationOrder,
     Status,
     backtracking_solve,
     build_F,
@@ -59,7 +58,6 @@ from crumby.gadgets import (
     G40_EARS,
     g18_elimination_order,
 )
-from crumby.minorfree import MinorWitness
 
 
 def record(number: int, name: str, ok: bool, detail: str) -> None:
@@ -170,7 +168,7 @@ def test_criterion_05_richness():
 def test_criterion_06_g18_structure(g18):
     g = g18.graph
     cuts = cut_vertices(g)
-    order = EliminationOrder(g18_elimination_order())
+    order = g18_elimination_order()
     width = elimination_width(g, order)
     steps = elimination_steps(g, order)
     roles = {role: v for v, role in g18.role_labels.items()}
@@ -241,9 +239,7 @@ def test_criterion_09_minor_freeness(f_gadget, r_gadget, g18, g40):
 
     g18_minor, _ = has_minor(g18.graph, k4)
     found, searched = has_minor(f_gadget.graph, complete_bipartite(2, 3))
-    merged = MinorWitness(
-        (frozenset({5}), frozenset({6}), frozenset({7}), frozenset({8}), frozenset({3, 4}))
-    )
+    merged = (frozenset({5}), frozenset({6}), frozenset({7}), frozenset({8}), frozenset({3, 4}))
     merged_ok, _ = verify_minor_witness(f_gadget.graph, complete_bipartite(2, 3), merged)
     searched_ok = found and verify_minor_witness(
         f_gadget.graph, complete_bipartite(2, 3), searched

@@ -5,8 +5,6 @@ import pytest
 from crumby import (
     CertificateError,
     EarDecomposition,
-    EliminationOrder,
-    MinorWitness,
     complete_bipartite,
     complete_graph,
     find_elimination_order,
@@ -26,16 +24,16 @@ from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
 
 def test_elimination_order_round_trip(g18):
     order = find_elimination_order(g18.graph)
-    parsed = parse_certificate(emit_elimination_order(order))
-    assert isinstance(parsed, EliminationOrder)
+    kind, parsed = parse_certificate(emit_elimination_order(order))
+    assert kind == "elimination-order"
     assert parsed == order
-    ok, detail = validate_certificate(g18.graph, parsed)
+    ok, detail = validate_certificate(g18.graph, (kind, parsed))
     assert ok and detail.startswith("width=")
 
 
 def test_elimination_order_fails_on_the_wrong_graph(g18):
     order = find_elimination_order(g18.graph)
-    ok, detail = validate_certificate(complete_graph(4), order)
+    ok, detail = validate_certificate(complete_graph(4), ("elimination-order", order))
     assert not ok
 
 
@@ -44,6 +42,7 @@ def test_reduction_trace_round_trip(g40):
     assert accepted
     text = emit_reduction_trace(g40.graph.n, trace)
     parsed = parse_certificate(text)
+    assert parsed[0] == "reduction-trace"
     ok, detail = validate_certificate(g40.graph, parsed)
     assert ok, detail
 
@@ -66,19 +65,19 @@ def test_minor_witness_round_trip(f_gadget):
     found, witness = has_minor(f_gadget.graph, pattern)
     assert found
     text = emit_minor_witness(pattern, witness)
-    parsed_pattern, parsed_witness = parse_certificate(text)
+    parsed = parse_certificate(text)
+    kind, (parsed_pattern, parsed_witness) = parsed
+    assert kind == "minor-witness"
     assert parsed_pattern == pattern
     assert parsed_witness == witness
-    ok, detail = validate_certificate(f_gadget.graph, (parsed_pattern, parsed_witness))
+    ok, detail = validate_certificate(f_gadget.graph, parsed)
     assert ok, detail
 
 
 def test_minor_witness_validation_fails_on_k4(f_gadget):
     bogus = (
-        complete_graph(4),
-        MinorWitness(
-            (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
-        ),
+        "minor-witness",
+        (complete_graph(4), (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))),
     )
     ok, detail = validate_certificate(f_gadget.graph, bogus)
     assert not ok and "edge" in detail
@@ -88,7 +87,7 @@ def test_ear_decomposition_round_trip(g40):
     d = EarDecomposition(G40_EAR_CYCLE, G40_EARS)
     text = emit_ear_decomposition(d)
     parsed = parse_certificate(text)
-    assert parsed == d
+    assert parsed == ("ear-decomposition", d)
     ok, detail = validate_certificate(g40.graph, parsed)
     assert ok, detail
 
@@ -96,7 +95,7 @@ def test_ear_decomposition_round_trip(g40):
 def test_comments_and_blank_lines_are_ignored(g18):
     order = find_elimination_order(g18.graph)
     text = "# produced for a regression test\n\n" + emit_elimination_order(order)
-    assert parse_certificate(text) == order
+    assert parse_certificate(text) == ("elimination-order", order)
 
 
 # a well-formed K2 witness that the cases below extend

@@ -201,6 +201,23 @@ def test_negative_budgets_are_refused(capsys, command):
     assert "error: argument --budget: must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["solve", "G18", "--method", "exhaustive"], "all 2^n colourings"),
+        (["check-minor", "F", "--certificate", "witness.txt"], "replayed, not searched"),
+    ],
+    ids=["solve-exhaustive", "check-minor-certificate"],
+)
+def test_a_budget_that_no_search_reads_is_refused(tmp_path, capsys, monkeypatch, argv, why):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "witness.txt").write_text(CERTIFICATES["minor-witness"][1]())
+    code, out, err = run(capsys, *argv, "--budget", "5")
+    assert code == 2 and out == ""
+    assert "--budget bounds the backtracking, DPLL and minor searches" in err
+    assert why in err
+
+
 def test_a_zero_budget_is_valid_and_runs_out_at_once(capsys):
     code, out, err = run(capsys, "solve", "G40", "--budget", "0")
     assert code == 2 and out == ""
@@ -369,6 +386,22 @@ def test_check_tw2_rejects_k4(tmp_path, capsys):
     k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     code, out, _ = run(capsys, "check-tw2", str(k4))
     assert code == 1 and "no" in out
+
+
+K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("flag", ["--emit-trace", "--emit-order"])
+@pytest.mark.parametrize(
+    "text", [f"4 6\n{K4_EDGES}", f"5 7\n{K4_EDGES}3 4\n"], ids=["k4", "k4-pendant"]
+)
+def test_emit_flags_print_the_verdict_when_no_certificate_exists(
+    tmp_path, capsys, flag, text
+):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code, out, _ = run(capsys, "check-tw2", str(graph), flag)
+    assert code == 1 and out == "treewidth-at-most-2: no\n"
 
 
 def test_check_tw2_rejects_foreign_certificates(tmp_path, capsys):

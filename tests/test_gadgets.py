@@ -21,7 +21,7 @@ from crumby.gadgets import (
     g18_elimination_order,
     sp_edge_mismatch,
 )
-from crumby.minorfree import EliminationOrder, elimination_width, recognize_tw2
+from crumby.minorfree import elimination_width, recognize_tw2
 from tests import oracles
 from tests.strategies import sp_expressions
 
@@ -119,7 +119,7 @@ def test_g18_is_two_linked_copies(g18):
     assert g.max_degree() == 3
     roles = {r: v for v, r in g18.role_labels.items()}
     assert g.has_edge(roles["x1"], roles["x2"])
-    assert elimination_width(g, EliminationOrder(g18_elimination_order())) <= 2
+    assert elimination_width(g, g18_elimination_order()) <= 2
 
 
 def test_g40_shape(g40):

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from crumby import (
     BudgetExhausted,
     CapExceeded,
-    EliminationOrder,
-    MinorWitness,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -39,13 +37,13 @@ K4 = complete_graph(4)
 
 def test_elimination_steps_record_remaining_neighbors():
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
-    steps = elimination_steps(g, EliminationOrder((0, 2, 1)))
+    steps = elimination_steps(g, (0, 2, 1))
     assert steps == [(0, (1,)), (2, (1,)), (1, ())]
 
 
 def test_elimination_fills_in_cliques():
     star = graph_from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-    width = elimination_width(star, EliminationOrder((0, 1, 2, 3)))
+    width = elimination_width(star, (0, 1, 2, 3))
     assert width == 3, "eliminating the hub first turns the leaves into a triangle"
 
 
@@ -53,12 +51,12 @@ def test_k4_has_width_three_under_every_order():
     import itertools
 
     for perm in itertools.permutations(range(4)):
-        assert elimination_width(K4, EliminationOrder(perm)) == 3
+        assert elimination_width(K4, perm) == 3
 
 
 def test_elimination_order_must_be_a_permutation():
     with pytest.raises(ValueError):
-        elimination_width(K4, EliminationOrder((0, 0, 1, 2)))
+        elimination_width(K4, (0, 0, 1, 2))
 
 
 def test_find_order_on_reference_graphs(g18, g40):
@@ -71,7 +69,7 @@ def test_find_order_on_reference_graphs(g18, g40):
 
 def test_find_order_handles_the_empty_graph():
     order = find_elimination_order(graph_from_edge_list(0, []))
-    assert order is not None and order.order == ()
+    assert order == ()
 
 
 # -- the reducer and its traces ----------------------------------------------
@@ -177,7 +175,7 @@ def test_tw2_routes_are_pinned_on_the_census(census_lines):
             traces.update(f"{accepted}\n{emit_reduction_trace(g.n, trace)}".encode())
             order = find_elimination_order(g)
             orders.update(
-                (emit_elimination_order(order) if order else "none\n").encode()
+                (emit_elimination_order(order) if order is not None else "none\n").encode()
             )
             graphs += 1
             accepted_count += accepted
@@ -202,7 +200,7 @@ def test_tw2_routes_take_each_step_without_a_rescan(ladder):
     }
     assert replay_reduction_trace(ladder, trace) == (True, None)
     order = find_elimination_order(ladder)
-    assert order is not None and len(order.order) == 4_000
+    assert order is not None and len(order) == 4_000
     assert elimination_width(ladder, order) == 2
 
 
@@ -229,11 +227,8 @@ def test_recognizer_complements_the_minor_search(g):
 def test_minor_witness_validation_diagnostics():
     k3 = complete_graph(3)
     cases = [
-        (MinorWitness((frozenset({0}), frozenset({1}), frozenset())), "empty"),
-        (
-            MinorWitness((frozenset({0, 2}), frozenset({1}), frozenset({2}))),
-            "two branch sets",
-        ),
+        ((frozenset({0}), frozenset({1}), frozenset()), "empty"),
+        ((frozenset({0, 2}), frozenset({1}), frozenset({2})), "two branch sets"),
     ]
     for witness, fragment in cases:
         ok, reason = verify_minor_witness(k3, k3, witness)
@@ -242,14 +237,14 @@ def test_minor_witness_validation_diagnostics():
 
 def test_minor_witness_branch_sets_must_be_connected():
     host = graph_from_edge_list(4, [(0, 1), (1, 2)])
-    witness = MinorWitness((frozenset({0, 3}), frozenset({1}), frozenset({2})))
+    witness = (frozenset({0, 3}), frozenset({1}), frozenset({2}))
     ok, reason = verify_minor_witness(host, complete_graph(3), witness)
     assert not ok and "connected" in reason
 
 
 def test_minor_witness_requires_every_pattern_edge():
     host = graph_from_edge_list(3, [(0, 1)])
-    witness = MinorWitness((frozenset({0}), frozenset({1}), frozenset({2})))
+    witness = (frozenset({0}), frozenset({1}), frozenset({2}))
     ok, reason = verify_minor_witness(host, complete_graph(3), witness)
     assert not ok and "edge" in reason
 
@@ -257,7 +252,7 @@ def test_minor_witness_requires_every_pattern_edge():
 def test_the_empty_pattern_is_a_minor_of_every_host(g18):
     empty = graph_from_edge_list(0, [])
     for host in (empty, graph_from_edge_list(1, []), g18.graph):
-        assert has_minor(host, empty) == (True, MinorWitness(()))
+        assert has_minor(host, empty) == (True, ())
 
 
 def test_pattern_in_itself():
@@ -286,9 +281,7 @@ def test_f_contains_k23_as_a_minor(f_gadget):
 
 def test_explicit_k23_witness_merging_the_inner_pair(f_gadget):
     # small side {e,f}, large side {g,h} plus the contracted pair {c,d}
-    witness = MinorWitness(
-        (frozenset({5}), frozenset({6}), frozenset({7}), frozenset({8}), frozenset({3, 4}))
-    )
+    witness = (frozenset({5}), frozenset({6}), frozenset({7}), frozenset({8}), frozenset({3, 4}))
     ok, reason = verify_minor_witness(f_gadget.graph, complete_bipartite(2, 3), witness)
     assert ok, reason
 
@@ -301,7 +294,7 @@ def test_minor_search_routes_long_chains_without_recursion():
     g = graph_from_edge_list(1504, edges)
     found, witness = has_minor(g, K4)
     assert found and verify_minor_witness(g, K4, witness)[0]
-    assert [len(s) for s in witness.branch_sets] == [1501, 1, 1, 1]
+    assert [len(s) for s in witness] == [1501, 1, 1, 1]
 
 
 def test_minor_search_respects_budget(g18):
@@ -323,7 +316,7 @@ def test_k4_witness_lies_in_its_block():
     g = graph_from_edge_list(9, edges)
     found, witness = has_minor(g, K4)
     assert found and verify_minor_witness(g, K4, witness)[0]
-    assert set().union(*witness.branch_sets) == {5, 6, 7, 8}
+    assert set().union(*witness) == {5, 6, 7, 8}
 
 
 @given(strategies.graphs(max_n=12))
