@@ -370,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-tw2", help="decide or re-validate treewidth <= 2")
     p.add_argument("graph")
-    p.add_argument("--certificate", default=None,
-                   help="validate this certificate file instead of searching")
+    # a replayed certificate is not searched, so it has nothing to emit
     emit = p.add_mutually_exclusive_group()
+    emit.add_argument("--certificate", default=None,
+                      help="validate this certificate file instead of searching")
     emit.add_argument("--emit-trace", action="store_true")
     emit.add_argument("--emit-order", action="store_true")
     p.set_defaults(func=cmd_check_tw2)

@@ -11,7 +11,7 @@ Blue components have at most two vertices.
 
 Three complete decision procedures live here and must agree everywhere:
 
-* exhaustive_solve   -- vectorized sweep over all 2^n red-sets (n <= 24),
+* exhaustive_solve   -- bit-sliced sweep over all 2^n red-sets (n <= 24),
 * backtracking_solve -- DFS over vertex colors with forced-move propagation,
 * dpll_solve         -- DPLL on the clause encoding of (a)-(c).
 
@@ -32,15 +32,11 @@ from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
 EXHAUSTIVE_CAP = 24
-# both numpy kernels (_feasible_masks, survey.generate_small) work through
-# _chunks: 2^15 entries, 128 KiB of int32, so a chunk and its temporaries stay
-# in a core's L2 cache and peak memory does not grow with the input
+# both kernels, the colouring sweep (_feasible_masks) and survey.generate_small,
+# work through _chunks of 2^15 masks: the sweep holds each vertex's colour as a
+# 2^15-bit int (4 KiB), the census 128 KiB of int32, so a chunk and its
+# temporaries stay in a core's L2 cache and peak memory does not grow with n
 _CHUNK_BITS = 15
-if EXHAUSTIVE_CAP > 31:
-    raise ImportError(
-        f"EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}: _feasible_masks holds every"
-        " coloring mask below 1 << EXHAUSTIVE_CAP in int32, so it may not pass 31"
-    )
 
 
 class Color(Enum):
@@ -158,13 +154,28 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
     return True
 
 
-# -- vectorized exhaustive core ----------------------------------------------
+# -- bit-sliced exhaustive core ----------------------------------------------
 
 def _chunks(size: int) -> Iterator[slice]:
     """Consecutive slices of range(size), 1 << _CHUNK_BITS long."""
     step = 1 << _CHUNK_BITS
     for start in range(0, size, step):
         yield slice(start, min(start + step, size))
+
+
+def _bit_planes(width: int) -> list[int]:
+    """Plane b over the masks 0..2^width - 1: bit m is set iff m has bit b,
+    so each plane repeats 2^b clear bits then 2^b set bits, by doubling."""
+    size = 1 << width
+    planes = []
+    for b in range(width):
+        half = 1 << b
+        plane, span = ((1 << half) - 1) << half, 2 * half
+        while span < size:
+            plane |= plane << span
+            span *= 2
+        planes.append(plane)
+    return planes
 
 
 def _feasible_masks(
@@ -180,34 +191,51 @@ def _feasible_masks(
 
     A coloring is a red-set bitmask; vertex v sits at bit (n-1-v), so counting
     masks upward enumerates color vectors in lexicographic order with B < R.
+    The sweep is bit-sliced: within a chunk, bit i of red[v] says whether
+    mask base + i colors v Red, so each int operation tests a whole chunk.
     """
     if g.n > EXHAUSTIVE_CAP:
         raise CapExceeded(
             f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_CAP}, got {g.n}"
         )
-    import numpy as np  # only the kernels load numpy, not `import crumby`
-
-    n = g.n
+    n, adj = g.n, g.adj
     fixed = fixed or {}
-    bit = [1 << (n - 1 - v) for v in range(n)]
-    nbmask = [sum(bit[u] for u in g.adj[v]) for v in range(n)]
+    low = min(n, _CHUNK_BITS)
+    planes = _bit_planes(low)  # the low bits vary within a chunk
+    full = (1 << (1 << low)) - 1
     paths = (*enumerate_p4(g), *extra)
-    forbidden = sorted({sum(bit[p] for p in path) for path in paths})
-    fixed_mask = sum(bit[v] for v in fixed)
-    fixed_red = sum(bit[v] for v, color in fixed.items() if color is RED)
+    forbidden = {tuple(sorted(path)) for path in paths}
     for part in _chunks(1 << n):
-        # int32: every mask is below 1 << n <= 1 << EXHAUSTIVE_CAP <= 1 << 31
-        red = np.arange(part.start, part.stop, dtype=np.int32)
-        ok = (red & fixed_mask) == fixed_red
+        base = part.start
+        # a high bit is constant over the chunk: 0 or all-ones
+        red = [
+            planes[p] if p < low else full * (base >> p & 1)
+            for p in range(n - 1, -1, -1)
+        ]
+        blue = [full ^ plane for plane in red]
+        bad = 0  # bit i set: mask base + i breaks a condition
+        for v, color in fixed.items():
+            bad |= blue[v] if color is RED else red[v]
         for v in range(n):
-            is_red = (red & bit[v]) != 0
+            one = two = 0  # at least one / two Blue neighbors
+            alone = red[v]  # Red with no Red neighbor
+            for u in adj[v]:
+                two |= one & blue[u]
+                one |= blue[u]
+                alone &= blue[u]
             if v not in exempt:
-                ok &= ~is_red | ((red & nbmask[v]) != 0)
-            blue_nb = ~red & nbmask[v]
-            ok &= is_red | ((blue_nb & (blue_nb - 1)) == 0)  # <= 1 Blue neighbor
-        for m in forbidden:
-            ok &= (red & m) != m
-        yield from red[ok].tolist()
+                bad |= alone
+            bad |= blue[v] & two
+        for path in forbidden:
+            all_red = full
+            for p in path:
+                all_red &= red[p]
+            bad |= all_red
+        good = bin(full ^ bad)[:1:-1]  # character i is bit i
+        i = good.find("1")
+        while i >= 0:
+            yield base + i
+            i = good.find("1", i + 1)
 
 
 def _mask_to_coloring(n: int, mask: int) -> Coloring:

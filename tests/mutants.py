@@ -106,8 +106,8 @@ MUTANTS = (
     Mutant(
         "C1: a Blue vertex may have two Blue neighbors",
         "crumby/coloring.py",
-        "            ok &= is_red | ((blue_nb & (blue_nb - 1)) == 0)",
-        "            ok &= is_red | (blue_nb >= 0)",
+        "            bad |= blue[v] & two\n",
+        "            pass\n",
         _LEMMAS,
     ),
     Mutant(
@@ -148,9 +148,16 @@ MUTANTS = (
     Mutant(
         "the sweep's chunks all start at mask 0",
         "crumby/coloring.py",
-        "        red = np.arange(part.start, part.stop, dtype=np.int32)\n",
-        "        red = np.arange(part.stop - part.start, dtype=np.int32)\n",
+        "        base = part.start\n",
+        "        base = 0\n",
         ("tests/test_chunks.py::test_chunk_width_never_changes_the_large_sweeps",),
+    ),
+    Mutant(
+        "a bit plane of the sweep swaps the colours",
+        "crumby/coloring.py",
+        "        plane, span = ((1 << half) - 1) << half, 2 * half\n",
+        "        plane, span = (1 << half) - 1, 2 * half\n",
+        ("tests/test_coloring.py::test_exhaustive_returns_lexicographically_least_coloring",),
     ),
     Mutant(
         "the census drops a coset representative",

@@ -1,6 +1,6 @@
 """Chunk width is a memory knob: no answer may depend on it.
 
-Both numpy kernels, the colouring sweep (coloring._feasible_masks, whose
+Both kernels, the colouring sweep (coloring._feasible_masks, whose
 stream of feasible masks exhaustive_solve, count_crumby and
 enumerate_feasible read) and the census table build in generate_small, run
 over chunks of 1 << coloring._CHUNK_BITS entries.  Each

@@ -94,14 +94,18 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == emit_graph6(build_G18().graph)
 
 
-# a child interpreter that runs two CLI calls that need no numpy kernel,
-# then one that does, and prints whether numpy was loaded after each
+# a child interpreter that runs three CLI calls and a sweep that need no
+# numpy (the colouring sweep is bit-sliced on ints), then the census, which
+# does, and prints whether numpy was loaded after each
 _NUMPY_PROBE = (
     "import contextlib, io, sys\nimport crumby\nfrom crumby.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    codes = main(['solve', 'G18']), main(['check-tw2', 'G40'])\n"
+    "    codes = (main(['solve', 'G18']), main(['check-tw2', 'G40']),\n"
+    "             main(['solve', 'G18', '--method', 'exhaustive']))\n"
     "print(*codes, 'numpy' in sys.modules)\n"
-    "crumby.count_crumby(crumby.graph_from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))\n"
+    "k3 = crumby.graph_from_edge_list(3, [(0, 1), (1, 2), (0, 2)])\n"
+    "print(crumby.count_crumby(k3), 'numpy' in sys.modules)\n"
+    "crumby.generate_small(3)\n"
     "print('numpy' in sys.modules)\n"
 )
 
@@ -112,7 +116,7 @@ def test_numpy_loads_only_when_a_kernel_runs():
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["1 0 False", "True"]
+    assert proc.stdout.splitlines() == ["1 0 1 False", "4 False", "True"]
 
 
 def test_gadget_dot_labels_roles(capsys):
@@ -376,6 +380,19 @@ def test_check_tw2_decides_a_long_ladder(tmp_path, capsys, ladder):
 def test_check_tw2_emits_one_certificate_at_a_time(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check-tw2", "G40", "--emit-trace", "--emit-order"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--emit-trace", "--emit-order"])
+def test_check_tw2_replays_a_certificate_without_emitting(tmp_path, capsys, flag):
+    # a replayed certificate is validated, not searched: there is nothing to
+    # emit, so an emit flag beside it is refused rather than ignored
+    cert = tmp_path / "g40.trace"
+    cert.write_text(run(capsys, "check-tw2", "G40", "--emit-trace")[1])
+    with pytest.raises(SystemExit) as info:
+        main(["check-tw2", "G40", "--certificate", str(cert), flag])
     captured = capsys.readouterr()
     assert info.value.code == 2 and captured.out == ""
     assert "not allowed with argument" in captured.err

@@ -188,6 +188,28 @@ def test_g18_sweep_runs_in_cache_sized_chunks(g18):
     assert traced_peak(lambda: exhaustive_solve(g18.graph)) < 1.5 * 2**20
 
 
+def _random_subcubic(seed: int, n: int):
+    """Edges drawn at random under a degree cap of 3, seeded."""
+    rng = random.Random(seed)
+    deg, edges = [0] * n, set()
+    for _ in range(4 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return graph_from_edge_list(n, sorted(edges))
+
+
+def test_sweep_at_the_cap_runs_in_cache_sized_chunks():
+    # 2^24 masks in 2^15-bit planes trace about 0.3 MiB; planes of 2^20 bits
+    # (the bytes of one int32 chunk) would trace about 11 MiB
+    g = _random_subcubic(5, 24)
+    assert g.n == 24 and max(len(row) for row in g.adj) == 3
+    assert count_crumby(g) == 549
+    assert traced_peak(lambda: count_crumby(g)) < 2**20
+
+
 SOLVERS = {
     "exhaustive": exhaustive_solve,
     "backtracking": backtracking_solve,
