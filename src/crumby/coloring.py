@@ -32,9 +32,8 @@ from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
 EXHAUSTIVE_CAP = 24
-# both kernels, the colouring sweep (_feasible_masks) and survey.generate_small,
-# work through _chunks of 2^15 masks: the sweep holds each vertex's colour as a
-# 2^15-bit int (4 KiB), the census 128 KiB of int32, so a chunk and its
+# the colouring sweep (_feasible_masks) works through _chunks of 2^15 masks,
+# holding each vertex's colour as a 2^15-bit int (4 KiB), so a chunk and its
 # temporaries stay in a core's L2 cache and peak memory does not grow with n
 _CHUNK_BITS = 15
 

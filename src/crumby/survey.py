@@ -7,23 +7,21 @@ graph is small enough, the exhaustive oracle.  Any disagreement between the
 decision procedures is a fatal CrossCheckError, never a report entry.
 
 generate_small provides a self-contained census of all connected graphs on
-at most 7 vertices up to isomorphism, for tests and desk-scale runs: it keeps
-every edge mask of K_n that is least in its orbit, with orbit minima built up
-one vertex at a time along a chain of coset representatives.  The first levels
-share one table over just the edges that permuting the low vertices moves;
-the fixed edges are put back at lookup.  Larger surveys are expected to pipe
-in external generator output.
+at most 7 vertices up to isomorphism, for tests and desk-scale runs: it grows
+the graphs one vertex at a time and names each by its least edge mask over
+all relabellings, found by partition refinement in the manner of McKay and
+Piperno (J. Symb. Comput. 60, 2014).  Larger surveys are expected to pipe in
+external generator output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .coloring import (
     EXHAUSTIVE_CAP,
     Status,
-    _chunks,
     backtracking_solve,
     dpll_solve,
     exhaustive_solve,
@@ -41,126 +39,96 @@ from .graphs import (
 from .minorfree import find_elimination_order
 
 GENERATE_CAP = 7
-_FULL_LEVELS = 4  # orbit-minimum levels kept in one table over the moved edges
-if GENERATE_CAP * (GENERATE_CAP - 1) // 2 > 31:
-    raise ImportError(
-        f"GENERATE_CAP = {GENERATE_CAP}: K_{GENERATE_CAP} has more than 31"
-        " edges, and generate_small holds its edge masks in int32"
-    )
 
 
 # -- built-in census -------------------------------------------------------------
 
 
-def _swap_adjacent(masks: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Edge-bitmask images of masks when vertices i and i+1 trade labels.
+def _least_mask(n: int, adj: Sequence[int]) -> int:
+    """The least edge mask of the graph over all n! relabellings.
 
-    Two delta swaps: for a < i the bits of edges (a, i) and (a, i+1) lie i
-    apart, and for b > i+1 the bits of edges (i, b) and (i+1, b) lie 1 apart.
+    adj[v] is v's neighbour bitset.  Column b of a mask, the edges (a, b)
+    with a < b, outweighs every lower column, so labels are handed out from
+    n - 1 down.  A state is a tuple of cells, vertex bitsets that each own an
+    interval of the unassigned labels, lowest interval first.  Label b goes
+    to a vertex v of the last cell, and splitting every cell into v's
+    neighbours (on the low labels) and the rest fixes column b at its least
+    value for that v, whatever the later choices.  Only the states whose
+    columns so far are least survive, and equal states merge in a set.  Tied
+    states share their cell sizes, so they turn discrete together, and from
+    then on each state's labels are its cells' order (_discrete_mask).
     """
-    for low, shift in (
-        (sum(1 << edge_bit_index(a, i) for a in range(i)), i),
-        (sum(1 << edge_bit_index(i, b) for b in range(i + 2, n)), 1),
-    ):
-        if low:
-            t = ((masks >> shift) ^ masks) & low
-            masks = masks ^ t ^ (t << shift)
-    return masks
+    mask = 0
+    states = {((1 << n) - 1,)}
+    for b in range(n - 1, 0, -1):
+        least, kept = None, set()
+        for *rest, last in states:
+            pick = last
+            while pick:
+                bit = pick & -pick
+                pick ^= bit
+                near = adj[bit.bit_length() - 1]
+                column = low = 0
+                refined = []
+                for cell in (*rest, last ^ bit):
+                    inside = cell & near
+                    if inside:
+                        refined.append(inside)
+                        column |= ((1 << inside.bit_count()) - 1) << low
+                    if inside != cell:
+                        refined.append(cell ^ inside)
+                    low += cell.bit_count()
+                if least is None or column < least:
+                    least, kept = column, {tuple(refined)}
+                elif column == least:
+                    kept.add(tuple(refined))
+        mask |= least << b * (b - 1) // 2
+        states = kept
+        if len(next(iter(states))) == b:
+            return mask | min(_discrete_mask(cells, adj) for cells in states)
+    return mask
 
 
-def _each_coset_image(masks: np.ndarray, n: int, k: int) -> Iterator[np.ndarray]:
-    """masks under c_j = s_{k-1} o ... o s_j for j = k..0, one image at a
-    time; s_i swaps vertices i and i+1 and c_k is the identity.  c_j maps j
-    to k, so these are right-coset representatives of S_k in S_{k+1}."""
-    yield masks
-    for j in range(k - 1, -1, -1):
-        image = masks
-        for i in range(j, k):
-            image = _swap_adjacent(image, n, i)
-        yield image
+def _discrete_mask(cells: tuple[int, ...], adj: Sequence[int]) -> int:
+    """The edge mask among the vertices of singleton cells, each labelled by
+    its cell's position."""
+    order = [cell.bit_length() - 1 for cell in cells]
+    mask = 0
+    for j, v in enumerate(order):
+        for i in range(j):
+            if adj[v] >> order[i] & 1:
+                mask |= 1 << edge_bit_index(i, j)
+    return mask
 
 
-def _chain_images(masks: np.ndarray, n: int, k: int, low: int) -> Iterator[np.ndarray]:
-    """masks under every product of one coset representative per level
-    k, k-1, ..., low (level k applied first), one image at a time.  Nested
-    k - low + 1 <= GENERATE_CAP - _FULL_LEVELS deep."""
-    for image in _each_coset_image(masks, n, k):
-        if k == low:
-            yield image
-        else:
-            yield from _chain_images(image, n, k - 1, low)
-
-
-def _moved_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
-    """(mask, shift, offset) blocks of the edge bits that permuting vertices
-    0..k-1 can move: an edge moves iff its lower endpoint is below k.  In
-    edge_bit_index order these are the low C(k, 2) bits, then the low k bits
-    of each column j >= k, which start at bit C(j, 2).  Block b packs into
-    the table index at b's offset: ((m >> shift) & mask) << offset."""
-    blocks = [((1 << k * (k - 1) // 2) - 1, 0, 0)]
-    for j in range(k, n):
-        blocks.append(((1 << k) - 1, edge_bit_index(0, j), k * (k - 1) // 2 + k * (j - k)))
-    return blocks
-
-
-def _compress(masks: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
-    """Table index of each mask's moved edges."""
-    index = masks & 0
-    for mask, shift, offset in blocks:
-        index |= ((masks >> shift) & mask) << offset
-    return index
-
-
-def _expand(index: np.ndarray, blocks: list[tuple[int, int, int]]) -> np.ndarray:
-    """Inverse of _compress: the mask of moved edges each table index packs."""
-    masks = index & 0
-    for mask, shift, offset in blocks:
-        masks |= ((index >> offset) & mask) << shift
-    return masks
-
-
-def _least_image(
-    table: np.ndarray,
-    images: Iterator[np.ndarray],
-    blocks: list[tuple[int, int, int]],
-    fixed: int,
-) -> np.ndarray:
-    """Running minimum over images of the table's value for each image's
-    moved edges, with its fixed edges put back."""
-    import numpy as np
-
-    least = None
-    for image in images:
-        candidate = table[_compress(image, blocks)] | (image & fixed)
-        if least is None:
-            least = candidate
-        else:
-            np.minimum(least, candidate, out=least)
-    return least
+def _is_cut_vertex(adj: Sequence[int], everyone: int, u: int) -> bool:
+    """Does deleting u disconnect the connected graph on `everyone`?"""
+    rest = everyone ^ 1 << u
+    reached = frontier = rest & -rest
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        grown = adj[bit.bit_length() - 1] & rest & ~reached
+        reached |= grown
+        frontier |= grown
+    return reached != rest
 
 
 def generate_small(n: int) -> list[str]:
     """All connected graphs on n vertices up to isomorphism, as graph6 lines.
 
-    Keeps each edge subset of K_n whose bitmask is the least of its orbit
-    under relabelling, in ascending mask order.  With F_k(m) the least image
-    of m when vertices 0..k-1 are permuted, F_1 is the identity and
-    F_{k+1}(m) = min over j of F_k(c_j(m)) (see _each_coset_image).  The first
-    _FULL_LEVELS levels are one table, indexed by the moved edges only (those
-    with an endpoint below _FULL_LEVELS, see _moved_blocks): the other,
-    fixed edges keep their bits under every permutation of the low vertices,
-    so F_k(m) = F_k(m & moved) | (m & fixed).  Each level overwrites the
-    table in place: an entry read is either F_k(c_j(m)) or, if its chunk was
-    already raised, F_{k+1}(c_j(m)) = F_{k+1}(m), and both are at least
-    F_{k+1}(m), so the minimum is still exact.  A mask least in its orbit is
-    least under every S_k, so past the table only the masks with
-    F_k(m) == m are kept (the table's fixed points with every choice of fixed
-    edges), and F_k is evaluated at just their coset images, down to the
-    table.  Those images are folded into a running minimum one chain of
-    cosets at a time (see _chain_images).  Every step runs over the sweep's
-    chunks (see coloring._chunks), so beside the table (2^18 int32 at
-    n = 7) and the kept masks only a few chunk-sized arrays are live; at
-    n = 7 the numpy arrays peak at 2.9 MiB (tracemalloc).
+    Each graph is the edge mask least among its relabellings (see
+    _least_mask), and the lines come in ascending mask order.  The graphs
+    of order k + 1 grow from those of order k: a new vertex k joins any
+    non-empty set of old vertices, and a child is kept only if no other
+    non-cut vertex has a lower degree than k.  This misses no graph, by
+    induction from the one graph of order 1: a connected graph H of order
+    k + 1 has a non-cut vertex w of least degree among its non-cut vertices,
+    and H - w is connected, so an isomorphism maps it onto a graph P of order
+    k.  The child that joins a new vertex to the images of w's neighbours
+    in P is H with w relabelled k, so k is a non-cut vertex of least degree
+    and the rule keeps the child.  The children are deduplicated by their
+    least masks.
     """
     if n > GENERATE_CAP:
         raise CapExceeded(
@@ -169,47 +137,23 @@ def generate_small(n: int) -> list[str]:
         )
     if n < 1:
         raise ValueError(f"generation needs at least 1 vertex, got {n}")
-    import numpy as np  # only the kernels load numpy, not `import crumby`
-
-    full = min(n, _FULL_LEVELS)
-    blocks = _moved_blocks(n, full)
-    moved = sum(mask << shift for mask, shift, _ in blocks)
-    fixed = ((1 << n * (n - 1) // 2) - 1) & ~moved
-    size = 1 << moved.bit_count()
-
-    def masks(part: slice) -> np.ndarray:
-        return _expand(np.arange(part.start, part.stop, dtype=np.int32), blocks)
-
-    table = np.empty(size, dtype=np.int32)
-    for part in _chunks(size):
-        table[part] = masks(part)
-    for k in range(1, full):
-        for part in _chunks(size):
-            table[part] = _least_image(
-                table, _each_coset_image(masks(part), n, k), blocks, fixed
-            )
-    fixed_choices = np.zeros(1, dtype=np.int32)
-    for bit in range(fixed.bit_length()):
-        if fixed >> bit & 1:
-            fixed_choices = np.concatenate([fixed_choices, fixed_choices | 1 << bit])
-    points = []
-    for part in _chunks(size):
-        values = masks(part)
-        points.append(values[table[part] == values])
-    reps = np.sort((np.concatenate(points) | fixed_choices[:, None]).ravel())
-    for k in range(full, n):
-        kept = []
-        for part in _chunks(len(reps)):
-            chunk = reps[part]
-            least = _least_image(table, _chain_images(chunk, n, k, full), blocks, fixed)
-            kept.append(chunk[least == chunk])
-        reps = np.concatenate(kept)
-    lines = []
-    for mask in reps.tolist():
-        g = graph_from_bitmask(n, mask)
-        if is_connected(g):
-            lines.append(emit_graph6(g))
-    return lines
+    level = {0}
+    for k in range(1, n):
+        everyone = (1 << k + 1) - 1
+        grown = set()
+        for mask in level:
+            adj = [sum(1 << u for u in row) for row in graph_from_bitmask(k, mask).adj]
+            for near in range(1, 1 << k):
+                child = [row | (near >> v & 1) << k for v, row in enumerate(adj)]
+                child.append(near)
+                degree = near.bit_count()
+                if all(
+                    row.bit_count() >= degree or _is_cut_vertex(child, everyone, u)
+                    for u, row in enumerate(child)
+                ):
+                    grown.add(_least_mask(k + 1, child))
+        level = grown
+    return [emit_graph6(graph_from_bitmask(n, mask)) for mask in sorted(level)]
 
 
 # -- survey ----------------------------------------------------------------------

@@ -160,10 +160,17 @@ MUTANTS = (
         ("tests/test_coloring.py::test_exhaustive_returns_lexicographically_least_coloring",),
     ),
     Mutant(
-        "the census drops a coset representative",
+        "the canonical form keeps only the first of its tied states",
         "crumby/survey.py",
-        "    for j in range(k - 1, -1, -1):\n",
-        "    for j in range(k - 1, 0, -1):\n",
+        "                    kept.add(tuple(refined))\n",
+        "                    pass\n",
+        ("tests/test_survey.py::test_least_mask_is_the_naive_orbit_minimum",),
+    ),
+    Mutant(
+        "the census drops a child whose new vertex ties for least degree",
+        "crumby/survey.py",
+        "                    row.bit_count() >= degree or _is_cut_vertex(child, everyone, u)\n",
+        "                    row.bit_count() > degree or _is_cut_vertex(child, everyone, u)\n",
         ("tests/test_survey.py::test_census_sizes",),
     ),
     Mutant(

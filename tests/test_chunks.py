@@ -1,14 +1,13 @@
 """Chunk width is a memory knob: no answer may depend on it.
 
-Both kernels, the colouring sweep (coloring._feasible_masks, whose
-stream of feasible masks exhaustive_solve, count_crumby and
-enumerate_feasible read) and the census table build in generate_small, run
-over chunks of 1 << coloring._CHUNK_BITS entries.  Each
-test computes its answers at the default width, then again with far narrower
-chunks, so that every sweep spans many chunk boundaries, and requires the
-same bytes.  Eight-entry chunks are used wherever the sweep is small enough;
-the 2^16- and 2^18-entry spaces (the census at n = 6 and 7, G18, the spider)
-would take tens of seconds at that width and run at 2^9 instead.
+The colouring sweep (coloring._feasible_masks, whose stream of feasible
+masks exhaustive_solve, count_crumby and enumerate_feasible read) runs over
+chunks of 1 << coloring._CHUNK_BITS masks.  Each test computes its answers
+at the default width, then again with far narrower chunks, so that every
+sweep spans many chunk boundaries, and requires the same bytes.  Eight-mask
+chunks are used wherever the sweep is small enough; the 2^16- and 2^18-mask
+sweeps (the spider, G18) would take tens of seconds at that width and run
+at 2^9 instead.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from crumby import (
     count_crumby,
     enumerate_feasible,
     exhaustive_solve,
-    generate_small,
     graph_from_edge_list,
     parse_graph6,
 )
@@ -59,13 +57,6 @@ def _spider():
     hit has vertex 0's bit, the top one, set."""
     path = [(i, i + 1) for i in range(3, 15)]
     return graph_from_edge_list(16, [(0, 1), (0, 2), (0, 3), *path])
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_chunk_width_never_changes_the_census(monkeypatch, n):
-    bits = NARROW if n <= 5 else MEDIUM
-    default, narrow = _at_both_widths(monkeypatch, bits, lambda: generate_small(n))
-    assert narrow == default
 
 
 def test_chunk_width_never_changes_a_census_sweep(monkeypatch, census_lines):

@@ -5,7 +5,6 @@ import random
 from collections import Counter
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from crumby import (
@@ -17,7 +16,6 @@ from crumby import (
     SurveyFilters,
     bitmask_of_graph,
     complete_graph,
-    edge_bit_index,
     emit_graph6,
     generate_small,
     graph_from_edge_list,
@@ -25,6 +23,7 @@ from crumby import (
     is_connected,
     parse_graph6,
     recognize_tw2,
+    relabel,
     survey_stream,
 )
 from crumby.coloring import Coloring
@@ -108,47 +107,44 @@ def test_census_holds_every_connected_orbit_minimum_at_order_five(census):
     assert minima == reps
 
 
-def _relabelled(mask: int, n: int, perm: list[int]) -> int:
-    edges = [(a, b) for b in range(n) for a in range(b) if mask >> edge_bit_index(a, b) & 1]
-    return sum(1 << edge_bit_index(*sorted((perm[a], perm[b]))) for a, b in edges)
+def _adjacency(g: Graph) -> list[int]:
+    return [sum(1 << u for u in row) for row in g.adj]
 
 
-def _coset_perm(n: int, k: int, j: int) -> list[int]:
-    """c_j = s_{k-1} o ... o s_j: j goes to k, each of j+1..k one step down."""
-    return [k if v == j else v - 1 if j < v <= k else v for v in range(n)]
+def _least_mask_of(n: int, mask: int) -> int:
+    return crumby.survey._least_mask(n, _adjacency(graph_from_bitmask(n, mask)))
 
 
-@pytest.mark.parametrize("k", [4, 5, 6])
-def test_coset_images_are_yielded_one_representative_at_a_time(k):
-    rng = random.Random(k)
-    masks = np.array([rng.getrandbits(21) for _ in range(6)], dtype=np.int32)
-    images = crumby.survey._each_coset_image(masks, 7, k)
-    assert next(images) is masks  # c_k is the identity
-    for j in range(k - 1, -1, -1):
-        perm = _coset_perm(7, k, j)
-        assert next(images).tolist() == [_relabelled(m, 7, perm) for m in masks.tolist()]
-    assert next(images, None) is None
+def test_least_mask_is_the_naive_orbit_minimum():
+    rng = random.Random(26)
+    cases = [(n, rng.getrandbits(n * (n - 1) // 2)) for n in range(1, 7) for _ in range(40)]
+    cases += [(7, rng.getrandbits(21)) for _ in range(4)]
+    # ties are worst where every relabelling is an automorphism, or where a
+    # graph falls apart into interchangeable pieces
+    cases += [(n, 0) for n in range(1, 8)]
+    cases += [(n, bitmask_of_graph(complete_graph(n))) for n in range(1, 8)]
+    two_triangles = graph_from_edge_list(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    k4_and_k3 = graph_from_edge_list(7, [*combinations(range(4), 2), (4, 5), (5, 6), (4, 6)])
+    matching = graph_from_edge_list(7, [(0, 6), (1, 5), (2, 4)])
+    cases += [(7, bitmask_of_graph(g)) for g in (two_triangles, k4_and_k3, matching)]
+    for n, mask in cases:
+        assert _least_mask_of(n, mask) == oracles.naive_orbit_min(n, mask), (n, mask)
 
 
-def test_chain_images_apply_the_higher_level_first():
-    masks = np.array([0b101100111000110101011, 0b11100000111], dtype=np.int32)
-    expected = [
-        [
-            _relabelled(_relabelled(m, 7, _coset_perm(7, 5, j)), 7, _coset_perm(7, 4, i))
-            for m in masks.tolist()
-        ]
-        for j in range(5, -1, -1)
-        for i in range(4, -1, -1)
-    ]
-    images = crumby.survey._chain_images(masks, 7, 5, 4)
-    assert [image.tolist() for image in images] == expected
+def test_least_mask_ignores_the_labels_of_the_gadgets(g18, g40):
+    rng = random.Random(40)
+    for g in (g18.graph, g40.graph):
+        least = crumby.survey._least_mask(g.n, _adjacency(g))
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert crumby.survey._least_mask(g.n, _adjacency(relabel(g, perm))) == least
 
 
-def test_census_at_order_seven_folds_its_coset_images_one_at_a_time():
-    # the 2^18-entry table (1 MiB) is live throughout, and every step adds
-    # only chunk-sized arrays: 2.25 MiB in the table build, 2.9 MiB at the
-    # first coset level with its 105,536 kept masks.  Full-width index arrays
-    # in the table build would pass the bound (8.1 MiB)
+def test_census_at_order_seven_holds_two_orders_at_a_time():
+    # only the 112 graphs of order 6, the order-7 masks found so far and one
+    # child's refinement states are live: 0.22 MiB (tracemalloc).  A table
+    # indexed by the edge masks of K_7 (2^21 entries) would break the bound
     for n in range(1, 7):
         generate_small(n)
     assert traced_peak(lambda: generate_small(7)) < 4 * 2**20
