@@ -8,7 +8,6 @@ certificate against a graph without re-running any search:
   reduction-trace     the graph has the stated n, and the given rule
                       applications empty its workspace
   minor-witness       branch sets model the given pattern
-  ear-decomposition   cycle plus open ears cover the graph exactly
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import CapExceeded, CertificateError, GraphError
-from .graphs import EarDecomposition, Graph, graph_from_edge_list, verify_ear_decomposition
+from .graphs import Graph, graph_from_edge_list
 from .minorfree import (
     MINOR_PATTERN_CAP,
     ReductionStep,
@@ -50,16 +49,6 @@ def emit_minor_witness(pattern: Graph, branch_sets: Sequence[frozenset[int]]) ->
     ]
     for i, branch in enumerate(branch_sets):
         lines.append(f"branch-{i}: " + " ".join(map(str, sorted(branch))))
-    return "\n".join(lines) + "\n"
-
-
-def emit_ear_decomposition(d: EarDecomposition) -> str:
-    lines = [
-        "type: ear-decomposition",
-        "cycle: " + " ".join(map(str, d.initial_cycle)),
-    ]
-    for ear in d.ears:
-        lines.append("ear: " + " ".join(map(str, ear)))
     return "\n".join(lines) + "\n"
 
 
@@ -98,7 +87,6 @@ _KEYS = {
     "elimination-order": (("n", "order"), None),
     "reduction-trace": (("n",), "step"),
     "minor-witness": (("pattern-n", "pattern-edges"), None),
-    "ear-decomposition": (("cycle",), "ear"),
 }
 
 
@@ -127,8 +115,7 @@ def _fields(
 
 def parse_certificate(text: str) -> tuple[str, object]:
     """Parse any certificate document into (type, body).  The type line picks
-    the body: a vertex tuple, (n, steps), (pattern, branch sets) or an
-    EarDecomposition."""
+    the body: a vertex tuple, (n, steps) or (pattern, branch sets)."""
     entries = _entries(text)
     key, kind = entries[0]
     if key != "type":
@@ -147,9 +134,6 @@ def parse_certificate(text: str) -> tuple[str, object]:
             rule, _, args = value.partition(" ")
             trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
         return kind, (_int(fields["n"], "n"), tuple(trace))
-    if kind == "ear-decomposition":
-        ears = tuple(tuple(_ints(value, "ear")) for value in values)
-        return kind, EarDecomposition(tuple(_ints(fields["cycle"], "cycle")), ears)
     pn = _int(fields["pattern-n"], "pattern-n")
     if pn > MINOR_PATTERN_CAP:  # refused before anything is sized by it
         raise CapExceeded(
@@ -186,9 +170,6 @@ def validate_certificate(g: Graph, cert: tuple[str, object]) -> tuple[bool, str]
         except ValueError as exc:
             return False, str(exc)
         return width <= 2, f"width={width}"
-    if kind == "ear-decomposition":
-        ok, reason = verify_ear_decomposition(g, body)
-        return ok, reason or "open ear decomposition covers the graph"
     if kind == "reduction-trace":
         n, steps = body
         if n != g.n:

@@ -215,8 +215,6 @@ def cmd_check_tw2(args) -> int:
 
 def cmd_check_biconnected(args) -> int:
     g = load_graph(args.graph)
-    if args.certificate:
-        return _check_certificate(g, args.certificate, ("ear-decomposition",))
     ok = is_biconnected(g)
     print(f"biconnected: {'yes' if ok else 'no'}")
     if not ok:
@@ -378,10 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--emit-order", action="store_true")
     p.set_defaults(func=cmd_check_tw2)
 
-    p = sub.add_parser("check-biconnected", help="decide or re-validate 2-connectivity")
+    p = sub.add_parser("check-biconnected", help="decide 2-connectivity")
     p.add_argument("graph")
-    p.add_argument("--certificate", default=None,
-                   help="validate an ear-decomposition certificate")
     p.set_defaults(func=cmd_check_biconnected)
 
     p = sub.add_parser("check-bipartite", help="2-color or report an odd cycle")

@@ -32,7 +32,7 @@ from .errors import BudgetExhausted, CapExceeded
 from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
 
 EXHAUSTIVE_CAP = 24
-# the colouring sweep (_feasible_masks) works through _chunks of 2^15 masks,
+# the colouring sweep (_feasible_masks) works through chunks of 2^15 masks,
 # holding each vertex's colour as a 2^15-bit int (4 KiB), so a chunk and its
 # temporaries stay in a core's L2 cache and peak memory does not grow with n
 _CHUNK_BITS = 15
@@ -119,12 +119,12 @@ def violations(g: Graph, red: frozenset[int]) -> Iterator[Violation]:
         yield Violation(ViolationKind.RED_P4, path=path)
 
 
-def verify_crumby(g: Graph, c: Coloring) -> tuple[bool, list[Violation]]:
-    """Check (a)-(c) directly; returns all violations, deterministic order."""
+def verify_crumby(g: Graph, c: Coloring) -> bool:
+    """Check (a)-(c) directly, stopping at the first violation; `violations`
+    lists them all."""
     if len(c) != g.n:
         raise ValueError(f"coloring has {len(c)} entries for {g.n} vertices")
-    found = list(violations(g, c.red_set()))
-    return not found, found
+    return next(violations(g, c.red_set()), None) is None
 
 
 def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
@@ -154,13 +154,6 @@ def verify_crumby_by_components(g: Graph, c: Coloring) -> bool:
 
 
 # -- bit-sliced exhaustive core ----------------------------------------------
-
-def _chunks(size: int) -> Iterator[slice]:
-    """Consecutive slices of range(size), 1 << _CHUNK_BITS long."""
-    step = 1 << _CHUNK_BITS
-    for start in range(0, size, step):
-        yield slice(start, min(start + step, size))
-
 
 def _bit_planes(width: int) -> list[int]:
     """Plane b over the masks 0..2^width - 1: bit m is set iff m has bit b,
@@ -204,8 +197,7 @@ def _feasible_masks(
     full = (1 << (1 << low)) - 1
     paths = (*enumerate_p4(g), *extra)
     forbidden = {tuple(sorted(path)) for path in paths}
-    for part in _chunks(1 << n):
-        base = part.start
+    for base in range(0, 1 << n, 1 << _CHUNK_BITS):
         # a high bit is constant over the chunk: 0 or all-ones
         red = [
             planes[p] if p < low else full * (base >> p & 1)
@@ -271,7 +263,7 @@ def _result(
 ) -> SolveResult:
     """Sat iff a coloring was found, and only once verify_crumby accepts it
     on g; `elapsed` runs from t0 to now."""
-    if coloring is not None and not verify_crumby(g, coloring)[0]:
+    if coloring is not None and not verify_crumby(g, coloring):
         raise AssertionError(f"{solver} produced a non-crumby coloring")
     status = Status.UNSAT if coloring is None else Status.SAT
     return SolveResult(

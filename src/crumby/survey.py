@@ -29,7 +29,6 @@ from .coloring import (
 from .errors import BudgetExhausted, CapExceeded, CrossCheckError, Graph6Error
 from .graphs import (
     Graph,
-    edge_bit_index,
     emit_graph6,
     graph_from_bitmask,
     is_biconnected,
@@ -54,9 +53,9 @@ def _least_mask(n: int, adj: Sequence[int]) -> int:
     to a vertex v of the last cell, and splitting every cell into v's
     neighbours (on the low labels) and the rest fixes column b at its least
     value for that v, whatever the later choices.  Only the states whose
-    columns so far are least survive, and equal states merge in a set.  Tied
-    states share their cell sizes, so they turn discrete together, and from
-    then on each state's labels are its cells' order (_discrete_mask).
+    columns so far are least survive, and equal states merge in a set.  Once
+    the cells are singletons the same step still applies: each state then
+    has one pick per level, and refining leaves its cells as they are.
     """
     mask = 0
     states = {((1 << n) - 1,)}
@@ -84,20 +83,6 @@ def _least_mask(n: int, adj: Sequence[int]) -> int:
                     kept.add(tuple(refined))
         mask |= least << b * (b - 1) // 2
         states = kept
-        if len(next(iter(states))) == b:
-            return mask | min(_discrete_mask(cells, adj) for cells in states)
-    return mask
-
-
-def _discrete_mask(cells: tuple[int, ...], adj: Sequence[int]) -> int:
-    """The edge mask among the vertices of singleton cells, each labelled by
-    its cell's position."""
-    order = [cell.bit_length() - 1 for cell in cells]
-    mask = 0
-    for j, v in enumerate(order):
-        for i in range(j):
-            if adj[v] >> order[i] & 1:
-                mask |= 1 << edge_bit_index(i, j)
     return mask
 
 

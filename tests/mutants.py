@@ -104,6 +104,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_refutation_certificate_bytes",),
     ),
     Mutant(
+        "the direct verifier never walks the P4s",
+        "crumby/coloring.py",
+        "    for path in _walk_p4(g, red):\n",
+        "    for path in ():\n",
+        (
+            "tests/test_coloring.py::test_all_red_four_cycle_has_a_path_violation",
+            "tests/test_acceptance.py::test_criterion_10b_verifier_pair_on_random_inputs",
+        ),
+    ),
+    Mutant(
         "C1: a Blue vertex may have two Blue neighbors",
         "crumby/coloring.py",
         "            bad |= blue[v] & two\n",
@@ -148,8 +158,8 @@ MUTANTS = (
     Mutant(
         "the sweep's chunks all start at mask 0",
         "crumby/coloring.py",
-        "        base = part.start\n",
-        "        base = 0\n",
+        "    for base in range(0, 1 << n, 1 << _CHUNK_BITS):\n",
+        "    for base in (0 for _ in range(0, 1 << n, 1 << _CHUNK_BITS)):\n",
         ("tests/test_chunks.py::test_chunk_width_never_changes_the_large_sweeps",),
     ),
     Mutant(

@@ -23,7 +23,6 @@ from functools import partial
 
 from crumby import (
     Coloring,
-    EarDecomposition,
     build_F,
     build_G18,
     build_G40,
@@ -37,14 +36,12 @@ from crumby import (
     recognize_tw2,
 )
 from crumby.certs import (
-    emit_ear_decomposition,
     emit_elimination_order,
     emit_minor_witness,
     emit_reduction_trace,
     parse_certificate,
     validate_certificate,
 )
-from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
 from crumby.survey import generate_small
 
 SEED = 20261018
@@ -61,8 +58,6 @@ def seed_documents():
         ("elimination-order", emit_elimination_order(find_elimination_order(g40)), g40),
         ("reduction-trace", emit_reduction_trace(g18.n, recognize_tw2(g18)[1]), g18),
         ("minor-witness", emit_minor_witness(complete_bipartite(2, 3), witness), f),
-        ("ear-decomposition",
-         emit_ear_decomposition(EarDecomposition(G40_EAR_CYCLE, G40_EARS)), g40),
         ("graph6", "\n".join([*census[::4], emit_graph6(g40)]) + "\n", g40),
         ("edge-list", emit_edge_list(g40), g40),
         ("coloring", " ".join("RB"[v % 3 == 0] for v in range(g40.n)) + "\n", g40),

@@ -4,7 +4,6 @@ import pytest
 
 from crumby import (
     CertificateError,
-    EarDecomposition,
     complete_bipartite,
     complete_graph,
     find_elimination_order,
@@ -12,14 +11,12 @@ from crumby import (
     recognize_tw2,
 )
 from crumby.certs import (
-    emit_ear_decomposition,
     emit_elimination_order,
     emit_minor_witness,
     emit_reduction_trace,
     parse_certificate,
     validate_certificate,
 )
-from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
 
 
 def test_elimination_order_round_trip(g18):
@@ -83,15 +80,6 @@ def test_minor_witness_validation_fails_on_k4(f_gadget):
     assert not ok and "edge" in detail
 
 
-def test_ear_decomposition_round_trip(g40):
-    d = EarDecomposition(G40_EAR_CYCLE, G40_EARS)
-    text = emit_ear_decomposition(d)
-    parsed = parse_certificate(text)
-    assert parsed == ("ear-decomposition", d)
-    ok, detail = validate_certificate(g40.graph, parsed)
-    assert ok, detail
-
-
 def test_comments_and_blank_lines_are_ignored(g18):
     order = find_elimination_order(g18.graph)
     text = "# produced for a regression test\n\n" + emit_elimination_order(order)
@@ -115,7 +103,6 @@ def test_parse_diagnostics():
         ("type: elimination-order\nn: 2\norder: 0 1\nwidth: 1\n", "unexpected key 'width'"),
         ("type: reduction-trace\nn: 2\nn: 3\n", "repeated key 'n'"),
         ("type: reduction-trace\nn: 2\ntype: minor-witness\n", "unexpected key 'type'"),
-        ("type: ear-decomposition\ncycle: 0 1 2\ncycle: 0 1 3\n", "repeated key 'cycle'"),
         (f"{WITNESS}branch-0: 1\n", "repeated key 'branch-0'"),
         (f"{WITNESS}branch-7: 2\n", "unexpected key 'branch-7'"),
         (f"{WITNESS}colour: red\n", "unexpected key 'colour'"),

@@ -14,7 +14,6 @@ import pytest
 import crumby
 from crumby import (
     Coloring,
-    EarDecomposition,
     build_F,
     build_G18,
     build_G40,
@@ -28,17 +27,14 @@ from crumby import (
     graph_from_edge_list,
     has_minor,
     recognize_tw2,
-    verify_crumby,
 )
 from crumby.certs import (
-    emit_ear_decomposition,
     emit_elimination_order,
     emit_minor_witness,
     emit_reduction_trace,
 )
 from crumby.checks import CheckResult
 from crumby.cli import main
-from crumby.gadgets import G40_EAR_CYCLE, G40_EARS
 from tests import oracles
 
 
@@ -564,12 +560,9 @@ CERTIFICATES = {
         40, recognize_tw2(build_G40().graph)[1])),
     "minor-witness": ("F", lambda: emit_minor_witness(
         K23, has_minor(build_F().graph, K23)[1])),
-    "ear-decomposition": ("G40", lambda: emit_ear_decomposition(
-        EarDecomposition(G40_EAR_CYCLE, G40_EARS))),
 }
 ACCEPTS = {
     "check-tw2": ("elimination-order", "reduction-trace"),
-    "check-biconnected": ("ear-decomposition",),
     "check-minor": ("minor-witness",),
 }
 
@@ -605,6 +598,25 @@ def test_each_claim_accepts_its_own_certificates(tmp_path, capsys):
         capsys, "check-minor", "F", "--pattern", "K23", "--certificate", str(cert)
     )
     assert code == 0 and "certificate: valid" in out
+
+
+def test_check_biconnected_takes_no_certificate(tmp_path, capsys):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(CERTIFICATES["reduction-trace"][1]())
+    with pytest.raises(SystemExit) as info:
+        main(["check-biconnected", "G40", "--certificate", str(cert)])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --certificate" in captured.err
+
+
+def test_an_ear_decomposition_document_is_an_unknown_type(tmp_path, capsys):
+    # the format no command writes is no longer read either
+    cert = tmp_path / "ears.txt"
+    cert.write_text("type: ear-decomposition\ncycle: 0 1 2 0\near: 0 3 1\n")
+    code, out, err = run(capsys, "check-tw2", "G40", "--certificate", str(cert))
+    assert code == 2 and out == ""
+    assert "unknown certificate type 'ear-decomposition'" in err
 
 
 def test_elim_order_success_and_failure(tmp_path, capsys):

@@ -31,7 +31,7 @@ from crumby import (
     verify_crumby,
     verify_crumby_by_components,
 )
-from crumby.coloring import Violation, ViolationKind
+from crumby.coloring import Violation, ViolationKind, violations
 import crumby.coloring
 from tests import oracles, strategies
 from tests.helpers import path_graph, traced_peak
@@ -74,61 +74,82 @@ def test_verify_rejects_length_mismatch():
 # -- the verifier pair -------------------------------------------------------
 
 
+def listed(g, c):
+    """Every violation of c on g, in the order `crumby verify` prints them."""
+    return list(violations(g, c.red_set()))
+
+
 def test_all_red_triangle_is_crumby():
-    ok, violations = verify_crumby(complete_graph(3), Coloring.from_text("R R R"))
-    assert ok and not violations
+    k3, c = complete_graph(3), Coloring.from_text("R R R")
+    assert verify_crumby(k3, c) is True
+    assert listed(k3, c) == []
 
 
 def test_all_red_four_cycle_has_a_path_violation():
     c4 = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    ok, violations = verify_crumby(c4, Coloring.from_text("R R R R"))
-    assert not ok
-    assert {v.kind for v in violations} == {ViolationKind.RED_P4}
+    c = Coloring.from_text("R R R R")
+    assert verify_crumby(c4, c) is False
+    assert {v.kind for v in listed(c4, c)} == {ViolationKind.RED_P4}
 
 
 def test_lonely_red_vertex_is_flagged():
-    ok, violations = verify_crumby(complete_graph(2), Coloring.from_text("R B"))
-    assert not ok
-    assert violations[0].kind is ViolationKind.RED_ISOLATED
-    assert "no red neighbor" in violations[0].describe()
+    k2, c = complete_graph(2), Coloring.from_text("R B")
+    assert not verify_crumby(k2, c)
+    found = listed(k2, c)
+    assert found[0].kind is ViolationKind.RED_ISOLATED
+    assert "no red neighbor" in found[0].describe()
 
 
 def test_blue_vertex_with_two_blue_neighbors_is_flagged():
-    ok, violations = verify_crumby(path_graph(3), Coloring.from_text("B B B"))
-    assert not ok
-    assert violations[0].kind is ViolationKind.BLUE_DEGREE
+    p3, c = path_graph(3), Coloring.from_text("B B B")
+    assert not verify_crumby(p3, c)
+    assert listed(p3, c)[0].kind is ViolationKind.BLUE_DEGREE
 
 
 def test_verifier_handles_long_paths():
     n = 5000
+    g = path_graph(n)
     pairs = {v for v in range(n) if v % 4 in (1, 2)}
-    assert verify_crumby(path_graph(n), Coloring.from_red_set(n, pairs)) == (True, [])
-    ok, violations = verify_crumby(path_graph(n), Coloring.from_red_set(n, pairs - {1, 2}))
-    assert not ok
-    assert violations == [Violation(ViolationKind.BLUE_DEGREE, vertex=v) for v in (1, 2, 3)]
+    good = Coloring.from_red_set(n, pairs)
+    assert verify_crumby(g, good) and listed(g, good) == []
+    bad = Coloring.from_red_set(n, pairs - {1, 2})
+    assert not verify_crumby(g, bad)
+    assert listed(g, bad) == [Violation(ViolationKind.BLUE_DEGREE, vertex=v) for v in (1, 2, 3)]
     # one red run of four far from vertex 0; the rest stays crumby
-    red = (pairs | {3003, 3004, 3007}) - {3005}
-    assert verify_crumby(path_graph(n), Coloring.from_red_set(n, red)) == (
-        False, [Violation(ViolationKind.RED_P4, path=(3001, 3002, 3003, 3004))]
-    )
+    red = Coloring.from_red_set(n, (pairs | {3003, 3004, 3007}) - {3005})
+    assert not verify_crumby(g, red)
+    assert listed(g, red) == [Violation(ViolationKind.RED_P4, path=(3001, 3002, 3003, 3004))]
+
+
+def test_verdict_stops_at_the_first_violation():
+    # K20 all Red has 58,140 red P4s; the verdict needs none of them listed
+    k20 = complete_graph(20)
+    all_red = Coloring.from_red_set(20, set(range(20)))
+    verdicts = []
+    assert traced_peak(lambda: verdicts.append(verify_crumby(k20, all_red))) < 256 << 10
+    assert verdicts == [False]
+    # the listing still yields every one: K12 has 12 * 11 * 10 * 9 / 2 P4s
+    k12 = complete_graph(12)
+    found = listed(k12, Coloring.from_red_set(12, set(range(12))))
+    assert len(found) == 5940
+    assert all(v.kind is ViolationKind.RED_P4 for v in found)
 
 
 @given(strategies.graph_coloring_pairs(max_n=8))
 @PROPERTY
 def test_verifier_matches_naive_oracle(pair):
     g, c = pair
-    ok, violations = verify_crumby(g, c)
-    assert ok == oracles.naive_is_crumby(g, c)
+    assert verify_crumby(g, c) == oracles.naive_is_crumby(g, c)
     red = c.red_set()
     red_paths = sorted(p for p in oracles.naive_p4_set(g) if red.issuperset(p))
-    assert [v.path for v in violations if v.kind is ViolationKind.RED_P4] == red_paths
+    assert [v.path for v in listed(g, c) if v.kind is ViolationKind.RED_P4] == red_paths
 
 
 @given(strategies.graph_coloring_pairs(max_n=9))
 @PROPERTY
 def test_component_verifier_agrees_with_direct_verifier(pair):
     g, c = pair
-    assert verify_crumby_by_components(g, c) == verify_crumby(g, c)[0]
+    assert verify_crumby_by_components(g, c) == verify_crumby(g, c)
 
 
 # -- exhaustive enumeration --------------------------------------------------
@@ -152,7 +173,7 @@ def test_exhaustive_returns_lexicographically_least_coloring(census):
             Coloring.from_red_set(g.n, {v for v in range(g.n) if bits >> v & 1})
             for bits in range(1 << g.n)
         ]
-        sat = [c for c in sat if verify_crumby(g, c)[0]]
+        sat = [c for c in sat if verify_crumby(g, c)]
         result = exhaustive_solve(g)
         if sat:
             assert result.status is Status.SAT
@@ -221,7 +242,7 @@ SOLVERS = {
 def test_every_sat_answer_is_rechecked(monkeypatch, solver):
     # K2 is Sat for all three; a verify_crumby that rejects every coloring
     # must turn each solver's answer into an error that names the solver
-    monkeypatch.setattr(crumby.coloring, "verify_crumby", lambda g, c: (False, []))
+    monkeypatch.setattr(crumby.coloring, "verify_crumby", lambda g, c: False)
     with pytest.raises(AssertionError, match=f"{solver} produced a non-crumby"):
         SOLVERS[solver](complete_graph(2))
 
@@ -287,7 +308,7 @@ def test_cnf_models_are_exactly_the_crumby_colorings(g):
     assert f.num_vars == g.n
     for bits in range(1 << g.n):
         reds = {v for v in range(g.n) if bits >> v & 1}
-        expected = verify_crumby(g, Coloring.from_red_set(g.n, reds))[0]
+        expected = verify_crumby(g, Coloring.from_red_set(g.n, reds))
         assert cnf_satisfied(f, reds) == expected
 
 
@@ -302,7 +323,7 @@ def test_solvers_agree_on_the_census(census):
             assert len(statuses) == 1
             for r in results:
                 if r.status is Status.SAT:
-                    assert verify_crumby(g, r.coloring)[0]
+                    assert verify_crumby(g, r.coloring)
                     assert verify_crumby_by_components(g, r.coloring)
                 else:
                     assert r.coloring is None
@@ -315,8 +336,8 @@ def test_backtracking_and_dpll_agree_on_random_subcubic_graphs(g):
     b = dpll_solve(g)
     assert a.status == b.status
     if a.status is Status.SAT:
-        assert verify_crumby(g, a.coloring)[0]
-        assert verify_crumby(g, b.coloring)[0]
+        assert verify_crumby(g, a.coloring)
+        assert verify_crumby(g, b.coloring)
 
 
 def assert_three_way_agreement(g):
@@ -324,7 +345,7 @@ def assert_three_way_agreement(g):
     assert len({r.status for r in results}) == 1
     for r in results:
         if r.status is Status.SAT:
-            assert verify_crumby(g, r.coloring)[0]
+            assert verify_crumby(g, r.coloring)
             assert verify_crumby_by_components(g, r.coloring)
 
 
@@ -463,7 +484,7 @@ def test_solve_certificate_layout(f_gadget):
     keys = [line.split(":")[0] for line in text.splitlines()]
     assert keys == ["status", "solver", "nodes", "propagations", "coloring"]
     coloring = Coloring.from_text(text.splitlines()[-1].split(": ", 1)[1])
-    assert verify_crumby(f_gadget.graph, coloring)[0]
+    assert verify_crumby(f_gadget.graph, coloring)
 
 
 def breadth_first_relabeling(g, rng: random.Random, root: int):

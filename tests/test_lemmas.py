@@ -25,7 +25,7 @@ from crumby import (
     verify_lemma2,
     verify_theorem1_composition,
 )
-from crumby.coloring import Color
+from crumby.coloring import Color, violations
 from crumby.gadgets import F_AUTOMORPHISM
 from crumby.lemmas import all_lemma_reports, richness_witness
 from tests import oracles, strategies
@@ -105,11 +105,13 @@ def blue_pairs_after_blue_path(n: int) -> tuple:
 @pytest.mark.parametrize("n", [33, 40, 63, 64, 71])
 def test_verifiers_are_exact_on_large_graphs(n):
     g, c = blue_pairs_after_blue_path(n)
-    assert verify_crumby(g, c) == (False, [Violation(ViolationKind.BLUE_DEGREE, vertex=1)])
+    assert verify_crumby(g, c) is False
+    assert list(violations(g, c.red_set())) == [Violation(ViolationKind.BLUE_DEGREE, vertex=1)]
     assert not oracles.naive_is_crumby(g, c)
     assert not verify_crumby_by_components(g, c)
     fixed = Coloring.from_red_set(n, c.red_set() | {0, 1})
-    assert verify_crumby(g, fixed) == (True, [])
+    assert verify_crumby(g, fixed) is True
+    assert list(violations(g, fixed.red_set())) == []
     assert oracles.naive_is_crumby(g, fixed)
     assert verify_crumby_by_components(g, fixed)
 
@@ -144,7 +146,7 @@ def large_colorings(draw):
 def test_verifiers_match_the_naive_oracle_on_large_graphs(instance):
     g, c = instance
     expected = oracles.naive_is_crumby(g, c)
-    assert verify_crumby(g, c)[0] == expected
+    assert verify_crumby(g, c) == expected
     assert verify_crumby_by_components(g, c) == expected
 
 
@@ -160,7 +162,7 @@ def test_enumeration_is_lexicographic_and_capped():
 @PROPERTY
 def test_crumby_colorings_are_always_feasible(pair):
     g, c = pair
-    if verify_crumby(g, c)[0]:
+    if verify_crumby(g, c):
         assert c in enumerate_feasible(g, BoundarySpec(frozenset()))
 
 
@@ -217,7 +219,7 @@ def restriction_kinds(piece, length: int) -> set:
     feasible = {}
     for bits in range(1 << host.n):
         reds = {v for v in range(host.n) if bits >> v & 1}
-        if not verify_crumby(host, Coloring.from_red_set(host.n, reds))[0]:
+        if not verify_crumby(host, Coloring.from_red_set(host.n, reds)):
             continue
         inside = Coloring.from_red_set(piece.n, {v for v in reds if v < piece.n})
         flagged = 0 in reds and piece.n in reds
