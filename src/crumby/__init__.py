@@ -16,8 +16,6 @@ from .coloring import (
     Coloring,
     SolveResult,
     Status,
-    Violation,
-    ViolationKind,
     backtracking_solve,
     count_crumby,
     dpll_solve,
@@ -54,7 +52,6 @@ from .gadgets import (
     series,
 )
 from .graphs import (
-    EarDecomposition,
     Graph,
     bitmask_of_graph,
     blocks,

@@ -39,7 +39,6 @@ from .gadgets import (
     g18_elimination_order,
 )
 from .graphs import (
-    EarDecomposition,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -218,9 +217,7 @@ def _claims(quick: bool, reports: list[LemmaReport]) -> Iterator[CheckResult]:
         and g40.max_degree() == 3,
         f"{g40.m} edges, degree-2 vertices {deg2}",
     )
-    ears_ok, why = verify_ear_decomposition(
-        g40, EarDecomposition(G40_EAR_CYCLE, G40_EARS)
-    )
+    ears_ok, why = verify_ear_decomposition(g40, G40_EAR_CYCLE, G40_EARS)
     yield CheckResult(
         "claim",
         "g40-biconnected",

@@ -79,44 +79,32 @@ class Coloring:
         return frozenset(v for v, c in enumerate(self.colors) if c is RED)
 
 
-class ViolationKind(Enum):
-    BLUE_DEGREE = "blue-degree-exceeded"
-    RED_ISOLATED = "red-isolated"
-    RED_P4 = "red-p4"
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    vertex: int | None = None
-    path: tuple[int, ...] | None = None
-
-    def describe(self) -> str:
-        if self.kind is ViolationKind.BLUE_DEGREE:
-            return f"blue vertex {self.vertex} has two or more blue neighbors"
-        if self.kind is ViolationKind.RED_ISOLATED:
-            return f"red vertex {self.vertex} has no red neighbor"
-        return f"all-red path {'-'.join(map(str, self.path or ()))}"
-
-
 # -- verification ----------------------------------------------------------------
 
 
-def violations(g: Graph, red: frozenset[int]) -> Iterator[Violation]:
-    """Yield the violations of (a)-(c) by the red set `red`.
+def violations(g: Graph, red: frozenset[int]) -> Iterator[str]:
+    """Yield each violation of (a)-(c) by the red set `red` as the line
+    `crumby verify` prints after "violation: ": first the vertices that
+    break (a) or (b), in vertex order, then every all-Red P4 in ascending
+    order.
 
-    A P4 of g is all Red exactly when it is a P4 of the red subgraph G[red],
-    so only G[red] is searched, in place.
+    A P4 of g is all Red exactly when it is a P4 of the red subgraph G[red].
+    The pass that checks (a) and (b) keeps each Red vertex's Red neighbors,
+    and the P4s are walked on those rows.
     """
-    adj = g.adj
-    for v in range(g.n):
+    rows: list[tuple[int, ...]] = []
+    for v, row in enumerate(g.adj):
         if v in red:
-            if not any(u in red for u in adj[v]):
-                yield Violation(ViolationKind.RED_ISOLATED, vertex=v)
-        elif sum(1 for u in adj[v] if u not in red) >= 2:
-            yield Violation(ViolationKind.BLUE_DEGREE, vertex=v)
-    for path in _walk_p4(g, red):
-        yield Violation(ViolationKind.RED_P4, path=path)
+            reds = tuple(u for u in row if u in red)
+            if not reds:
+                yield f"red vertex {v} has no red neighbor"
+            rows.append(reds)
+        else:
+            if sum(1 for u in row if u not in red) >= 2:
+                yield f"blue vertex {v} has two or more blue neighbors"
+            rows.append(())
+    for path in _walk_p4(rows):
+        yield f"all-red path {'-'.join(map(str, path))}"
 
 
 def verify_crumby(g: Graph, c: Coloring) -> bool:

@@ -361,29 +361,21 @@ def is_biconnected(g: Graph) -> bool:
     return g.n >= 3 and len(blocks(g)) == 1
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
-    """An initial cycle plus open ears.
+def verify_ear_decomposition(
+    g: Graph, cycle: tuple[int, ...], ears: tuple[tuple[int, ...], ...]
+) -> tuple[bool, str | None]:
+    """Check that the initial cycle `cycle` and the open ears `ears` cover g
+    exactly.
 
     The cycle is written closed (first vertex repeated at the end).  Every
     ear is a path of >= 2 vertices whose endpoints are distinct and already
-    built; a 2-vertex ear is a chord.
+    built; a 2-vertex ear is a chord.  Returns (True, None) or
+    (False, reason).  A valid decomposition is a certificate of
+    2-connectedness.
     """
-
-    initial_cycle: tuple[int, ...]
-    ears: tuple[tuple[int, ...], ...]
-
-
-def verify_ear_decomposition(g: Graph, d: EarDecomposition) -> tuple[bool, str | None]:
-    """Check that `d` is an open ear decomposition covering g exactly.
-
-    Returns (True, None) or (False, reason).  A valid decomposition is a
-    certificate of 2-connectedness.
-    """
-    cyc = d.initial_cycle
-    if len(cyc) < 4 or cyc[0] != cyc[-1]:
+    if len(cycle) < 4 or cycle[0] != cycle[-1]:
         return False, "initial cycle must be closed with >= 3 distinct vertices"
-    body = cyc[:-1]
+    body = cycle[:-1]
     if len(set(body)) != len(body):
         return False, "initial cycle revisits a vertex"
     used: set[tuple[int, int]] = set()
@@ -399,12 +391,12 @@ def verify_ear_decomposition(g: Graph, d: EarDecomposition) -> tuple[bool, str |
         used.add(key)
         return None
 
-    for a, b in zip(cyc, cyc[1:]):
+    for a, b in zip(cycle, cycle[1:]):
         err = take_edge(a, b)
         if err:
             return False, f"initial cycle: {err}"
     built = set(body)
-    for k, ear in enumerate(d.ears):
+    for k, ear in enumerate(ears):
         if len(ear) < 2:
             return False, f"ear {k} has fewer than 2 vertices"
         if ear[0] == ear[-1]:
@@ -487,19 +479,15 @@ def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
             f"graphs are capped at {P4_CAP} P4s (paths on four vertices);"
             f" this one may have up to {bound}"
         )
-    return list(_walk_p4(g, None))
+    return list(_walk_p4(g.adj))
 
 
-def _walk_p4(g: Graph, within: frozenset[int] | None) -> Iterator[tuple[int, ...]]:
-    """enumerate_p4's paths, one at a time; with `within`, only those of the
-    induced subgraph G[within].  Rows are sorted, so the nested walk meets the
-    paths in ascending order."""
-    adj = g.adj
-    if within is not None:
-        adj = [tuple(u for u in row if u in within) if v in within else ()
-               for v, row in enumerate(adj)]
-    for p1 in range(g.n):
-        for p2 in adj[p1]:
+def _walk_p4(adj: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+    """enumerate_p4's paths, one at a time, of the graph whose adjacency rows
+    are `adj`.  Rows are sorted, so the nested walk meets the paths in
+    ascending order."""
+    for p1, row in enumerate(adj):
+        for p2 in row:
             for p3 in adj[p2]:
                 if p3 == p1:
                     continue

@@ -38,7 +38,7 @@ from .coloring import (
 )
 from .errors import BoundarySpecError
 from .gadgets import LabeledGraph, build_F, build_G18, build_R
-from .graphs import Graph
+from .graphs import Graph, graph_from_edge_list
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,13 @@ def verify_theorem1_composition() -> LemmaReport:
     s_red = enumerate_feasible(
         lg.graph, BoundarySpec(frozenset({x}), ((x, RED),), frozenset({x}))
     )
-    g18 = build_G18().graph
+    # the join c1 + c2 below colors G18 as two copies only if G18 is F on
+    # 0..n-1, F shifted by n on n..2n-1, and the root edge x1-x2
+    f, g18 = lg.graph, build_G18().graph
+    n = f.n
+    laid_out = g18 == graph_from_edge_list(
+        2 * n, [*f.edges(), *((u + n, v + n) for u, v in f.edges()), (x, x + n)]
+    )
     joined_ok = None
     pairs = 0
     for c1 in s_red:
@@ -289,7 +295,8 @@ def verify_theorem1_composition() -> LemmaReport:
             break
     result = dpll_solve(g18)
     passed = (
-        len(s_blue) == 0
+        laid_out
+        and len(s_blue) == 0
         and joined_ok is None
         and result.status is Status.UNSAT
     )

@@ -106,10 +106,20 @@ MUTANTS = (
     Mutant(
         "the direct verifier never walks the P4s",
         "crumby/coloring.py",
-        "    for path in _walk_p4(g, red):\n",
+        "    for path in _walk_p4(rows):\n",
         "    for path in ():\n",
         (
             "tests/test_coloring.py::test_all_red_four_cycle_has_a_path_violation",
+            "tests/test_acceptance.py::test_criterion_10b_verifier_pair_on_random_inputs",
+        ),
+    ),
+    Mutant(
+        "the P4 walk keeps Blue neighbours",
+        "crumby/coloring.py",
+        "            rows.append(())\n",
+        "            rows.append(row)\n",
+        (
+            "tests/test_coloring.py::test_verifier_matches_naive_oracle",
             "tests/test_acceptance.py::test_criterion_10b_verifier_pair_on_random_inputs",
         ),
     ),
@@ -156,6 +166,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the composition skips its layout check",
+        "crumby/lemmas.py",
+        "    laid_out = g18 == graph_from_edge_list(\n",
+        "    laid_out = True or g18 == graph_from_edge_list(\n",
+        ("tests/test_lemmas.py::test_composition_fails_on_a_relabeled_g18",),
+    ),
+    Mutant(
         "the sweep's chunks all start at mask 0",
         "crumby/coloring.py",
         "    for base in range(0, 1 << n, 1 << _CHUNK_BITS):\n",
@@ -194,7 +211,7 @@ MUTANTS = (
         "the P4 set is built before the P4 cap refuses it",
         "crumby/graphs.py",
         "    out = [len(row) - 1 for row in g.adj]  # d(v) - 1\n",
-        "    built = list(_walk_p4(g, None))\n"
+        "    built = list(_walk_p4(g.adj))\n"
         "    out = [len(row) - 1 for row in g.adj]  # d(v) - 1\n",
         # K62's P4s fit in the test's 1 GiB child, so only K150 kills this
         tuple(

@@ -16,7 +16,6 @@ import pytest
 
 from crumby import (
     Coloring,
-    EarDecomposition,
     Status,
     backtracking_solve,
     build_F,
@@ -198,7 +197,7 @@ def test_criterion_06_g18_structure(g18):
 def test_criterion_07_g40_structure(g40):
     g = g40.graph
     degree2 = sorted(v for v in range(g.n) if g.degree(v) == 2)
-    ears_ok, why = verify_ear_decomposition(g, EarDecomposition(G40_EAR_CYCLE, G40_EARS))
+    ears_ok, why = verify_ear_decomposition(g, G40_EAR_CYCLE, G40_EARS)
     ok = (
         g.m == 54
         and degree2 == [4, 9, 10, 15, 20, 21, 23, 28, 29, 32, 37, 38]
@@ -278,6 +277,13 @@ def test_criterion_10a_solver_agreement_on_the_full_census(census_lines):
     tested = 0
     cnf_checked = 0
     for n in range(1, 8):
+        # bit-sliced clause check: bit `bits` of planes[v] says whether the
+        # assignment `bits` colors vertex v Red, so one int operation
+        # evaluates a literal or a clause on all 2^n assignments at once
+        full = (1 << (1 << n)) - 1
+        planes = [
+            sum(1 << bits for bits in range(1 << n) if bits >> v & 1) for v in range(n)
+        ]
         for line in census_lines[n]:
             g = parse_graph6(line)
             results = [exhaustive_solve(g), backtracking_solve(g), dpll_solve(g)]
@@ -287,18 +293,17 @@ def test_criterion_10a_solver_agreement_on_the_full_census(census_lines):
                     assert verify_crumby(g, r.coloring), line
             tested += 1
 
-            f = encode_cnf(g)
+            models = full
+            for clause in encode_cnf(g).clauses:
+                sat = 0
+                for lit in clause:
+                    plane = planes[abs(lit) - 1]
+                    sat |= plane if lit > 0 else full ^ plane
+                models &= sat
             for bits in range(1 << g.n):
                 reds = {v for v in range(g.n) if bits >> v & 1}
-                model = all(
-                    any(
-                        (abs(lit) - 1 in reds) == (lit > 0)
-                        for lit in clause
-                    )
-                    for clause in f.clauses
-                )
                 valid = verify_crumby(g, Coloring.from_red_set(g.n, reds))
-                assert model == valid, (line, bits)
+                assert bool(models >> bits & 1) == valid, (line, bits)
                 cnf_checked += 1
     ok = tested == 996
     record(

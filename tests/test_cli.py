@@ -294,6 +294,23 @@ def test_verify_lists_violations(tmp_path, capsys):
     assert "no red neighbor" in out
 
 
+def test_verify_prints_each_kind_of_violation_exactly(tmp_path, capsys):
+    """Vertex 4 is Red with only a Blue neighbor, vertex 6 is Blue between
+    two Blue neighbors, and the path 0-1-2-3 is all Red."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("8 6\n0 1\n1 2\n2 3\n4 5\n5 6\n6 7\n")
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("R R R R R B B B\n")
+    code, out, _ = run(capsys, "verify", str(graph), str(coloring))
+    assert code == 1
+    assert out == (
+        "crumby: no\n"
+        "violation: red vertex 4 has no red neighbor\n"
+        "violation: blue vertex 6 has two or more blue neighbors\n"
+        "violation: all-red path 0-1-2-3\n"
+    )
+
+
 def test_verify_lists_at_most_a_thousand_violations(tmp_path):
     """An all-red K62 has 6.7 million all-red P4s.  The child caps its own
     address space at 1 GiB, so listing them all fails this test."""

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from crumby import (
     CapExceeded,
-    EarDecomposition,
     Graph6Error,
     GraphError,
     bitmask_of_graph,
@@ -303,31 +302,24 @@ def test_biconnected_examples(g18, g40):
 # -- ear decompositions ------------------------------------------------------
 
 
-def k4_ears() -> EarDecomposition:
-    return EarDecomposition(initial_cycle=(0, 1, 2, 0), ears=((0, 3, 1), (2, 3)))
-
-
 def test_ear_decomposition_accepts_k4():
-    ok, reason = verify_ear_decomposition(complete_graph(4), k4_ears())
+    ok, reason = verify_ear_decomposition(complete_graph(4), (0, 1, 2, 0), ((0, 3, 1), (2, 3)))
     assert ok, reason
 
 
 def test_ear_decomposition_requires_every_edge():
-    d = EarDecomposition(initial_cycle=(0, 1, 2, 0), ears=((0, 3, 1),))
-    ok, reason = verify_ear_decomposition(complete_graph(4), d)
+    ok, reason = verify_ear_decomposition(complete_graph(4), (0, 1, 2, 0), ((0, 3, 1),))
     assert not ok and "edge" in reason
 
 
 def test_ear_decomposition_rejects_reused_interior_vertex():
     g = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    d = EarDecomposition(initial_cycle=(0, 1, 2, 0), ears=((0, 3, 1), (2, 3, 0)))
-    ok, _ = verify_ear_decomposition(g, d)
+    ok, _ = verify_ear_decomposition(g, (0, 1, 2, 0), ((0, 3, 1), (2, 3, 0)))
     assert not ok
 
 
 def test_ear_decomposition_rejects_nonedge_step():
-    d = EarDecomposition(initial_cycle=(0, 2, 1, 0), ears=())
-    ok, reason = verify_ear_decomposition(cycle_graph(4), d)
+    ok, reason = verify_ear_decomposition(cycle_graph(4), (0, 2, 1, 0), ())
     assert not ok
 
 

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crumby.lemmas
 from crumby import (
     BoundarySpec,
     BoundarySpecError,
     CapExceeded,
     Coloring,
+    LabeledGraph,
     LemmaReport,
-    Violation,
-    ViolationKind,
     backtracking_solve,
+    build_G18,
     complete_graph,
     enumerate_feasible,
     graph_from_edge_list,
+    relabel,
     verify_crumby,
     verify_crumby_by_components,
     verify_lemma1_i,
@@ -106,7 +108,9 @@ def blue_pairs_after_blue_path(n: int) -> tuple:
 def test_verifiers_are_exact_on_large_graphs(n):
     g, c = blue_pairs_after_blue_path(n)
     assert verify_crumby(g, c) is False
-    assert list(violations(g, c.red_set())) == [Violation(ViolationKind.BLUE_DEGREE, vertex=1)]
+    assert list(violations(g, c.red_set())) == [
+        "blue vertex 1 has two or more blue neighbors"
+    ]
     assert not oracles.naive_is_crumby(g, c)
     assert not verify_crumby_by_components(g, c)
     fixed = Coloring.from_red_set(n, c.red_set() | {0, 1})
@@ -307,6 +311,20 @@ def test_composition_report_mentions_both_sides():
     assert "x-blue-feasible=0" in report.note
     assert "x-red-feasible=4" in report.note
     assert "joined-pairs=16" in report.note
+
+
+def test_composition_fails_on_a_relabeled_g18(monkeypatch):
+    """Every coloring of G18 fails, so the join passes only because G18 is
+    checked to be F, F shifted by 9 and the root edge 0-9."""
+    g18 = build_G18()
+    order = list(range(g18.graph.n))
+    random.Random(18).shuffle(order)
+    moved = LabeledGraph(relabel(g18.graph, order),
+                         {order[v]: role for v, role in g18.role_labels.items()})
+    monkeypatch.setattr(crumby.lemmas, "build_G18", lambda: moved)
+    report = verify_theorem1_composition()
+    assert report.passed is False
+    assert report.note.startswith("x-blue-feasible=0 x-red-feasible=4 joined-pairs=16")
 
 
 def test_all_reports_pass_without_the_exhaustive_oracle():
