@@ -22,7 +22,6 @@ budget raises BudgetExhausted instead of returning an answer.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -333,7 +332,11 @@ _UNSET, _RED, _BLUE = 0, 1, 4  # three colors sum to 2 or 3 only with no Blue
 class _GraphSearch:
     """DFS over vertex colors; deterministic: lowest unassigned vertex,
     Red tried before Blue, then every forced move propagated.  The state is
-    the colors and a trail; each rule reads the colors it needs."""
+    the colors and a trail.  One loop in dfs sets each color, checks the
+    rules (a)-(c) inline on the colors around it and queues the moves they
+    force; rule (c) reads the P4 table built here, its rows in enumerate_p4
+    order.  That row order, the order of the rules and the queue's order
+    fix the search tree, node and propagation counts included."""
 
     def __init__(self, g: Graph, budget: int | None) -> None:
         self.g = g
@@ -351,85 +354,38 @@ class _GraphSearch:
         self.nodes = 0
         self.propagations = 0
 
-    def _force_red_around(self, x: int, queue: deque) -> None:
-        """Force every unset neighbor of x Red."""
-        assign = self.assign
-        for w in self.g.adj[x]:
-            if assign[w] == _UNSET:
-                queue.append((w, _RED))
-
-    def _apply(self, v: int, color: int, queue: deque) -> bool:
-        """Set v and queue the moves it forces; False on a conflict."""
-        assign, adj = self.assign, self.g.adj
-        assign[v] = color
-        self.trail.append(v)
-        if color == _RED:
-            red = unset = 0
-            for u in adj[v]:
-                if assign[u] == _RED:
-                    red += 1
-                elif assign[u] == _UNSET:
-                    unset += 1
-            if not red and not unset:  # (b) v can get no Red neighbor
-                return False
-            for a, b, c in self.p4_of[v]:  # (c) with v Red
-                s = assign[a] + assign[b] + assign[c]
-                if s == 3:
-                    return False
-                if s == 2:  # two Red, one unset: that one goes Blue
-                    w = a if not assign[a] else b if not assign[b] else c
-                    queue.append((w, _BLUE))
-            if not red and unset == 1:
-                self._force_red_around(v, queue)
-            return True
-        blue = 0
-        for u in adj[v]:
-            if assign[u] == _BLUE:  # (a) for v and for u
-                blue += 1
-                if blue == 2:
-                    return False
-                near = 0
-                for w in adj[u]:
-                    if assign[w] == _BLUE:
-                        near += 1
-                if near >= 2:
-                    return False
-                self._force_red_around(u, queue)
-            elif assign[u] == _RED:  # (b) for u, which lost a candidate
-                unset = 0
-                for w in adj[u]:
-                    if assign[w] == _RED:
-                        break
-                    if assign[w] == _UNSET:
-                        unset += 1
-                else:
-                    if not unset:
-                        return False
-                    if unset == 1:
-                        self._force_red_around(u, queue)
-        if blue:
-            self._force_red_around(v, queue)
-        return True
-
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
         (vertex, trail mark, color), so depth is not bound by recursion.
-        Each node sets its choice and runs the queue of forced moves, first
-        in first out; a conflict undoes open choices, latest first, up to
-        one that still has Blue to try."""
-        assign, trail, apply = self.assign, self.trail, self._apply
+        Each node runs a queue that starts with its choice, first in first
+        out: a move to an unset vertex sets its color and appends the moves
+        that color forces, a move to a colored vertex must agree with it.
+        A conflict undoes open choices, latest first, up to one that still
+        has Blue to try.
+
+        Setting w Red breaks (b) if no neighbor of w can be Red, and (c) if
+        a P4 through w has its three other vertices Red; a P4 with two of
+        them Red forces the third Blue, and a single unset neighbor with no
+        Red one is forced Red.  Setting w Blue breaks (a) at w if it has two
+        Blue neighbors, and at a Blue neighbor u with two Blue neighbors;
+        the unset neighbors of such a u are forced Red, as are w's once w
+        has a Blue neighbor.  A Red neighbor of w that is left with no Red
+        neighbor breaks (b) if it has no unset one either, and forces its
+        single unset one Red.  Every forced move is a propagation, so each
+        node's count is its trail growth less its choice."""
+        assign, trail, adj, p4_of = self.assign, self.trail, self.g.adj, self.p4_of
+        unset_, red_, blue_ = _UNSET, _RED, _BLUE
         n, budget = self.g.n, self.budget
         nodes, propagations = self.nodes, self.propagations
         choices: list[tuple[int, int, int]] = []
-        queue: deque = deque()
         low = 0  # every vertex below low is colored
         try:
             while True:
-                while low < n and assign[low] != _UNSET:
+                while low < n and assign[low] != unset_:
                     low += 1
                 if low == n:
                     return True
-                v, color = low, _RED
+                v, color = low, red_
                 while True:
                     nodes += 1
                     if budget is not None and nodes > budget:
@@ -437,25 +393,85 @@ class _GraphSearch:
                             f"backtracking budget of {budget} nodes exhausted",
                             nodes=nodes,
                         )
-                    choices.append((v, len(trail), color))
-                    ok = apply(v, color, queue)
-                    while ok and queue:
-                        w, c = queue.popleft()
-                        if assign[w] != _UNSET:
-                            ok = assign[w] == c
+                    mark = len(trail)
+                    choices.append((v, mark, color))
+                    # the queue grows while it is walked; each break out of
+                    # it is a conflict, and the moves still queued are dropped
+                    queue = [(v, color)]
+                    for w, c in queue:
+                        if assign[w] != unset_:
+                            if assign[w] != c:
+                                break
+                            continue
+                        assign[w] = c
+                        trail.append(w)
+                        if c == red_:
+                            red = unset = 0
+                            for u in adj[w]:
+                                if assign[u] == red_:
+                                    red += 1
+                                elif assign[u] == unset_:
+                                    unset += 1
+                                    last = u
+                            if not red and not unset:
+                                break
+                            for a, b, d in p4_of[w]:
+                                s = assign[a] + assign[b] + assign[d]
+                                if s == 3:
+                                    break
+                                if s == 2:  # two Red, one unset: it goes Blue
+                                    x = a if not assign[a] else b if not assign[b] else d
+                                    queue.append((x, blue_))
+                            else:
+                                if not red and unset == 1:
+                                    queue.append((last, red_))
+                                continue
+                            break
+                        blue = 0
+                        for u in adj[w]:
+                            if assign[u] == blue_:
+                                blue += 1
+                                if blue == 2:
+                                    break
+                                near = 0
+                                for x in adj[u]:
+                                    if assign[x] == blue_:
+                                        near += 1
+                                    elif assign[x] == unset_:
+                                        queue.append((x, red_))
+                                if near >= 2:
+                                    break
+                            elif assign[u] == red_:
+                                unset = 0
+                                for x in adj[u]:
+                                    if assign[x] == red_:
+                                        break
+                                    if assign[x] == unset_:
+                                        unset += 1
+                                        last = x
+                                else:
+                                    if not unset:
+                                        break
+                                    if unset == 1:
+                                        queue.append((last, red_))
                         else:
-                            propagations += 1
-                            ok = apply(w, c, queue)
-                    if ok:
+                            if blue:
+                                for u in adj[w]:
+                                    if assign[u] == unset_:
+                                        queue.append((u, red_))
+                            continue
                         break
-                    queue.clear()
+                    else:
+                        propagations += len(trail) - mark - 1
+                        break
+                    propagations += len(trail) - mark - 1
                     while choices:
                         v, mark, color = choices.pop()
                         for u in trail[mark:]:
-                            assign[u] = _UNSET
+                            assign[u] = unset_
                         del trail[mark:]
-                        if color == _RED:
-                            color = _BLUE
+                        if color == red_:
+                            color = blue_
                             break
                     else:
                         return False

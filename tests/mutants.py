@@ -62,6 +62,10 @@ _DPLL_PINS = (
 _CHECKED_DPLL = (
     "tests/test_coloring.py::test_no_free_variable_is_pure_after_a_pass_on_relabeled_gadgets",
 )
+_SEARCH_PINS = (
+    "tests/test_coloring.py::test_census_search_trees_are_pinned",
+    "tests/test_coloring.py::test_sat_search_trees_beyond_the_census_are_pinned",
+)
 _LEMMAS = (
     "tests/test_cli.py::test_lemmas_machine_output",
     "tests/test_lemmas.py",
@@ -102,6 +106,22 @@ MUTANTS = (
         "                low = v\n",
         "                pass\n",
         ("tests/test_cli.py::test_refutation_certificate_bytes",),
+    ),
+    Mutant(
+        "(b) with a single unset neighbour forces nothing",
+        "crumby/coloring.py",
+        "                                if not red and unset == 1:\n"
+        "                                    queue.append((last, red_))\n",
+        "                                if not red and unset == 1:\n"
+        "                                    pass\n",
+        _SEARCH_PINS,
+    ),
+    Mutant(
+        "the P4 rule forces its first vertex Blue",
+        "crumby/coloring.py",
+        "                                    x = a if not assign[a] else b if not assign[b] else d\n",
+        "                                    x = a\n",
+        _SEARCH_PINS,
     ),
     Mutant(
         "the direct verifier never walks the P4s",

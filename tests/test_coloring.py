@@ -379,6 +379,15 @@ def test_budget_exhaustion_raises(g40):
     assert info.value.nodes == 11
 
 
+@pytest.mark.parametrize("budget", [0, 100])
+def test_budget_runs_out_inside_a_sat_search(budget):
+    # a Sat search takes 10,000 nodes here; the first node past the budget
+    # raises, so no partial coloring comes back
+    with pytest.raises(BudgetExhausted) as info:
+        backtracking_solve(path_graph(20_000), budget=budget)
+    assert info.value.nodes == budget + 1
+
+
 def test_solvers_are_deterministic(f_gadget):
     for solve in (backtracking_solve, dpll_solve):
         runs = [solve(f_gadget.graph) for _ in range(2)]
@@ -405,6 +414,26 @@ def test_census_search_trees_are_pinned(census_lines):
                 certificates += 1
     assert certificates == 1992
     assert digest.hexdigest()[:16] == CENSUS_SOLVE_DIGEST
+
+
+# sha256 of the backtracking_solve then dpll_solve certificates of
+# _random_subcubic(seed, 8 + seed % 23) for seeds 0..199, so n = 8..30;
+# 16-hex prefix.  All 200 are Sat and 146 of the backtracking searches undo
+# a conflict before they find their coloring, so the order in which forced
+# moves are queued and run shows here, past the census.  Computed before
+# the graph search's rules were folded into its loop.
+SAT_SEARCH_DIGEST = "edf53bf287b676a6"
+
+
+def test_sat_search_trees_beyond_the_census_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        g = _random_subcubic(seed, 8 + seed % 23)
+        for solve in (backtracking_solve, dpll_solve):
+            result = solve(g)
+            assert result.status is Status.SAT
+            digest.update(emit_solve_certificate(result).encode())
+    assert digest.hexdigest()[:16] == SAT_SEARCH_DIGEST
 
 
 def test_backtracking_solves_a_long_path_in_one_pass():
