@@ -11,7 +11,6 @@ re-verifies all of their supporting structure mechanically.
 from .coloring import (
     BLUE,
     RED,
-    CnfFormula,
     Color,
     Coloring,
     SolveResult,
@@ -75,7 +74,6 @@ from .graphs import (
     verify_ear_decomposition,
 )
 from .lemmas import (
-    BoundarySpec,
     LemmaReport,
     enumerate_feasible,
     verify_lemma1_i,
@@ -84,7 +82,6 @@ from .lemmas import (
     verify_theorem1_composition,
 )
 from .minorfree import (
-    ReductionStep,
     elimination_steps,
     elimination_width,
     find_elimination_order,

@@ -18,7 +18,6 @@ from .errors import CapExceeded, CertificateError, GraphError
 from .graphs import Graph, graph_from_edge_list
 from .minorfree import (
     MINOR_PATTERN_CAP,
-    ReductionStep,
     elimination_width,
     replay_reduction_trace,
     verify_minor_witness,
@@ -34,10 +33,10 @@ def emit_elimination_order(order: Sequence[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reduction_trace(n: int, trace: list[ReductionStep]) -> str:
+def emit_reduction_trace(n: int, trace: list[tuple[str, tuple[int, ...]]]) -> str:
     lines = ["type: reduction-trace", f"n: {n}"]
-    for step in trace:
-        lines.append(f"step: {step.rule} " + " ".join(map(str, step.args)))
+    for rule, args in trace:
+        lines.append(f"step: {rule} " + " ".join(map(str, args)))
     return "\n".join(lines) + "\n"
 
 
@@ -115,7 +114,8 @@ def _fields(
 
 def parse_certificate(text: str) -> tuple[str, object]:
     """Parse any certificate document into (type, body).  The type line picks
-    the body: a vertex tuple, (n, steps) or (pattern, branch sets)."""
+    the body: a vertex tuple, (n, [(rule, args), ...]) or (pattern, branch
+    sets)."""
     entries = _entries(text)
     key, kind = entries[0]
     if key != "type":
@@ -132,8 +132,8 @@ def parse_certificate(text: str) -> tuple[str, object]:
         trace = []
         for value in values:
             rule, _, args = value.partition(" ")
-            trace.append(ReductionStep(rule, tuple(_ints(args, "step"))))
-        return kind, (_int(fields["n"], "n"), tuple(trace))
+            trace.append((rule, tuple(_ints(args, "step"))))
+        return kind, (_int(fields["n"], "n"), trace)
     pn = _int(fields["pattern-n"], "pattern-n")
     if pn > MINOR_PATTERN_CAP:  # refused before anything is sized by it
         raise CapExceeded(
@@ -174,7 +174,7 @@ def validate_certificate(g: Graph, cert: tuple[str, object]) -> tuple[bool, str]
         n, steps = body
         if n != g.n:
             return False, f"certificate is for n={n}, the graph has {g.n} vertices"
-        ok, reason = replay_reduction_trace(g, list(steps))
+        ok, reason = replay_reduction_trace(g, steps)
         return ok, reason or f"workspace emptied in {len(steps)} steps"
     pattern, branch_sets = body
     ok, reason = verify_minor_witness(g, pattern, branch_sets)

@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cnf(args) -> int:
     g = load_graph(args.graph)
-    text = emit_dimacs(encode_cnf(g))
+    text = emit_dimacs(g.n, encode_cnf(g))
     if args.output:
         Path(args.output).write_text(text)
     else:

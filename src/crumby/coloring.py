@@ -274,20 +274,14 @@ def exhaustive_solve(g: Graph) -> SolveResult:
 # -- CNF encoding ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """CNF over variables 1..num_vars; x_v true means vertex v-1 is Red."""
-
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-
-
 def _clause_key(clause: tuple[int, ...]):
     return tuple((abs(l), l < 0) for l in clause)
 
 
-def encode_cnf(g: Graph) -> CnfFormula:
+def encode_cnf(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Clause families for (a), (b), (c), deduplicated, deterministic order.
+
+    The clauses range over variables 1..g.n; x_v true means vertex v-1 is Red.
 
     1. (x_v | x_u | x_w) for each v and unordered pair {u,w} of neighbors:
        a Blue vertex tolerates at most one Blue neighbor.
@@ -314,12 +308,12 @@ def encode_cnf(g: Graph) -> CnfFormula:
         + sorted(fam2, key=_clause_key)
         + [tuple(-x for x in clause) for clause in sorted(fam3)]
     )
-    return CnfFormula(g.n, tuple(clauses))
+    return tuple(clauses)
 
 
-def emit_dimacs(f: CnfFormula) -> str:
-    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
-    for clause in f.clauses:
+def emit_dimacs(n: int, clauses: tuple[tuple[int, ...], ...]) -> str:
+    lines = [f"p cnf {n} {len(clauses)}"]
+    for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 
@@ -518,23 +512,25 @@ class _Dpll:
     vertex's unit clause (~x_v) needs no unit pass of its own: x_v occurs
     in no clause positively, so the root pass assigns it false."""
 
-    def __init__(self, f: CnfFormula, budget: int | None) -> None:
-        self.f = f
+    def __init__(
+        self, n: int, clauses: tuple[tuple[int, ...], ...], budget: int | None
+    ) -> None:
+        self.n = n
+        self.clauses = clauses
         self.budget = budget
-        nv = f.num_vars
-        self.val = [0] * (2 * nv + 1)  # 0 unknown, 1 true, -1 false
-        self.occ: list[list[int]] = [[] for _ in range(2 * nv + 1)]
-        for ci, clause in enumerate(f.clauses):
+        self.val = [0] * (2 * n + 1)  # 0 unknown, 1 true, -1 false
+        self.occ: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        for ci, clause in enumerate(clauses):
             for lit in clause:
                 self.occ[lit].append(ci)
         self.near = [
-            tuple({abs(x) for ci in cis for x in f.clauses[ci]}) for cis in self.occ
+            tuple({abs(x) for ci in cis for x in clauses[ci]}) for cis in self.occ
         ]
         # the literal whose assignment first satisfied each clause, 0 if
         # none; free literals are counted only while a clause is unsatisfied
-        self.sat = [0] * len(f.clauses)
-        self.n_free = [len(c) for c in f.clauses]
-        self.touched = list(range(1, nv + 1))  # pure-literal candidates
+        self.sat = [0] * len(clauses)
+        self.n_free = [len(c) for c in clauses]
+        self.touched = list(range(1, n + 1))  # pure-literal candidates
         self.trail: list[int] = []
         self.nodes = 0
         self.propagations = 0
@@ -548,7 +544,7 @@ class _Dpll:
         checks them for conflict, before the walk goes on; it visits every
         occurrence even past a conflict, so undo stays symmetric."""
         val, sat, n_free, occ, near = self.val, self.sat, self.n_free, self.occ, self.near
-        clauses, trail, touched = self.f.clauses, self.trail, self.touched
+        clauses, trail, touched = self.clauses, self.trail, self.touched
         falsified: list[int] = []  # grows while it is walked
         walk = iter(falsified)
         while True:
@@ -623,7 +619,7 @@ class _Dpll:
         followed it."""
         val, sat, n_free, occ = self.val, self.sat, self.n_free, self.occ
         trail, touched, budget = self.trail, self.touched, self.budget
-        end = self.f.num_vars + 1
+        end = self.n + 1
         choices: list[tuple[int, int]] = []
         low = 1  # every variable below low is assigned
         ok = self._pure_literals()
@@ -669,7 +665,7 @@ def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:
     matches backtracking_solve.
     """
     t0 = time.perf_counter()
-    d = _Dpll(encode_cnf(g), budget)
+    d = _Dpll(g.n, encode_cnf(g), budget)
     coloring = None
     if d.dfs():
         coloring = Coloring(

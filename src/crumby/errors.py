@@ -21,7 +21,8 @@ class ExpansionError(ValueError):
 
 
 class BoundarySpecError(ValueError):
-    """Contradictory or out-of-range boundary specification."""
+    """A boundary or fixed vertex out of range, or an outside-red flag off
+    the boundary."""
 
 
 class CapExceeded(ValueError):

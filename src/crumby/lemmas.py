@@ -15,9 +15,12 @@ of the host, whatever the outside looks like:
 
 Enumerating every coloring that passes C1-C4 and checking a conclusion on
 all of them therefore proves the conclusion for every crumby coloring of
-every host.  The verify_lemma* functions run exactly such enumerations for
-the bundled gadgets, and verify_theorem1_composition chains them into a
-solver-free unsatisfiability proof for G18.
+every host.  enumerate_feasible(g, boundary, fixed, outside_red) takes the
+scenario as plain values: the boundary set, a map from vertex to fixed
+color, and the boundary vertices flagged for C4.  The verify_lemma*
+functions run exactly such enumerations for the bundled gadgets, and
+verify_theorem1_composition chains them into a solver-free
+unsatisfiability proof for G18.
 """
 
 from __future__ import annotations
@@ -41,40 +44,6 @@ from .gadgets import LabeledGraph, build_F, build_G18, build_R
 from .graphs import Graph, graph_from_edge_list
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Boundary vertices, fixed-color assumptions, and outside-red flags.
-
-    `assumptions` is a sequence of (vertex, color) pairs; fixing one vertex
-    to both colors is rejected at validation time.  `outside_red` marks
-    boundary vertices assumed to have a Red neighbor outside (enables C4).
-    """
-
-    boundary: frozenset[int]
-    assumptions: tuple[tuple[int, Color], ...] = ()
-    outside_red: frozenset[int] = frozenset()
-
-
-def _validate_spec(g: Graph, spec: BoundarySpec) -> dict[int, Color]:
-    """Check `spec` against the graph; returns the fixed-color map."""
-    for v in spec.boundary:
-        if not 0 <= v < g.n:
-            raise BoundarySpecError(f"boundary vertex {v} is not in [0, {g.n})")
-    fixed: dict[int, Color] = {}
-    for v, color in spec.assumptions:
-        if not 0 <= v < g.n:
-            raise BoundarySpecError(f"assumption vertex {v} is not in [0, {g.n})")
-        if v in fixed and fixed[v] is not color:
-            raise BoundarySpecError(f"vertex {v} is fixed to both colors")
-        fixed[v] = color
-    stray = spec.outside_red - spec.boundary
-    if stray:
-        raise BoundarySpecError(
-            f"outside-red flags on non-boundary vertices {sorted(stray)}"
-        )
-    return fixed
-
-
 def _paths_from(g: Graph, v: int) -> Iterator[tuple[int, int, int]]:
     """Every path v-p-q in g, p over v's neighbors in order, then q over p's."""
     for p in g.adj[v]:
@@ -83,21 +52,34 @@ def _paths_from(g: Graph, v: int) -> Iterator[tuple[int, int, int]]:
                 yield (v, p, q)
 
 
-def enumerate_feasible(g: Graph, spec: BoundarySpec) -> tuple[Coloring, ...]:
-    """Every coloring that agrees with the assumptions and passes C1-C4, in
-    lexicographic order (B before R).
+def enumerate_feasible(
+    g: Graph,
+    boundary: frozenset[int],
+    fixed: dict[int, Color] | None = None,
+    outside_red: frozenset[int] = frozenset(),
+) -> tuple[Coloring, ...]:
+    """Every coloring that agrees with the `fixed` colors and passes C1-C4,
+    in lexicographic order (B before R).  `outside_red` marks the boundary
+    vertices assumed to have a Red neighbor outside.
 
     C2 and C4 reach the feasibility sweep as data.  C2: boundary vertices are
     exempt from the Red-support test.  C4: every path v-p-q from an
     outside-red v is forbidden all-Red, like a P4.
     """
-    fixed = _validate_spec(g, spec)
-    extra = tuple(
-        path for v in sorted(spec.outside_red) for path in _paths_from(g, v)
-    )
+    fixed = fixed or {}
+    for what, vertices in (("boundary", boundary), ("fixed", fixed)):
+        for v in vertices:
+            if not 0 <= v < g.n:
+                raise BoundarySpecError(f"{what} vertex {v} is not in [0, {g.n})")
+    stray = outside_red - boundary
+    if stray:
+        raise BoundarySpecError(
+            f"outside-red flags on non-boundary vertices {sorted(stray)}"
+        )
+    extra = tuple(path for v in sorted(outside_red) for path in _paths_from(g, v))
     return tuple(
         _mask_to_coloring(g.n, mask)
-        for mask in _feasible_masks(g, spec.boundary, extra, fixed)
+        for mask in _feasible_masks(g, boundary, extra, fixed)
     )
 
 
@@ -145,13 +127,11 @@ class LemmaReport:
 def _scenario(
     lemma: str,
     scenario: str,
-    g: Graph,
-    spec: BoundarySpec,
+    fs: tuple[Coloring, ...],
     bad: Callable[[Coloring], bool],
 ) -> LemmaReport:
-    """Enumerate the feasible colorings under `spec`; the first `bad` one is
-    the counterexample, and the scenario passes iff there is none."""
-    fs = enumerate_feasible(g, spec)
+    """Report on the feasible colorings `fs`: the first `bad` one is the
+    counterexample, and the scenario passes iff there is none."""
     counterexample = next((c for c in fs if bad(c)), None)
     return LemmaReport(
         lemma=lemma,
@@ -183,8 +163,7 @@ def verify_lemma1_i(
     return _scenario(
         "1(i)",
         scenario,
-        lg.graph,
-        BoundarySpec(boundary, ((x, BLUE),)),
+        enumerate_feasible(lg.graph, boundary, {x: BLUE}),
         lambda c: c.colors[r] is BLUE
         or any(c.colors[u] is RED for u in lg.graph.adj[r]),
     )
@@ -203,10 +182,10 @@ def verify_lemma1_ii(lg: LabeledGraph | None = None) -> list[LemmaReport]:
         _scenario(
             "1(ii)",
             f"x-red boundary=x,{r_role} outside-red={'yes' if flagged else 'no'}",
-            lg.graph,
-            BoundarySpec(
+            enumerate_feasible(
+                lg.graph,
                 frozenset({x, roles[r_role]}),
-                ((x, RED),),
+                {x: RED},
                 frozenset({x}) if flagged else frozenset(),
             ),
             lambda c: c.colors[a] is BLUE and c.colors[b] is BLUE,
@@ -241,15 +220,13 @@ def verify_lemma2(lg: LabeledGraph | None = None) -> list[LemmaReport]:
         _scenario(
             "2",
             "s-red rich",
-            lg.graph,
-            BoundarySpec(frozenset({s, t}), ((s, RED),)),
+            enumerate_feasible(lg.graph, frozenset({s, t}), {s: RED}),
             lambda c: richness_witness(lg.graph, c, s) is None,
         ),
         _scenario(
             "2",
             "s-red outside-red expects-empty",
-            lg.graph,
-            BoundarySpec(frozenset({s, t}), ((s, RED),), frozenset({s})),
+            enumerate_feasible(lg.graph, frozenset({s, t}), {s: RED}, frozenset({s})),
             lambda c: True,
         ),
     ]
@@ -269,12 +246,8 @@ def verify_theorem1_composition() -> LemmaReport:
     lg = build_F()
     roles = lg.roles()
     x = roles["x"]
-    s_blue = enumerate_feasible(
-        lg.graph, BoundarySpec(frozenset({x}), ((x, BLUE),))
-    )
-    s_red = enumerate_feasible(
-        lg.graph, BoundarySpec(frozenset({x}), ((x, RED),), frozenset({x}))
-    )
+    s_blue = enumerate_feasible(lg.graph, frozenset({x}), {x: BLUE})
+    s_red = enumerate_feasible(lg.graph, frozenset({x}), {x: RED}, frozenset({x}))
     # the join c1 + c2 below colors G18 as two copies only if G18 is F on
     # 0..n-1, F shifted by n on n..2n-1, and the root edge x1-x2
     f, g18 = lg.graph, build_G18().graph

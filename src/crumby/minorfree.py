@@ -7,6 +7,8 @@ Two independent routes to "no K4 minor":
                      degree-2 vertices; the graph has treewidth <= 2 iff the
                      workspace empties.  A graph that gets stuck is simple
                      with minimum degree >= 3 and therefore has a K4 minor.
+                     The trace is a list of (rule, args) pairs, which
+                     replay_reduction_trace re-applies one by one.
 * elimination orders -- a perfect elimination style certificate: each
                      eliminated vertex sees at most 2 remaining neighbors
                      (clique fill-in, here at most one fill edge).
@@ -19,7 +21,6 @@ was exhausted, and running out of budget raises BudgetExhausted.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -82,12 +83,7 @@ def find_elimination_order(g: Graph) -> tuple[int, ...] | None:
 # -- reduction recognizer --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    rule: str  # delete-isolated | delete-leaf | merge-parallel | suppress
-    args: tuple[int, ...]
-
-
+# a reduction step is a pair (rule, args), the rule one of these
 _ARITY = {"delete-isolated": 1, "delete-leaf": 2, "merge-parallel": 2, "suppress": 3}
 _RANKED = tuple(_ARITY)  # recognize_tw2 takes the lowest rank first
 
@@ -98,33 +94,35 @@ def _multigraph_of(g: Graph) -> dict[int, list[int]]:
     return {v: list(g.adj[v]) for v in range(g.n)}
 
 
-def _apply_step(mg: dict[int, list[int]], step: ReductionStep) -> str | None:
+def _apply_step(
+    mg: dict[int, list[int]], rule: str, args: tuple[int, ...]
+) -> str | None:
     """Apply one reduction rule to the workspace, or return why it does not
     apply (the workspace is then unchanged)."""
-    if step.rule not in _ARITY:
+    if rule not in _ARITY:
         return "unknown rule"
-    if len(step.args) != _ARITY[step.rule]:
-        return f"expected {_ARITY[step.rule]} arguments"
-    if step.rule == "delete-isolated":
-        (v,) = step.args
+    if len(args) != _ARITY[rule]:
+        return f"expected {_ARITY[rule]} arguments"
+    if rule == "delete-isolated":
+        (v,) = args
         if v not in mg or mg[v]:
             return "vertex not isolated"
         del mg[v]
-    elif step.rule == "delete-leaf":
-        v, u = step.args
+    elif rule == "delete-leaf":
+        v, u = args
         if v not in mg or mg[v] != [u]:
             return "vertex not a leaf on that edge"
         mg[u].remove(v)
         del mg[v]
-    elif step.rule == "merge-parallel":
-        v, u = step.args
+    elif rule == "merge-parallel":
+        v, u = args
         if v not in mg or mg[v].count(u) < 2:
             return "no parallel pair"
         while mg[v].count(u) > 1:
             mg[v].remove(u)
             mg[u].remove(v)
     else:
-        v, u, w = step.args
+        v, u, w = args
         if v not in mg or sorted(set(mg[v])) != sorted((u, w)) or u == w:
             return "vertex does not have exactly these 2 neighbors"
         if len(mg[v]) != 2:
@@ -151,29 +149,29 @@ def _offer(heap: list, mg: dict[int, list[int]], v: int) -> None:
                 heappush(heap, (2, (v, u)))
 
 
-def recognize_tw2(g: Graph) -> tuple[bool, list[ReductionStep]]:
+def recognize_tw2(g: Graph) -> tuple[bool, list[tuple[str, tuple[int, ...]]]]:
     """Reduce to the empty multigraph, always taking the least step on offer.
     A step changes only its own arguments' neighbour lists, so only they are
     offered again, and _apply_step rejects offers that have gone stale.
-    Returns (emptied?, trace); a stuck workspace is simple with minimum
-    degree >= 3."""
+    Returns (emptied?, trace), the trace a list of (rule, args) steps; a
+    stuck workspace is simple with minimum degree >= 3."""
     mg = _multigraph_of(g)
     heap: list[tuple[int, tuple[int, ...]]] = []
     for v in mg:
         _offer(heap, mg, v)
-    trace: list[ReductionStep] = []
+    trace: list[tuple[str, tuple[int, ...]]] = []
     while heap:
         rank, args = heappop(heap)
-        step = ReductionStep(_RANKED[rank], args)
-        if _apply_step(mg, step) is None:
-            trace.append(step)
+        rule = _RANKED[rank]
+        if _apply_step(mg, rule, args) is None:
+            trace.append((rule, args))
             for v in mg.keys() & args:
                 _offer(heap, mg, v)
     return not mg, trace
 
 
 def replay_reduction_trace(
-    g: Graph, trace: list[ReductionStep]
+    g: Graph, trace: list[tuple[str, tuple[int, ...]]]
 ) -> tuple[bool, str | None]:
     """Re-validate a reduction trace step by step without re-searching.
 
@@ -181,10 +179,10 @@ def replay_reduction_trace(
     the steps need not follow recognize_tw2's scan order.
     """
     mg = _multigraph_of(g)
-    for k, step in enumerate(trace):
-        why = _apply_step(mg, step)
+    for k, (rule, args) in enumerate(trace):
+        why = _apply_step(mg, rule, args)
         if why is not None:
-            return False, f"step {k} ({step.rule} {step.args}): {why}"
+            return False, f"step {k} ({rule} {args}): {why}"
     if mg:
         return False, f"workspace not empty after replay: {sorted(mg)} remain"
     return True, None

@@ -174,8 +174,8 @@ MUTANTS = (
     Mutant(
         "C4: paths from every boundary vertex are forbidden all-Red",
         "crumby/lemmas.py",
-        "        path for v in sorted(spec.outside_red) for path in _paths_from(g, v)\n",
-        "        path for v in sorted(spec.boundary) for path in _paths_from(g, v)\n",
+        "    extra = tuple(path for v in sorted(outside_red) for path in _paths_from(g, v))\n",
+        "    extra = tuple(path for v in sorted(boundary) for path in _paths_from(g, v))\n",
         (
             "tests/test_lemmas.py::test_inside_red_path_is_fine_without_the_flag",
             "tests/test_lemmas.py::test_enumeration_matches_the_naive_oracle",
@@ -184,6 +184,13 @@ MUTANTS = (
             "tests/test_lemmas.py::test_lemma1_ii_reports",
             "tests/test_lemmas.py::test_lemma2_reports",
         ),
+    ),
+    Mutant(
+        "fixed vertices are not range-checked",
+        "crumby/lemmas.py",
+        '    for what, vertices in (("boundary", boundary), ("fixed", fixed)):\n',
+        '    for what, vertices in (("boundary", boundary),):\n',
+        ("tests/test_lemmas.py::test_spec_rejects_out_of_range_fixed_vertex",),
     ),
     Mutant(
         "the composition skips its layout check",

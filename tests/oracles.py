@@ -9,7 +9,6 @@ import itertools
 from collections.abc import Sequence
 
 from crumby import (
-    BoundarySpec,
     Coloring,
     Graph,
     GraphError,
@@ -52,21 +51,23 @@ def naive_is_crumby(g: Graph, c: Coloring) -> bool:
     return True
 
 
-def naive_relaxed_feasible(g: Graph, spec: BoundarySpec, c: Coloring) -> bool:
+def naive_relaxed_feasible(
+    g: Graph, boundary: frozenset[int], outside_red: frozenset[int], c: Coloring
+) -> bool:
     """Check the boundary-relaxed conditions C1-C4 straight from their statement."""
     red = c.red_set()
     blue = set(range(g.n)) - red
     for v in blue:
         if sum(1 for u in g.adj[v] if u in blue) > 1:
             return False
-    for v in red - spec.boundary:
+    for v in red - boundary:
         if not any(u in red for u in g.adj[v]):
             return False
     for quad in itertools.combinations(sorted(red), 4):
         for p1, p2, p3, p4 in itertools.permutations(quad):
             if g.has_edge(p1, p2) and g.has_edge(p2, p3) and g.has_edge(p3, p4):
                 return False
-    for v in spec.outside_red & red:
+    for v in outside_red & red:
         for p, q in itertools.permutations(red - {v}, 2):
             if g.has_edge(v, p) and g.has_edge(p, q):
                 return False

@@ -294,7 +294,7 @@ def test_criterion_10a_solver_agreement_on_the_full_census(census_lines):
             tested += 1
 
             models = full
-            for clause in encode_cnf(g).clauses:
+            for clause in encode_cnf(g):
                 sat = 0
                 for lit in clause:
                     plane = planes[abs(lit) - 1]

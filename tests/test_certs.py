@@ -39,7 +39,7 @@ def test_reduction_trace_round_trip(g40):
     assert accepted
     text = emit_reduction_trace(g40.graph.n, trace)
     parsed = parse_certificate(text)
-    assert parsed[0] == "reduction-trace"
+    assert parsed == ("reduction-trace", (g40.graph.n, trace))
     ok, detail = validate_certificate(g40.graph, parsed)
     assert ok, detail
 
@@ -47,7 +47,7 @@ def test_reduction_trace_round_trip(g40):
 def test_reduction_trace_detects_tampering(g18):
     _, trace = recognize_tw2(g18.graph)
     text = emit_reduction_trace(g18.graph.n, trace)
-    tampered = text.replace(trace[0].rule, "delete-isolated", 1)
+    tampered = text.replace(trace[0][0], "delete-isolated", 1)
     ok, detail = validate_certificate(g18.graph, parse_certificate(tampered))
     assert not ok
     # the same steps, stated for another vertex count

@@ -17,7 +17,6 @@ import pytest
 from crumby import (
     BLUE,
     RED,
-    BoundarySpec,
     Status,
     count_crumby,
     enumerate_feasible,
@@ -93,14 +92,17 @@ def _copy_graph(g40, copy: dict[str, int]):
 @pytest.mark.parametrize("name", sorted(G40_COPIES))
 def test_chunk_width_never_changes_a_feasible_set(monkeypatch, g40, name):
     g, boundary = _copy_graph(g40.graph, G40_COPIES[name])
-    specs = [
-        BoundarySpec(boundary),
-        BoundarySpec(boundary, tuple((v, RED) for v in sorted(boundary)), boundary),
-        BoundarySpec(boundary, tuple((v, BLUE) for v in sorted(boundary))),
+    scenarios = [
+        (boundary, None, frozenset()),
+        (boundary, dict.fromkeys(sorted(boundary), RED), boundary),
+        (boundary, dict.fromkeys(sorted(boundary), BLUE), frozenset()),
     ]
 
     def feasible():
-        return [[c.to_text() for c in enumerate_feasible(g, spec)] for spec in specs]
+        return [
+            [c.to_text() for c in enumerate_feasible(g, *scenario)]
+            for scenario in scenarios
+        ]
 
     default, narrow = _at_both_widths(monkeypatch, NARROW, feasible)
     assert narrow == default

@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings
 
 from crumby import (
     BLUE,
-    BoundarySpec,
     BudgetExhausted,
     CapExceeded,
-    CnfFormula,
     Coloring,
     GADGETS,
     Status,
@@ -39,13 +37,13 @@ from tests.helpers import path_graph, traced_peak
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
-def cnf_satisfied(f: CnfFormula, reds: set[int]) -> bool:
+def cnf_satisfied(clauses: tuple[tuple[int, ...], ...], reds: set[int]) -> bool:
     # literal v>0 means vertex v-1 red, v<0 means vertex -v-1 blue
     def lit_true(lit: int) -> bool:
         vertex = abs(lit) - 1
         return (vertex in reds) if lit > 0 else (vertex not in reds)
 
-    return all(any(lit_true(lit) for lit in clause) for clause in f.clauses)
+    return all(any(lit_true(lit) for lit in clause) for clause in clauses)
 
 
 # -- coloring values ---------------------------------------------------------
@@ -192,7 +190,7 @@ def test_exhaustive_returns_lexicographically_least_coloring(census):
 SWEEPS = {
     "exhaustive_solve": exhaustive_solve,
     "count_crumby": count_crumby,
-    "enumerate_feasible": lambda g: enumerate_feasible(g, BoundarySpec(frozenset())),
+    "enumerate_feasible": lambda g: enumerate_feasible(g, frozenset()),
 }
 
 
@@ -263,13 +261,13 @@ def test_empty_graph_is_trivially_colorable():
 
 
 def test_cnf_sizes_on_reference_graphs():
-    assert len(encode_cnf(complete_graph(2)).clauses) == 2
-    assert len(encode_cnf(path_graph(4)).clauses) == 7
-    assert len(encode_cnf(complete_graph(4)).clauses) == 9
+    assert len(encode_cnf(complete_graph(2))) == 2
+    assert len(encode_cnf(path_graph(4))) == 7
+    assert len(encode_cnf(complete_graph(4))) == 9
 
 
 def test_cnf_clause_families_on_path():
-    clauses = encode_cnf(path_graph(4)).clauses
+    clauses = encode_cnf(path_graph(4))
     all_positive = [c for c in clauses if all(lit > 0 for lit in c)]
     all_negative = [c for c in clauses if all(lit < 0 for lit in c)]
     mixed = [c for c in clauses if c not in all_positive and c not in all_negative]
@@ -279,11 +277,11 @@ def test_cnf_clause_families_on_path():
 
 
 def test_cnf_has_no_duplicate_clauses():
-    clauses = encode_cnf(complete_graph(5)).clauses
+    clauses = encode_cnf(complete_graph(5))
     assert len(set(clauses)) == len(clauses)
 
 
-# sha256 of emit_dimacs(encode_cnf(g)) over every census line (n = 1..7, in
+# sha256 of emit_dimacs(g.n, encode_cnf(g)) over every census line (n = 1..7, in
 # census order), then G18, G40 and G40 under one random.Random(16)
 # relabeling; 16-hex prefix.  Clause order is part of these bytes.
 DIMACS_DIGEST = "7e075fe2ed55cd73"
@@ -296,13 +294,13 @@ def test_dimacs_bytes_are_pinned(census_lines, g18, g40):
     graphs += [g18.graph, g40.graph, relabel(g40.graph, perm)]
     digest = hashlib.sha256()
     for g in graphs:
-        digest.update(emit_dimacs(encode_cnf(g)).encode())
+        digest.update(emit_dimacs(g.n, encode_cnf(g)).encode())
     assert len(graphs) == 999
     assert digest.hexdigest()[:16] == DIMACS_DIGEST
 
 
 def test_dimacs_format():
-    text = emit_dimacs(encode_cnf(complete_graph(2)))
+    text = emit_dimacs(2, encode_cnf(complete_graph(2)))
     lines = text.splitlines()
     assert lines[0] == "p cnf 2 2"
     assert all(line.endswith(" 0") for line in lines[1:])
@@ -311,12 +309,12 @@ def test_dimacs_format():
 @given(strategies.graphs(min_n=1, max_n=6))
 @PROPERTY
 def test_cnf_models_are_exactly_the_crumby_colorings(g):
-    f = encode_cnf(g)
-    assert f.num_vars == g.n
+    clauses = encode_cnf(g)
+    assert all(1 <= abs(lit) <= g.n for clause in clauses for lit in clause)
     for bits in range(1 << g.n):
         reds = {v for v in range(g.n) if bits >> v & 1}
         expected = verify_crumby(g, Coloring.from_red_set(g.n, reds))
-        assert cnf_satisfied(f, reds) == expected
+        assert cnf_satisfied(clauses, reds) == expected
 
 
 # -- the three solvers -------------------------------------------------------
@@ -579,7 +577,7 @@ class _CheckedDpll(crumby.coloring._Dpll):
             return False
         val, sat, n_free = self.val, self.sat, self.n_free
         open_lits = set()
-        for ci, clause in enumerate(self.f.clauses):
+        for ci, clause in enumerate(self.clauses):
             true = [lit for lit in clause if val[lit] == 1]
             if true:
                 assert sat[ci] in true, f"clause {ci} is satisfied by {sat[ci]}"
@@ -590,7 +588,7 @@ class _CheckedDpll(crumby.coloring._Dpll):
                 open_lits.update(clause)
         pure = [
             var
-            for var in range(1, self.f.num_vars + 1)
+            for var in range(1, self.n + 1)
             if not val[var] and (var not in open_lits or -var not in open_lits)
         ]
         assert not pure, f"free variables {pure} are pure after a completed pass"
@@ -599,7 +597,7 @@ class _CheckedDpll(crumby.coloring._Dpll):
 
 
 def checked_dpll(g, budget=None) -> _CheckedDpll:
-    d = _CheckedDpll(encode_cnf(g), budget)
+    d = _CheckedDpll(g.n, encode_cnf(g), budget)
     try:
         d.dfs()
     except BudgetExhausted:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import crumby.lemmas
 from crumby import (
-    BoundarySpec,
     BoundarySpecError,
     CapExceeded,
     Coloring,
@@ -42,55 +41,53 @@ K2 = complete_graph(2)
 
 
 def test_spec_rejects_out_of_range_boundary():
-    with pytest.raises(BoundarySpecError, match="not in"):
-        enumerate_feasible(K2, BoundarySpec(frozenset({5})))
+    for v in (5, -1):
+        with pytest.raises(BoundarySpecError, match=f"boundary vertex {v} is not in"):
+            enumerate_feasible(K2, frozenset({v}))
+
+
+def test_spec_rejects_out_of_range_fixed_vertex():
+    # unchecked, -1 would silently fix vertex n - 1 and 2 would raise IndexError
+    for v in (-1, 2):
+        with pytest.raises(BoundarySpecError, match=f"fixed vertex {v} is not in"):
+            enumerate_feasible(K2, frozenset(), {v: Color.RED})
 
 
 def test_spec_rejects_flags_off_the_boundary():
     with pytest.raises(BoundarySpecError, match="non-boundary"):
-        enumerate_feasible(K2, BoundarySpec(frozenset({0}), outside_red=frozenset({1})))
-
-
-def test_spec_rejects_contradictory_fixes():
-    spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED), (0, Color.BLUE)))
-    with pytest.raises(BoundarySpecError, match="both colors"):
-        enumerate_feasible(K2, spec)
+        enumerate_feasible(K2, frozenset({0}), outside_red=frozenset({1}))
 
 
 # -- the relaxed conditions --------------------------------------------------
 
 
 def test_unbounded_piece_reduces_to_plain_verification():
-    fs = enumerate_feasible(K2, BoundarySpec(frozenset()))
+    fs = enumerate_feasible(K2, frozenset())
     assert [c.to_text() for c in fs] == ["B B", "R R"]
 
 
 def test_boundary_red_vertex_needs_no_inside_support():
-    spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED),))
-    assert Coloring.from_text("R B") in enumerate_feasible(K2, spec)
+    feasible = enumerate_feasible(K2, frozenset({0}), {0: Color.RED})
+    assert Coloring.from_text("R B") in feasible
 
 
 def test_outside_red_flag_blocks_inside_red_paths():
     p3 = path_graph(3)
-    spec = BoundarySpec(
-        frozenset({0}), assumptions=((0, Color.RED),), outside_red=frozenset({0})
-    )
-    feasible = enumerate_feasible(p3, spec)
+    feasible = enumerate_feasible(p3, frozenset({0}), {0: Color.RED}, frozenset({0}))
     assert Coloring.from_text("R R R") not in feasible
     assert Coloring.from_text("R R B") in feasible
 
 
 def test_inside_red_path_is_fine_without_the_flag():
     p3 = path_graph(3)
-    spec = BoundarySpec(frozenset({0}), assumptions=((0, Color.RED),))
-    assert Coloring.from_text("R R R") in enumerate_feasible(p3, spec)
+    feasible = enumerate_feasible(p3, frozenset({0}), {0: Color.RED})
+    assert Coloring.from_text("R R R") in feasible
 
 
 def test_blue_constraint_applies_on_the_boundary_too():
     # outside contact can only add blue neighbors, so the inside check stands
     p3 = path_graph(3)
-    spec = BoundarySpec(frozenset({1}))
-    feasible = enumerate_feasible(p3, spec)
+    feasible = enumerate_feasible(p3, frozenset({1}))
     assert Coloring.from_text("B B B") not in feasible
     assert Coloring.from_text("R R B") in feasible
 
@@ -155,11 +152,11 @@ def test_verifiers_match_the_naive_oracle_on_large_graphs(instance):
 
 
 def test_enumeration_is_lexicographic_and_capped():
-    fs = enumerate_feasible(K2, BoundarySpec(frozenset()))
+    fs = enumerate_feasible(K2, frozenset())
     texts = [c.to_text() for c in fs]
     assert texts == sorted(texts)
     with pytest.raises(CapExceeded, match="24"):
-        enumerate_feasible(graph_from_edge_list(25, []), BoundarySpec(frozenset()))
+        enumerate_feasible(graph_from_edge_list(25, []), frozenset())
 
 
 @given(strategies.graph_coloring_pairs(min_n=1, max_n=7))
@@ -167,12 +164,13 @@ def test_enumeration_is_lexicographic_and_capped():
 def test_crumby_colorings_are_always_feasible(pair):
     g, c = pair
     if verify_crumby(g, c):
-        assert c in enumerate_feasible(g, BoundarySpec(frozenset()))
+        assert c in enumerate_feasible(g, frozenset())
 
 
 @st.composite
 def relaxed_instances(draw, max_n: int = 10):
-    """A graph with a random boundary, outside-red flags and assumptions."""
+    """(g, boundary, fixed, flags): a graph with a random boundary, fixed
+    colors and outside-red flags."""
     g = draw(strategies.graphs(min_n=1, max_n=max_n))
 
     def subset() -> set[int]:
@@ -182,24 +180,21 @@ def relaxed_instances(draw, max_n: int = 10):
     boundary = subset()
     flags = subset() & boundary
     reds = subset()
-    assumptions = tuple(
-        (v, Color.RED if v in reds else Color.BLUE) for v in sorted(subset())
-    )
-    return g, BoundarySpec(frozenset(boundary), assumptions, frozenset(flags))
+    fixed = {v: Color.RED if v in reds else Color.BLUE for v in sorted(subset())}
+    return g, frozenset(boundary), fixed, frozenset(flags)
 
 
 @given(relaxed_instances())
 @PROPERTY
 def test_enumeration_matches_the_naive_oracle(instance):
-    g, spec = instance
-    fixed = dict(spec.assumptions)
+    g, boundary, fixed, flags = instance
     expected = []
     for bits in range(1 << g.n):
         c = Coloring.from_red_set(g.n, {v for v in range(g.n) if bits >> (g.n - 1 - v) & 1})
         if all(c.colors[v] is color for v, color in fixed.items()):
-            if oracles.naive_relaxed_feasible(g, spec, c):
+            if oracles.naive_relaxed_feasible(g, boundary, flags, c):
                 expected.append(c)
-    assert enumerate_feasible(g, spec) == tuple(expected)
+    assert enumerate_feasible(g, boundary, fixed, flags) == tuple(expected)
 
 
 # -- soundness against whole-graph colorings ---------------------------------
@@ -227,15 +222,16 @@ def restriction_kinds(piece, length: int) -> set:
             continue
         inside = Coloring.from_red_set(piece.n, {v for v in reds if v < piece.n})
         flagged = 0 in reds and piece.n in reds
-        spec = BoundarySpec(
-            frozenset({0}),
-            assumptions=((0, inside.colors[0]),),
-            outside_red=frozenset({0}) if flagged else frozenset(),
-        )
-        if spec not in feasible:
-            feasible[spec] = frozenset(enumerate_feasible(piece, spec))
-        assert inside in feasible[spec]
-        kinds.add((inside.colors[0], flagged))
+        kind = (inside.colors[0], flagged)
+        if kind not in feasible:
+            feasible[kind] = frozenset(enumerate_feasible(
+                piece,
+                frozenset({0}),
+                {0: inside.colors[0]},
+                frozenset({0}) if flagged else frozenset(),
+            ))
+        assert inside in feasible[kind]
+        kinds.add(kind)
     return kinds
 
 
