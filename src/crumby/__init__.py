@@ -71,7 +71,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     relabel,
-    verify_ear_decomposition,
 )
 from .lemmas import (
     LemmaReport,

@@ -28,7 +28,9 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import BudgetExhausted, CapExceeded
-from .graphs import Graph, _walk_p4, connected_components, enumerate_p4
+from .graphs import (
+    P4_CAP, Graph, _check_p4_cap, _walk_p4, connected_components, enumerate_p4,
+)
 
 EXHAUSTIVE_CAP = 24
 # the colouring sweep (_feasible_masks) works through chunks of 2^15 masks,
@@ -291,7 +293,16 @@ def encode_cnf(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Clause literals are sorted by variable; families appear in order 1, 2, 3,
     each family sorted lexicographically with positive before negative.
+    Before any clause is built, CapExceeded refuses a graph that may have
+    more than P4_CAP P4s, or that has more than P4_CAP neighbour pairs.
     """
+    _check_p4_cap(g)
+    pairs = sum(len(row) * (len(row) - 1) // 2 for row in g.adj)
+    if pairs > P4_CAP:
+        raise CapExceeded(
+            f"CNF encodings are capped at {P4_CAP} neighbour pairs (family 1"
+            f" clauses); this graph has {pairs}"
+        )
     fam1 = set()
     for v in range(g.n):
         for u, w in combinations(g.adj[v], 2):
@@ -302,7 +313,7 @@ def encode_cnf(g: Graph) -> tuple[tuple[int, ...], ...]:
         fam2.append(tuple(sorted(lits, key=abs)))
     # families 1 and 3 are one-signed, so plain tuple order over the
     # variables is the key order; family 3 is negated once sorted
-    fam3 = {tuple(sorted(p + 1 for p in path)) for path in enumerate_p4(g)}
+    fam3 = {tuple(sorted(p + 1 for p in path)) for path in _walk_p4(g.adj)}
     clauses = (
         sorted(fam1)
         + sorted(fam2, key=_clause_key)

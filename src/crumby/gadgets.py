@@ -298,26 +298,6 @@ def g18_elimination_order() -> tuple[int, ...]:
     return tuple(order + [roles["x1"], roles["x2"]])
 
 
-# open ear decomposition of G40: the outer cycle plus 14 ears
-G40_EAR_CYCLE: tuple[int, ...] = (0, 1, 12, 11, 22, 30, 31, 39, 0)
-G40_EARS: tuple[tuple[int, ...], ...] = (
-    (0, 2, 3, 1),
-    (2, 4, 6, 5, 3),
-    (5, 7, 9, 8, 6),
-    (7, 10, 8),
-    (11, 13, 14, 12),
-    (13, 15, 17, 16, 14),
-    (16, 18, 20, 19, 17),
-    (18, 21, 19),
-    (30, 23, 25, 24, 22),
-    (24, 26, 28, 27, 25),
-    (26, 29, 27),
-    (31, 32, 34, 33, 39),
-    (33, 35, 37, 36, 34),
-    (35, 38, 36),
-)
-
-
 def drop_edge(lg: LabeledGraph, role_u: str, role_v: str) -> LabeledGraph:
     """Copy of a labeled gadget with one edge removed; for negative controls."""
     roles = lg.roles()

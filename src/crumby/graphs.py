@@ -361,67 +361,6 @@ def is_biconnected(g: Graph) -> bool:
     return g.n >= 3 and len(blocks(g)) == 1
 
 
-def verify_ear_decomposition(
-    g: Graph, cycle: tuple[int, ...], ears: tuple[tuple[int, ...], ...]
-) -> tuple[bool, str | None]:
-    """Check that the initial cycle `cycle` and the open ears `ears` cover g
-    exactly.
-
-    The cycle is written closed (first vertex repeated at the end).  Every
-    ear is a path of >= 2 vertices whose endpoints are distinct and already
-    built; a 2-vertex ear is a chord.  Returns (True, None) or
-    (False, reason).  A valid decomposition is a certificate of
-    2-connectedness.
-    """
-    if len(cycle) < 4 or cycle[0] != cycle[-1]:
-        return False, "initial cycle must be closed with >= 3 distinct vertices"
-    body = cycle[:-1]
-    if len(set(body)) != len(body):
-        return False, "initial cycle revisits a vertex"
-    used: set[tuple[int, int]] = set()
-
-    def take_edge(u: int, v: int) -> str | None:
-        if u == v or not (0 <= u < g.n) or not (0 <= v < g.n):
-            return f"bad edge {u}-{v}"
-        if not g.has_edge(u, v):
-            return f"{u}-{v} is not an edge of the graph"
-        key = (u, v) if u < v else (v, u)
-        if key in used:
-            return f"edge {key[0]}-{key[1]} used twice"
-        used.add(key)
-        return None
-
-    for a, b in zip(cycle, cycle[1:]):
-        err = take_edge(a, b)
-        if err:
-            return False, f"initial cycle: {err}"
-    built = set(body)
-    for k, ear in enumerate(ears):
-        if len(ear) < 2:
-            return False, f"ear {k} has fewer than 2 vertices"
-        if ear[0] == ear[-1]:
-            return False, f"ear {k} endpoints coincide (ears must be open)"
-        if ear[0] not in built or ear[-1] not in built:
-            return False, f"ear {k} endpoint not in the built subgraph"
-        interior = ear[1:-1]
-        if len(set(interior)) != len(interior):
-            return False, f"ear {k} revisits an interior vertex"
-        for v in interior:
-            if v in built:
-                return False, f"ear {k} interior vertex {v} already built"
-        for a, b in zip(ear, ear[1:]):
-            err = take_edge(a, b)
-            if err:
-                return False, f"ear {k}: {err}"
-        built.update(interior)
-    if built != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - built)
-        return False, f"vertices not covered: {missing}"
-    if len(used) != g.m:
-        return False, f"covers {len(used)} of {g.m} edges"
-    return True, None
-
-
 def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
     """BFS 2-coloring.
 
@@ -457,7 +396,8 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
 
 
 # enumerate_p4 refuses a graph that may have more P4s than this: both search
-# solvers and encode_cnf hold every P4 (backtracking about 400 bytes each)
+# solvers and encode_cnf hold every P4 (backtracking about 400 bytes each);
+# encode_cnf also refuses more neighbour pairs than this, one clause each
 P4_CAP = 1_000_000
 
 
@@ -468,10 +408,15 @@ def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
     ascends.  These are subgraph paths: chords among the four vertices are
     allowed.
 
-    Before the walk, the count is bounded by the sum over edges uv of
-    (d(u)-1)(d(v)-1), which exceeds it by three per triangle; above P4_CAP
-    the graph is refused with CapExceeded.
+    Before the walk, _check_p4_cap refuses more than P4_CAP of them.
     """
+    _check_p4_cap(g)
+    return list(_walk_p4(g.adj))
+
+
+def _check_p4_cap(g: Graph) -> None:
+    """CapExceeded if the sum over edges uv of (d(u)-1)(d(v)-1), which
+    bounds the P4 count and exceeds it by three per triangle, is above P4_CAP."""
     out = [len(row) - 1 for row in g.adj]  # d(v) - 1
     bound = sum(out[v] * out[u] for v, row in enumerate(g.adj) for u in row if v < u)
     if bound > P4_CAP:
@@ -479,7 +424,6 @@ def enumerate_p4(g: Graph) -> list[tuple[int, int, int, int]]:
             f"graphs are capped at {P4_CAP} P4s (paths on four vertices);"
             f" this one may have up to {bound}"
         )
-    return list(_walk_p4(g.adj))
 
 
 def _walk_p4(adj: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:

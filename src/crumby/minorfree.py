@@ -29,6 +29,10 @@ from .graphs import Graph, blocks, connected_components, is_biconnected
 
 MINOR_PATTERN_CAP = 6
 
+# has_minor refuses a host whose neighbour bitsets (each as wide as its
+# vertex's highest neighbour) and two n-bit masks add up to more bits
+MINOR_HOST_BITS_CAP = 1 << 28  # 32 MiB
+
 
 # -- elimination orders --------------------------------------------------------
 
@@ -246,13 +250,20 @@ def has_minor(
     routed in a loop, so the recursion depth is the plan length (at most 21
     steps) for any host.  A 2-connected pattern is searched for one block of
     the host at a time, in ascending block order, under one node count.
-    Exact for pattern.n <= 6; the node budget guards large hosts.  Returns
-    (found, branch sets indexed by pattern vertex, or None).
+    Exact for pattern.n <= 6; the node budget guards large hosts, and
+    MINOR_HOST_BITS_CAP refuses huge ones.  Returns (found, branch sets
+    indexed by pattern vertex, or None).
     """
     if pattern.n > MINOR_PATTERN_CAP:
         raise CapExceeded(
             f"minor patterns are capped at {MINOR_PATTERN_CAP} vertices,"
             f" got {pattern.n}"
+        )
+    bits = 2 * g.n + sum(row[-1] + 1 for row in g.adj if row)
+    if bits > MINOR_HOST_BITS_CAP:
+        raise CapExceeded(
+            f"minor-search hosts are capped at {MINOR_HOST_BITS_CAP} bits of"
+            f" vertex bitsets; this one needs {bits}"
         )
     k = pattern.n
     if g.n < k or g.m < pattern.m:
@@ -356,7 +367,7 @@ def has_minor(
     # so each block is searched alone with every vertex outside it used
     areas = [full]
     if is_biconnected(pattern):
-        areas = [sum(1 << v for v in block) for block in blocks(g)]
+        areas = (sum(1 << v for v in block) for block in blocks(g))
     for area in areas:
         sets = step(0, (), (), full & ~area)
         if sets is not None:

@@ -66,6 +66,9 @@ _SEARCH_PINS = (
     "tests/test_coloring.py::test_census_search_trees_are_pinned",
     "tests/test_coloring.py::test_sat_search_trees_beyond_the_census_are_pinned",
 )
+_BATTERY_FAILS = (
+    "tests/test_acceptance.py::test_each_graph_claim_fails_on_a_graph_one_edge_short",
+)
 _LEMMAS = (
     "tests/test_cli.py::test_lemmas_machine_output",
     "tests/test_lemmas.py",
@@ -98,7 +101,9 @@ MUTANTS = (
         "crumby/coloring.py",
         "                low, lit = lit, -lit\n",
         "                low = lit\n",
-        _DPLL_PINS,
+        ("tests/test_coloring.py::"
+         "test_dpll_refutes_the_gadgets_within_their_natural_node_counts",)
+        + _DPLL_PINS,
     ),
     Mutant(
         "backtracking decision pointer not reset after a backtrack",
@@ -248,6 +253,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "encode_cnf builds family 1 past the cap",
+        "crumby/coloring.py",
+        "    if pairs > P4_CAP:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::"
+         "test_sparse_inputs_are_refused_before_their_tables_are_built[star-argv0]",),
+    ),
+    Mutant(
+        "has_minor builds its bitsets past the cap",
+        "crumby/minorfree.py",
+        "    if bits > MINOR_HOST_BITS_CAP:\n",
+        "    if False:\n",
+        ("tests/test_minorfree.py::"
+         "test_an_oversized_host_is_refused_before_its_bitsets_are_built",),
+    ),
+    Mutant(
         "graph6 slots are read row by row instead of column by column",
         "crumby/graphs.py",
         "        i, j = _G6_SLOTS[k]\n",
@@ -256,6 +277,20 @@ MUTANTS = (
             "tests/test_graphs.py::test_graph6_decodes_as_the_bitmask_route",
             "tests/test_graphs.py::test_graph6_round_trip",
         ),
+    ),
+    Mutant(
+        "an unsat claim of verify-paper always passes",
+        "crumby/checks.py",
+        "            result.status is Status.UNSAT,\n",
+        "            True,\n",
+        _BATTERY_FAILS,
+    ),
+    Mutant(
+        "the deletion route of g40-biconnected deletes no vertex",
+        "crumby/checks.py",
+        "        if len(connected_components(g40, everyone - {v})) > 1\n",
+        "        if len(connected_components(g40, everyone)) > 1\n",
+        _BATTERY_FAILS,
     ),
     Mutant(
         "a certificate of another type is replayed for a claim",

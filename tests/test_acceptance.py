@@ -42,19 +42,18 @@ from crumby import (
     survey_stream,
     verify_crumby,
     verify_crumby_by_components,
-    verify_ear_decomposition,
     verify_lemma1_i,
     verify_lemma1_ii,
     verify_lemma2,
     verify_minor_witness,
     verify_theorem1_composition,
 )
+from crumby.checks import run_paper_checks
 from crumby.cli import main
 from crumby.gadgets import (
     F_AUTOMORPHISM,
     F_ELIMINATION_TABLE,
-    G40_EAR_CYCLE,
-    G40_EARS,
+    drop_edge,
     g18_elimination_order,
 )
 
@@ -197,20 +196,27 @@ def test_criterion_06_g18_structure(g18):
 def test_criterion_07_g40_structure(g40):
     g = g40.graph
     degree2 = sorted(v for v in range(g.n) if g.degree(v) == 2)
-    ears_ok, why = verify_ear_decomposition(g, G40_EAR_CYCLE, G40_EARS)
+    # 2-connectivity by its definition, restated here: deleting any one
+    # vertex leaves the other 39 connected
+    splits = [
+        v for v in range(g.n)
+        if not is_connected(graph_from_edge_list(
+            g.n - 1,
+            [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)],
+        ))
+    ]
     ok = (
         g.m == 54
         and degree2 == [4, 9, 10, 15, 20, 21, 23, 28, 29, 32, 37, 38]
         and is_biconnected(g)
-        and ears_ok
+        and splits == []
     )
     record(
         7,
         "g40-structure",
         ok,
-        f"54 edges, degree-2 set {degree2}, lowpoint and"
-        f" ear-decomposition ({len(G40_EARS)} ears) both certify 2-connectivity"
-        + (f"; ear check: {why}" if why else ""),
+        f"54 edges, degree-2 set {degree2}, lowpoint blocks and all 40"
+        f" one-vertex deletions both certify 2-connectivity (cut vertices {splits})",
     )
 
 
@@ -371,6 +377,36 @@ def test_criterion_11_composition(g18):
     )
 
 
+def test_each_graph_claim_fails_on_a_graph_one_edge_short(monkeypatch):
+    """G40 minus s1-x1 is Sat and has a cut vertex, and G18 minus f2-h2 is
+    Sat; each fails exactly the claims about its graph.  The deletion route
+    fails G40's 2-connectivity on its own when the lowpoint route says yes."""
+
+    def failing() -> list[str]:
+        results = run_paper_checks()
+        assert len(results) == 34
+        return [r.name for r in results if not r.ok]
+
+    monkeypatch.setattr(
+        "crumby.checks.build_G40", lambda: drop_edge(build_G40(), "s1", "x1")
+    )
+    g40_claims = [
+        "g40-unsat-backtracking", "g40-unsat-dpll", "g40-structure",
+        "g40-biconnected", "g40-series-parallel",
+    ]
+    assert failing() == g40_claims
+    monkeypatch.setattr("crumby.checks.is_biconnected", lambda g: True)
+    assert failing() == g40_claims
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        "crumby.checks.build_G18", lambda: drop_edge(build_G18(), "f2", "h2")
+    )
+    assert failing() == [
+        "g18-unsat-exhaustive", "g18-unsat-backtracking", "g18-unsat-dpll",
+        "g18-structure", "g18-elimination-order",
+    ]
+
+
 def test_full_claim_battery_exits_cleanly(capsys):
     code = main(["verify-paper"])
     out = capsys.readouterr().out
@@ -379,5 +415,5 @@ def test_full_claim_battery_exits_cleanly(capsys):
     print(f"{'PASS' if ok else 'FAIL'} claim-battery: {len(lines)} bundled checks, exit {code}")
     assert ok
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "57e7f61207d6985b4666b6236adddcd7edd6b328ac3091b3da568710b9517e51"
+        "3c1cdcd08f73eb5d889b14c908e3a0f2b8a75037a30dc0e73c93c6624c8190da"
     )

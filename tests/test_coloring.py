@@ -377,6 +377,13 @@ def test_budget_exhaustion_raises(g40):
     assert info.value.nodes == 11
 
 
+def test_dpll_refutes_the_gadgets_within_their_natural_node_counts(g18, g40):
+    # the budgets are the pinned node counts, so a search that re-tries a
+    # choice raises BudgetExhausted at once instead of running for ever
+    assert dpll_solve(g18.graph, budget=122).status is Status.UNSAT
+    assert dpll_solve(g40.graph, budget=5234).status is Status.UNSAT
+
+
 @pytest.mark.parametrize("budget", [0, 100])
 def test_budget_runs_out_inside_a_sat_search(budget):
     # a Sat search takes 10,000 nodes here; the first node past the budget

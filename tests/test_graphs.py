@@ -31,7 +31,6 @@ from crumby import (
     parse_edge_list,
     parse_graph6,
     relabel,
-    verify_ear_decomposition,
 )
 from crumby.graphs import EDGE_LIST_MAX_N, P4_CAP
 from tests import oracles, strategies
@@ -297,30 +296,6 @@ def test_biconnected_examples(g18, g40):
     assert not is_biconnected(path_graph(3))
     assert not is_biconnected(g18.graph)
     assert is_biconnected(g40.graph)
-
-
-# -- ear decompositions ------------------------------------------------------
-
-
-def test_ear_decomposition_accepts_k4():
-    ok, reason = verify_ear_decomposition(complete_graph(4), (0, 1, 2, 0), ((0, 3, 1), (2, 3)))
-    assert ok, reason
-
-
-def test_ear_decomposition_requires_every_edge():
-    ok, reason = verify_ear_decomposition(complete_graph(4), (0, 1, 2, 0), ((0, 3, 1),))
-    assert not ok and "edge" in reason
-
-
-def test_ear_decomposition_rejects_reused_interior_vertex():
-    g = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    ok, _ = verify_ear_decomposition(g, (0, 1, 2, 0), ((0, 3, 1), (2, 3, 0)))
-    assert not ok
-
-
-def test_ear_decomposition_rejects_nonedge_step():
-    ok, reason = verify_ear_decomposition(cycle_graph(4), (0, 2, 1, 0), ())
-    assert not ok
 
 
 # -- bipartiteness -----------------------------------------------------------

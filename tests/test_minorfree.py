@@ -23,8 +23,9 @@ from crumby import (
     verify_minor_witness,
 )
 from crumby.certs import emit_elimination_order, emit_reduction_trace
+from crumby.minorfree import MINOR_HOST_BITS_CAP
 from tests import strategies
-from tests.helpers import cycle_graph, path_graph
+from tests.helpers import cycle_graph, path_graph, traced_peak
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -328,6 +329,22 @@ def test_triangle_minor_exactly_when_there_is_a_cycle(g):
 def test_minor_pattern_cap(f_gadget):
     with pytest.raises(CapExceeded, match="6"):
         has_minor(f_gadget.graph, complete_graph(7))
+
+
+def test_an_oversized_host_is_refused_before_its_bitsets_are_built():
+    # C25,000's neighbour bitsets hold about 3.1e8 bits, just over the cap,
+    # so a search that built them first would trace about 40 MB; the CLI
+    # refuses C200,000 the same way in tests/test_cli.py
+    assert MINOR_HOST_BITS_CAP == 1 << 28
+    g = cycle_graph(25_000)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"capped at {MINOR_HOST_BITS_CAP} bits"):
+            has_minor(g, K4, budget=0)
+
+    assert traced_peak(refused) < 2**20
+    with pytest.raises(BudgetExhausted):  # a host under the cap is searched
+        has_minor(cycle_graph(5_000), K4, budget=0)
 
 
 @given(strategies.graphs(min_n=1, max_n=7))
