@@ -90,18 +90,19 @@ def violations(g: Graph, red: frozenset[int]) -> Iterator[str]:
     order.
 
     A P4 of g is all Red exactly when it is a P4 of the red subgraph G[red].
-    The pass that checks (a) and (b) keeps each Red vertex's Red neighbors,
-    and the P4s are walked on those rows.
+    One pass picks out each vertex's Red neighbors: (b) reads them at a Red
+    vertex, (a) counts the others at a Blue one, and the P4s are walked on
+    the Red vertices' rows.
     """
     rows: list[tuple[int, ...]] = []
     for v, row in enumerate(g.adj):
+        reds = tuple(filter(red.__contains__, row))
         if v in red:
-            reds = tuple(u for u in row if u in red)
             if not reds:
                 yield f"red vertex {v} has no red neighbor"
             rows.append(reds)
         else:
-            if sum(1 for u in row if u not in red) >= 2:
+            if len(row) - len(reds) >= 2:
                 yield f"blue vertex {v} has two or more blue neighbors"
             rows.append(())
     for path in _walk_p4(rows):
@@ -339,22 +340,38 @@ class _GraphSearch:
     Red tried before Blue, then every forced move propagated.  The state is
     the colors and a trail.  One loop in dfs sets each color, checks the
     rules (a)-(c) inline on the colors around it and queues the moves they
-    force; rule (c) reads the P4 table built here, its rows in enumerate_p4
-    order.  That row order, the order of the rules and the queue's order
-    fix the search tree, node and propagation counts included."""
+    force; rule (c) reads the P4 table built here.  That table is filled by
+    _walk_p4's own nested walk, written out after _check_p4_cap, so each
+    path goes straight into the rows of its four vertices with no
+    enumerate_p4 list in between; every row lists its paths in
+    enumerate_p4 order.  That row order, the order of the rules and the
+    queue's order fix the search tree, node and propagation counts
+    included."""
 
     def __init__(self, g: Graph, budget: int | None) -> None:
         self.g = g
         self.budget = budget
         n = g.n
         self.assign = [_UNSET] * n
-        # the other three vertices of each P4 through a vertex, in P4 order
-        self.p4_of: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for a, b, c, d in enumerate_p4(g):
-            self.p4_of[a].append((b, c, d))
-            self.p4_of[b].append((a, c, d))
-            self.p4_of[c].append((a, b, d))
-            self.p4_of[d].append((a, b, c))
+        # p4_of[v] holds the other three vertices of each P4 through v
+        _check_p4_cap(g)
+        adj = g.adj
+        p4_of: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for p1, row in enumerate(adj):
+            at1 = p4_of[p1]
+            for p2 in row:
+                at2 = p4_of[p2]
+                for p3 in adj[p2]:
+                    if p3 == p1:
+                        continue
+                    at3 = p4_of[p3]
+                    for p4 in adj[p3]:
+                        if p1 < p4 and p4 != p2:
+                            at1.append((p2, p3, p4))
+                            at2.append((p1, p3, p4))
+                            at3.append((p1, p2, p4))
+                            p4_of[p4].append((p1, p2, p3))
+        self.p4_of = p4_of
         self.trail: list[int] = []
         self.nodes = 0
         self.propagations = 0

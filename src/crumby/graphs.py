@@ -17,6 +17,7 @@ Text formats supported here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -49,11 +50,11 @@ class Graph:
                 if u <= prev:
                     raise GraphError(f"adjacency row of {v} not sorted/duplicate-free")
                 prev = u
-        neighbor_sets = [set(row) for row in self.adj]
-        for v, row in enumerate(self.adj):
-            for u in row:
-                if v not in neighbor_sets[u]:
-                    raise GraphError(f"edge {v}-{u} has no reverse entry")
+        if not _symmetric(self.adj):
+            for v, row in enumerate(self.adj):
+                for u in row:
+                    if not _has_entry(self.adj[u], v):
+                        raise GraphError(f"edge {v}-{u} has no reverse entry")
 
     @property
     def m(self) -> int:
@@ -70,6 +71,38 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in self.adj[v] if v < u]
+
+
+# rows at least this long are bisected, so that a star's reverse-entry check
+# costs O(m log n) and not O(m n)
+_SCAN_MAX = 16
+
+
+def _has_entry(row: tuple[int, ...], v: int) -> bool:
+    """v is in the sorted row."""
+    if len(row) < _SCAN_MAX:
+        return v in row
+    k = bisect_left(row, v)
+    return k < len(row) and row[k] == v
+
+
+def _symmetric(adj: tuple[tuple[int, ...], ...]) -> bool:
+    """Every entry has its reverse, for sorted, loop-free, duplicate-free rows.
+
+    Only the entries below the diagonal (u < v in row v) are looked up.  If
+    each has its reverse and they are half of all entries, then reversal
+    maps them one to one onto the entries above the diagonal, so those have
+    their reverses too."""
+    lower = 0
+    for v, row in enumerate(adj):
+        for u in row:
+            if u > v:
+                break
+            lower += 1
+            near = adj[u]  # _has_entry, written out for the short rows
+            if v not in near if len(near) < _SCAN_MAX else not _has_entry(near, v):
+                return False
+    return 2 * lower == sum(map(len, adj))
 
 
 def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -192,6 +225,7 @@ def emit_edge_list(g: Graph) -> str:
 
 _G6_MAX_N = 62
 _G6_BITS = {63 + k: f"{k:06b}" for k in range(64)}  # graph6 byte -> its 6 bits
+_G6_BYTES = frozenset(map(chr, _G6_BITS))  # the 64 characters of graph6 text
 
 
 def emit_graph6(g: Graph) -> str:
@@ -216,10 +250,11 @@ def parse_graph6(line: str) -> Graph:
     s = line.rstrip("\n")
     if not s:
         raise Graph6Error("empty graph6 line")
-    for ch in s:
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise Graph6Error(f"byte {code} outside the printable graph6 range")
+    if not _G6_BYTES.issuperset(s):
+        for ch in s:
+            code = ord(ch)
+            if code < 63 or code > 126:
+                raise Graph6Error(f"byte {code} outside the printable graph6 range")
     if s[0] == "~":
         raise Graph6Error(f"multi-byte length header (n > {_G6_MAX_N}) not supported")
     n = ord(s[0]) - 63
@@ -294,7 +329,20 @@ def connected_components(
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """One search from vertex 0 reaches every vertex (True when n = 0)."""
+    if g.n == 0:
+        return True
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                reached += 1
+                stack.append(u)
+    return reached == g.n
 
 
 def blocks(g: Graph) -> list[list[int]]:

@@ -69,16 +69,28 @@ def elimination_width(g: Graph, order: Sequence[int]) -> int:
 def find_elimination_order(g: Graph) -> tuple[int, ...] | None:
     """Greedy width-2 elimination: repeatedly take the lowest-index vertex of
     current degree <= 2, from a heap (eliminating never raises a degree, so a
-    vertex stays eligible once pushed).  Succeeds for treewidth <= 2 graphs."""
+    vertex stays eligible once pushed).  Succeeds for treewidth <= 2 graphs.
+
+    This is _eliminate inlined on one set per vertex: a deleted vertex has
+    at most two neighbours left, so at most one fill edge, and its own set
+    is never read again.  The workspace is O(n + m) whatever the graph's
+    shape."""
     nbr = [set(row) for row in g.adj]
-    queued = [len(row) <= 2 for row in nbr]
+    queued = [len(row) <= 2 for row in g.adj]
     ready = [v for v in range(g.n) if queued[v]]
     order = []
     while ready:
         v = heappop(ready)
         order.append(v)
-        for u in _eliminate(nbr, v):
-            if not queued[u] and len(nbr[u]) <= 2:
+        rem = nbr[v]
+        if len(rem) == 2:
+            a, b = rem
+            nbr[a].add(b)
+            nbr[b].add(a)
+        for u in rem:
+            near = nbr[u]
+            near.discard(v)
+            if not queued[u] and len(near) <= 2:
                 queued[u] = True
                 heappush(ready, u)
     return tuple(order) if len(order) == g.n else None

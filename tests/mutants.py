@@ -8,12 +8,14 @@ fresh copy and runs
 
     python -m pytest -x -q -p no:cacheprovider <its test ids>
 
-from the repository root with PYTHONPATH set to the copy.  A mutant is
-killed when that run fails, or when it runs past TIMEOUT seconds: a
-mutant can make a search loop for ever.  The script prints one line per
-mutant and exits 1 when a mutant survives, when an entry's old text does
-not occur exactly once in its file, or when the unedited run fails.  It
-changes no file in the tree.  Run it from anywhere:
+from the repository root with PYTHONPATH set to the copy.  WORKERS entries
+are checked at once, each in its own copy, so at most that many pytest
+runs are alive together.  A mutant is killed when its run fails, or when
+it runs past TIMEOUT seconds: a mutant can make a search loop for ever.
+The script prints one line per mutant, in MUTANTS order, with the seconds
+its own check took, and exits 1 when a mutant survives, when an entry's
+old text does not occur exactly once in its file, or when the unedited
+run fails.  It changes no file in the tree.  Run it from anywhere:
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -39,11 +41,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 30  # seconds; each entry's tests take about 2 s unedited
+WORKERS = 2  # CI runners and the development box have two cores
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,42 @@ MUTANTS = (
          "test_an_oversized_host_is_refused_before_its_bitsets_are_built",),
     ),
     Mutant(
+        "the long-row reverse check reads the entry before its own",
+        "crumby/graphs.py",
+        "    return k < len(row) and row[k] == v\n",
+        "    return k < len(row) and row[k - 1] == v\n",
+        (
+            "tests/test_graphs.py::test_long_rows_are_checked_exactly",
+            "tests/test_graphs.py::test_direct_construction_names_each_fault",
+        ),
+    ),
+    Mutant(
+        "the reverse check skips its count of entries above the diagonal",
+        "crumby/graphs.py",
+        "    return 2 * lower == sum(map(len, adj))\n",
+        "    return True\n",
+        ("tests/test_graphs.py::test_direct_construction_names_each_fault",),
+    ),
+    Mutant(
+        "find_elimination_order skips the fill edge",
+        "crumby/minorfree.py",
+        "            nbr[a].add(b)\n"
+        "            nbr[b].add(a)\n",
+        "            pass\n",
+        (
+            "tests/test_minorfree.py::test_tw2_routes_are_pinned_on_the_census",
+            "tests/test_minorfree.py::test_find_order_matches_the_reference_on_small_graphs",
+        ),
+    ),
+    Mutant(
+        "the search's P4 table swaps two vertices of a row",
+        "crumby/coloring.py",
+        "                            at2.append((p1, p3, p4))\n",
+        "                            at2.append((p3, p1, p4))\n",
+        ("tests/test_coloring.py::"
+         "test_the_search_p4_table_on_the_gadgets_and_past_the_census",),
+    ),
+    Mutant(
         "graph6 slots are read row by row instead of column by column",
         "crumby/graphs.py",
         "        i, j = _G6_SLOTS[k]\n",
@@ -344,8 +384,14 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     )
 
 
-def check(mutant: Mutant) -> str:
-    """'killed', 'killed (timeout)', 'survived' or 'stale: ...'."""
+def check(mutant: Mutant) -> tuple[str, float]:
+    """'killed', 'killed (timeout)', 'survived' or 'stale: ...', and the
+    seconds the check took."""
+    t0 = time.perf_counter()
+    return _verdict(mutant), time.perf_counter() - t0
+
+
+def _verdict(mutant: Mutant) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         src = copy_src(Path(tmp))
         path = src / mutant.file
@@ -370,11 +416,12 @@ def main() -> int:
         print(proc.stdout[-4000:] + proc.stderr[-4000:])
         return 1
     bad = 0
-    for mutant in MUTANTS:
-        t0 = time.perf_counter()
-        verdict = check(mutant)
-        bad += not verdict.startswith("killed")
-        print(f"{verdict:<17} {time.perf_counter() - t0:5.1f} s  {mutant.name}", flush=True)
+    # each thread waits on one pytest child; map hands the verdicts back in
+    # MUTANTS order, each as soon as it and every entry before it are done
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, (verdict, seconds) in zip(MUTANTS, pool.map(check, MUTANTS)):
+            bad += not verdict.startswith("killed")
+            print(f"{verdict:<17} {seconds:5.1f} s  {mutant.name}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from heapq import heappop, heappush
 
 from crumby import (
     Coloring,
@@ -171,3 +172,45 @@ def naive_orbit_min(n: int, mask: int) -> int:
         sum(1 << edge_bit_index(perm[a], perm[b]) for a, b in edges)
         for perm in itertools.permutations(range(n))
     )
+
+
+def reference_elimination_order(g: Graph) -> tuple[int, ...] | None:
+    """find_elimination_order as it was before _eliminate was inlined into
+    it: a set per vertex, and every deletion joins the deleted vertex's
+    remaining neighbours pairwise.  Lowest eligible index first."""
+    nbr = [set(row) for row in g.adj]
+    queued = [len(row) <= 2 for row in nbr]
+    ready = [v for v in range(g.n) if queued[v]]
+    order = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for u in _eliminate(nbr, v):
+            if not queued[u] and len(nbr[u]) <= 2:
+                queued[u] = True
+                heappush(ready, u)
+    return tuple(order) if len(order) == g.n else None
+
+
+def _eliminate(nbr: list[set[int]], v: int) -> tuple[int, ...]:
+    """Delete v and join its remaining neighbors pairwise; returns those
+    neighbors, sorted."""
+    rem = tuple(sorted(nbr[v]))
+    for u in rem:
+        nbr[u].discard(v)
+    for a, b in itertools.combinations(rem, 2):
+        nbr[a].add(b)
+        nbr[b].add(a)
+    nbr[v] = set()
+    return rem
+
+
+def first_missing_reverse(adj: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The first entry u of a row v, in row-major order, whose row u lacks
+    v; None when every entry has its reverse."""
+    rows = [set(row) for row in adj]
+    for v, row in enumerate(adj):
+        for u in row:
+            if v not in rows[u]:
+                return v, u
+    return None

@@ -21,6 +21,7 @@ from crumby import (
     emit_solve_certificate,
     encode_cnf,
     enumerate_feasible,
+    enumerate_p4,
     exhaustive_solve,
     expand,
     graph_from_edge_list,
@@ -439,6 +440,31 @@ def test_sat_search_trees_beyond_the_census_are_pinned():
             assert result.status is Status.SAT
             digest.update(emit_solve_certificate(result).encode())
     assert digest.hexdigest()[:16] == SAT_SEARCH_DIGEST
+
+
+def _p4_fan_out(g):
+    """Each P4 of enumerate_p4(g), in its order, under each of its four
+    vertices as the other three."""
+    rows = [[] for _ in range(g.n)]
+    for a, b, c, d in enumerate_p4(g):
+        rows[a].append((b, c, d))
+        rows[b].append((a, c, d))
+        rows[c].append((a, b, d))
+        rows[d].append((a, b, c))
+    return rows
+
+
+@given(strategies.graphs())
+@PROPERTY
+def test_the_search_p4_table_is_the_fan_out_of_enumerate_p4(g):
+    assert crumby.coloring._GraphSearch(g, None).p4_of == _p4_fan_out(g)
+
+
+def test_the_search_p4_table_on_the_gadgets_and_past_the_census(g18, g40):
+    graphs = [g18.graph, g40.graph, complete_graph(6)]
+    graphs += [_random_subcubic(seed, 8 + seed % 23) for seed in range(40)]
+    for g in graphs:
+        assert crumby.coloring._GraphSearch(g, None).p4_of == _p4_fan_out(g)
 
 
 def test_backtracking_solves_a_long_path_in_one_pass():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crumby import (
     CapExceeded,
+    Graph,
     Graph6Error,
     GraphError,
     bitmask_of_graph,
@@ -60,6 +61,91 @@ def test_edge_list_rejects_duplicates_in_either_orientation():
 def test_adjacency_is_sorted_and_symmetric():
     g = graph_from_edge_list(4, [(2, 0), (3, 1), (1, 0)])
     assert g.adj == ((1, 2), (0, 3), (0,), (1,))
+
+
+# a star on 41 vertices, centre 0; its centre's row is past the length at
+# which the reverse-entry check bisects instead of scanning
+_STAR_ROWS = (tuple(range(1, 41)),) + ((0,),) * 40
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (-1, (), "vertex count must be non-negative"),
+        (3, ((1,), (0,)), "adjacency has 2 rows for 3 vertices"),
+        (2, ((1, 2), (0,)), "neighbor 2 of vertex 0 out of range"),
+        (2, ((), (-1,)), "neighbor -1 of vertex 1 out of range"),
+        (2, ((0, 1), (0,)), "self-loop at vertex 0"),
+        (3, ((2, 1), (0,), (0,)), "adjacency row of 0 not sorted/duplicate-free"),
+        (2, ((1, 1), (0,)), "adjacency row of 0 not sorted/duplicate-free"),
+        # a short row: vertex 1 lists 0, and row 0 is empty
+        (2, ((), (0,)), "edge 1-0 has no reverse entry"),
+        (2, ((1,), ()), "edge 0-1 has no reverse entry"),
+        # a long row: the centre's row lacks leaf 17, or a leaf lacks the centre
+        (41, (tuple(u for u in range(1, 41) if u != 17),) + _STAR_ROWS[1:],
+         "edge 17-0 has no reverse entry"),
+        (41, _STAR_ROWS[:17] + ((),) + _STAR_ROWS[18:], "edge 0-17 has no reverse entry"),
+        # the centre last, so every leaf's entry lies above the diagonal
+        (41, ((40,),) * 17 + ((),) + ((40,),) * 22 + (tuple(range(40)),),
+         "edge 40-17 has no reverse entry"),
+        (41, ((40,),) * 40 + (tuple(u for u in range(40) if u != 17),),
+         "edge 17-40 has no reverse entry"),
+    ],
+)
+def test_direct_construction_names_each_fault(n, adj, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        Graph(n, adj)
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        # each row-structure fault is named at its first row, and before any
+        # missing reverse entry, even one in an earlier row
+        (3, ((1,), (0, 5), (9,)), "neighbor 5 of vertex 1 out of range"),
+        (3, ((), (1, 0), (2,)), "self-loop at vertex 1"),
+        (3, ((2,), (), (1, 0)), "adjacency row of 2 not sorted/duplicate-free"),
+        # the upper entry 0-3 comes before the lower entry 2-1 in row-major
+        # order, though only entries below the diagonal are looked up at first
+        (4, ((3,), (), (1,), ()), "edge 0-3 has no reverse entry"),
+        (4, ((), (3,), (), (0,)), "edge 1-3 has no reverse entry"),
+    ],
+)
+def test_direct_construction_names_the_first_offender(n, adj, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        Graph(n, adj)
+
+
+def test_long_rows_are_checked_exactly():
+    # the centre first, so each leaf's lookup bisects the centre's row, and
+    # the centre last, so the centre's own lookups scan short rows
+    star = Graph(41, _STAR_ROWS)
+    assert star == graph_from_edge_list(41, [(0, u) for u in range(1, 41)])
+    last = Graph(41, ((40,),) * 40 + (tuple(range(40)),))
+    assert last.degree(40) == 40 and last.m == 40
+
+
+@given(strategies.graphs(min_n=2, max_n=9), st.data())
+@PROPERTY
+def test_a_dropped_entry_is_named_as_the_oracle_names_it(g, data):
+    entries = [(v, u) for v in range(g.n) for u in g.adj[v]]
+    if not entries:
+        return
+    v, u = data.draw(st.sampled_from(entries))
+    rows = tuple(tuple(w for w in row if (x, w) != (v, u)) for x, row in enumerate(g.adj))
+    first = oracles.first_missing_reverse(rows)
+    assert first is not None
+    with pytest.raises(GraphError, match=f"^edge {first[0]}-{first[1]} has no reverse entry$"):
+        Graph(g.n, rows)
+
+
+def test_a_star_with_200000_leaves_is_checked_in_constant_memory():
+    """Each leaf's reverse entry is looked up in the centre's row.  A scan
+    of that row would take n^2/2 steps; the check bisects it, and it builds
+    nothing sized by n, let alone n^2/8 bytes of bitsets."""
+    n = 200_001
+    rows = (tuple(range(1, n)),) + ((0,),) * (n - 1)
+    assert traced_peak(lambda: Graph(n, rows)) < 2**16 < n * n // 8
 
 
 def test_degree_helpers():
@@ -195,6 +281,13 @@ def test_graph6_rejects_malformed_lines():
         ("GhC#KC", "byte 35 outside the printable graph6 range"),
         ("G\x7fCGKC", "byte 127 outside the printable graph6 range"),
         ("GhCGKD", "nonzero padding bits"),
+        # two bad bytes: the first is named, wherever it stands
+        ("GhC#K!", "byte 35 outside the printable graph6 range"),
+        ("G!C#KC", "byte 33 outside the printable graph6 range"),
+        (" hCGKC", "byte 32 outside the printable graph6 range"),
+        # n = 62: 316 adjacency bytes, one bad in the middle, another near the end
+        ("}" + "?" * 150 + "\x80" + "?" * 150 + "\t" + "?" * 14,
+         "byte 128 outside the printable graph6 range"),
     ]:
         with pytest.raises(Graph6Error, match=f"^{re.escape(message)}$"):
             parse_graph6(line)
@@ -257,6 +350,12 @@ def test_components_within_match_the_induced_subgraph(g, bits):
 
 def test_empty_graph_is_connected():
     assert is_connected(graph_from_edge_list(0, []))
+
+
+@given(strategies.graphs(max_n=9))
+@PROPERTY
+def test_connected_exactly_when_there_is_at_most_one_component(g):
+    assert is_connected(g) == (len(connected_components(g)) <= 1)
 
 
 @given(strategies.graphs(max_n=8))

@@ -24,7 +24,7 @@ from crumby import (
 )
 from crumby.certs import emit_elimination_order, emit_reduction_trace
 from crumby.minorfree import MINOR_HOST_BITS_CAP
-from tests import strategies
+from tests import oracles, strategies
 from tests.helpers import cycle_graph, path_graph, traced_peak
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -70,6 +70,27 @@ def test_find_order_on_reference_graphs(g18, g40):
 def test_find_order_handles_the_empty_graph():
     order = find_elimination_order(graph_from_edge_list(0, []))
     assert order == ()
+
+
+@given(strategies.graphs())
+@PROPERTY
+def test_find_order_matches_the_reference_on_small_graphs(g):
+    assert find_elimination_order(g) == oracles.reference_elimination_order(g)
+
+
+@given(strategies.subcubic_graphs(max_n=30))
+@PROPERTY
+def test_find_order_matches_the_reference_on_subcubic_graphs(g):
+    assert find_elimination_order(g) == oracles.reference_elimination_order(g)
+
+
+def test_find_order_on_a_long_path_takes_memory_linear_in_n():
+    """One small set per vertex: about 300 bytes a vertex, where n-wide
+    bitsets would hold n^2/8 bytes in all (5 GB here)."""
+    n = 200_000
+    g = path_graph(n)
+    peak = traced_peak(lambda: find_elimination_order(g))
+    assert peak < 400 * n < n * n // 8
 
 
 # -- the reducer and its traces ----------------------------------------------
