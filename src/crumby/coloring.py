@@ -525,6 +525,14 @@ class _Dpll:
     list: val[lit] is 1 when lit is true, and occ[lit] lists the clauses
     that contain lit.
 
+    Undo reads two logs instead of the occurrence lists.  satisfied lists
+    each clause an assignment satisfied, and counted each clause whose free
+    count it lowered, in assignment order along the current path; a choice
+    keeps the lengths of the trail and of both logs when it is made, and
+    undoing it clears sat and raises n_free over the logs' tails.  A clause
+    is logged in satisfied at most once and each literal occurrence at most
+    once in counted, so the logs stay linear in the formula.
+
     Pure literals are read from the clause states, but only at candidate
     variables.  near[lit] holds the variables of the clauses that contain
     lit, and each assignment of lit adds near[lit] to the candidates.  This
@@ -560,19 +568,23 @@ class _Dpll:
         self.n_free = [len(c) for c in clauses]
         self.touched = list(range(1, n + 1))  # pure-literal candidates
         self.trail: list[int] = []
+        self.satisfied: list[int] = []  # undo log of sat
+        self.counted: list[int] = []  # undo log of n_free
         self.nodes = 0
         self.propagations = 0
 
     def _set(self, lit: int) -> bool:
         """Assign lit, then the free literal of each unit clause it leaves
-        until none is left; False on an emptied clause.  Only clauses where
-        an assigned literal is false can have become unit: they are walked
-        first in first out, and each unit is assigned where its clause is
-        found.  An assignment counts down all of its false occurrences, and
-        checks them for conflict, before the walk goes on; it visits every
-        occurrence even past a conflict, so undo stays symmetric."""
+        until none is left; False at the first emptied clause.  Only clauses
+        where an assigned literal is false can have become unit: they are
+        walked first in first out, and each unit is assigned where its
+        clause is found.  Each clause an assignment satisfies goes on
+        satisfied, and each clause whose free count it lowers on counted,
+        before its own conflict check, so dfs undoes a conflict from the
+        logs however far the walk got."""
         val, sat, n_free, occ, near = self.val, self.sat, self.n_free, self.occ, self.near
         clauses, trail, touched = self.clauses, self.trail, self.touched
+        satisfy, count = self.satisfied.append, self.counted.append
         falsified: list[int] = []  # grows while it is walked
         walk = iter(falsified)
         while True:
@@ -582,15 +594,14 @@ class _Dpll:
             for ci in occ[lit]:
                 if not sat[ci]:
                     sat[ci] = lit
+                    satisfy(ci)
             false_occ = occ[-lit]
-            conflict = False
             for ci in false_occ:
                 if not sat[ci]:
                     n_free[ci] -= 1
+                    count(ci)
                     if not n_free[ci]:
-                        conflict = True
-            if conflict:
-                return False
+                        return False
             falsified += false_occ
             for ci in walk:
                 if not sat[ci] and n_free[ci] == 1:
@@ -639,16 +650,19 @@ class _Dpll:
 
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
-        (literal, trail mark), so depth is not bound by recursion.  After
-        the root pure-literal pass, each node decides the lowest free
-        variable, True (Red) first, then runs _set and the pure-literal
-        pass; a conflict undoes open choices, latest first, up to one that
-        still has False to try.  Undoing a choice also undoes the pass that
-        followed it."""
-        val, sat, n_free, occ = self.val, self.sat, self.n_free, self.occ
-        trail, touched, budget = self.trail, self.touched, self.budget
+        (literal and the lengths of the trail and both logs), so depth is
+        not bound by recursion.  After the root pure-literal pass, each node
+        decides the lowest free variable, True (Red) first, then runs _set
+        and the pure-literal pass; a conflict undoes open choices, latest
+        first, up to one that still has False to try.  Undoing a choice
+        frees the trail's tail, clears sat on the satisfied log's tail and
+        gives back a free literal per entry of the counted log's tail, so it
+        also undoes the pass that followed the choice."""
+        val, sat, n_free = self.val, self.sat, self.n_free
+        trail, satisfied, counted = self.trail, self.satisfied, self.counted
+        touched, budget = self.touched, self.budget
         end = self.n + 1
-        choices: list[tuple[int, int]] = []
+        choices: list[tuple[int, int, int, int]] = []
         low = 1  # every variable below low is assigned
         ok = self._pure_literals()
         while True:
@@ -660,16 +674,16 @@ class _Dpll:
                 lit = low
             else:
                 while choices:
-                    lit, mark = choices.pop()
-                    for x in reversed(trail[mark:]):
+                    lit, mark, smark, cmark = choices.pop()
+                    for x in trail[mark:]:
                         val[x] = val[-x] = 0
-                        for ci in occ[-x]:
-                            if not sat[ci]:
-                                n_free[ci] += 1
-                        for ci in occ[x]:
-                            if sat[ci] == x:  # ci is unsatisfied again
-                                sat[ci] = 0
                     del trail[mark:]
+                    for ci in satisfied[smark:]:
+                        sat[ci] = 0
+                    del satisfied[smark:]
+                    for ci in counted[cmark:]:
+                        n_free[ci] += 1
+                    del counted[cmark:]
                     touched.clear()  # each mark follows a completed pass
                     if lit > 0:
                         break
@@ -682,7 +696,7 @@ class _Dpll:
                 raise BudgetExhausted(
                     f"dpll budget of {budget} nodes exhausted", nodes=self.nodes
                 )
-            choices.append((lit, len(trail)))
+            choices.append((lit, len(trail), len(satisfied), len(counted)))
             ok = self._set(lit) and self._pure_literals()
 
 

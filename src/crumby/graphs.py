@@ -109,24 +109,50 @@ def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable, rejecting malformed input.
 
     Self-loops, duplicate edges (in either orientation) and out-of-range
-    endpoints each get their own diagnostic.
+    endpoints each get their own diagnostic, for the first faulty edge in
+    input order.  No edge set is kept: the rows are filled unchecked and
+    Graph rejects any fault in them (a duplicate shows as two equal
+    neighbours in a sorted row); only then is the input walked again to
+    name the first fault.
     """
     if n < 0:
         raise GraphError("vertex count must be non-negative")
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)  # walked again if it holds a fault
+    rows: list = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            # an endpoint at n or past it misses rows; a negative one at
+            # least -n lands in a row, but its entry is out of Graph's range
+            rows[u].append(v)
+            rows[v].append(u)
+        # each row becomes its sorted tuple in place, so the lists and the
+        # tuples are never all alive together
+        for v, row in enumerate(rows):
+            row.sort()
+            rows[v] = tuple(row)
+        return Graph(n, tuple(rows))
+    except (IndexError, TypeError, ValueError):
+        fault = _first_fault(n, edges)
+        if fault is None:  # an edge that is not a pair of ints
+            raise
+        raise fault from None
+
+
+def _first_fault(n: int, edges: Sequence[tuple[int, int]]) -> GraphError | None:
+    """The error for the first edge that is out of range, a self-loop or a
+    repeat of an earlier one, in input order; None if there is none."""
     seen: set[tuple[int, int]] = set()
-    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge {u}-{v} out of range for n={n}")
+            return GraphError(f"edge {u}-{v} out of range for n={n}")
         if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
+            return GraphError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise GraphError(f"duplicate edge {key[0]}-{key[1]}")
+            return GraphError(f"duplicate edge {key[0]}-{key[1]}")
         seen.add(key)
-        rows[u].append(v)
-        rows[v].append(u)
-    return Graph(n, tuple(tuple(sorted(row)) for row in rows))
+    return None
 
 
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:

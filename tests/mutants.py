@@ -82,15 +82,22 @@ MUTANTS = (
     Mutant(
         "dpll undo leaves n_free unrestored",
         "crumby/coloring.py",
-        "                                n_free[ci] += 1\n",
-        "                                pass\n",
+        "                        n_free[ci] += 1\n",
+        "                        pass\n",
         _CHECKED_DPLL,
     ),
     Mutant(
         "dpll undo leaves sat set",
         "crumby/coloring.py",
-        "                                sat[ci] = 0\n",
-        "                                pass\n",
+        "                        sat[ci] = 0\n",
+        "                        pass\n",
+        _CHECKED_DPLL,
+    ),
+    Mutant(
+        "dpll leaves a lowered free count off the undo log",
+        "crumby/coloring.py",
+        "                    count(ci)\n",
+        "                    pass\n",
         _CHECKED_DPLL,
     ),
     Mutant(
@@ -307,6 +314,14 @@ MUTANTS = (
         "                            at2.append((p3, p1, p4))\n",
         ("tests/test_coloring.py::"
          "test_the_search_p4_table_on_the_gadgets_and_past_the_census",),
+    ),
+    Mutant(
+        "an edge list's fault is reported as Graph finds it in the rows",
+        "crumby/graphs.py",
+        "        fault = _first_fault(n, edges)\n",
+        "        fault = None\n",
+        ("tests/test_graphs.py::"
+         "test_edge_list_faults_are_named_as_the_reference_names_them",),
     ),
     Mutant(
         "graph6 slots are read row by row instead of column by column",

@@ -214,3 +214,25 @@ def first_missing_reverse(adj: Sequence[Sequence[int]]) -> tuple[int, int] | Non
             if v not in rows[u]:
                 return v, u
     return None
+
+
+def reference_graph_from_edge_list(n: int, edges) -> Graph:
+    """graph_from_edge_list with a set of every edge seen: each edge in
+    input order is checked for range, then for a loop, then for a repeat,
+    so the first faulty edge names the error."""
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    seen: set[tuple[int, int]] = set()
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {u}-{v} out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge {key[0]}-{key[1]}")
+        seen.add(key)
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n, tuple(tuple(sorted(row)) for row in rows))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crumby import (
     BLUE,
@@ -652,3 +653,114 @@ def test_no_free_variable_is_pure_after_a_pass(g):
     d = checked_dpll(g)
     result = dpll_solve(g)
     assert (d.nodes, d.propagations) == (result.nodes, result.propagations)
+
+
+class _LoggedDpll(crumby.coloring._Dpll):
+    """DPLL that keeps the longest each undo log has been after any _set."""
+
+    longest = (0, 0)
+
+    def _set(self, lit: int) -> bool:
+        ok = super()._set(lit)
+        self.longest = (
+            max(self.longest[0], len(self.satisfied)),
+            max(self.longest[1], len(self.counted)),
+        )
+        return ok
+
+    def assert_logs_stay_linear(self) -> None:
+        # a clause is satisfied at most once, and a literal occurrence
+        # counted down at most once, along the current path
+        assert self.longest[0] <= len(self.clauses)
+        assert self.longest[1] <= sum(map(len, self.clauses))
+
+
+class _UndoCheckedDpll(_LoggedDpll):
+    """DPLL that copies its whole state (values, clause states, trail and
+    both undo logs) at the end of the root pass and at each True decision,
+    and checks that the search comes back to it exactly: a variable's False
+    decision starts from the state its True decision started from.  The
+    latest True decision of a variable is the one being flipped, because
+    the variable stays assigned in that decision's whole subtree."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.root = None
+        self.at_choice = {}
+        self.in_pass = False
+        self.flips = 0
+
+    def state(self):
+        return (
+            self.val[:], self.sat[:], self.n_free[:],
+            self.trail[:], self.satisfied[:], self.counted[:],
+        )
+
+    def _pure_literals(self) -> bool:
+        self.in_pass = True
+        try:
+            ok = super()._pure_literals()
+        finally:
+            self.in_pass = False
+        if self.root is None:
+            self.root = self.state()
+        return ok
+
+    def _set(self, lit: int) -> bool:
+        if not self.in_pass:  # a decision of dfs
+            if lit > 0:
+                self.at_choice[lit] = self.state()
+            else:
+                assert self.state() == self.at_choice.pop(-lit), f"undo to {-lit}"
+                self.flips += 1
+        return super()._set(lit)
+
+
+def solved(cls, g):
+    d = cls(g.n, encode_cnf(g), None)
+    return d, d.dfs()
+
+
+def test_a_refutation_leaves_the_root_state(g18, g40):
+    rng = random.Random(33)
+    for g in (g18.graph, g40.graph):
+        for root in (0, g.n // 3):
+            h = breadth_first_relabeling(g, rng, root)
+            d, sat = solved(_UndoCheckedDpll, h)
+            assert not sat and d.flips > 20
+            fresh = crumby.coloring._Dpll(h.n, d.clauses, None)
+            assert d.state() == d.root == (
+                fresh.val, fresh.sat, fresh.n_free, fresh.trail, [], []
+            )
+            d.assert_logs_stay_linear()
+
+
+def relabeled_g18(perm: list[int]):
+    return relabel(GADGETS["G18"]().graph, perm)
+
+
+# few drawn subcubic graphs backtrack at all, and none up to n = 16 is
+# Unsat; every relabeled G18 is refuted after about a hundred flips
+@given(
+    st.one_of(
+        strategies.subcubic_graphs(max_n=16),
+        st.permutations(range(18)).map(relabeled_g18),
+    )
+)
+@PROPERTY
+def test_every_undo_restores_the_state_of_its_choice(g):
+    d, sat = solved(_UndoCheckedDpll, g)
+    result = dpll_solve(g)
+    assert (d.nodes, d.propagations) == (result.nodes, result.propagations)
+    assert sat is (result.status is Status.SAT)
+    if not sat:
+        assert d.state() == d.root and not d.counted
+    d.assert_logs_stay_linear()
+
+
+def test_dpll_undo_logs_stay_linear_on_a_long_path():
+    d, sat = solved(_LoggedDpll, path_graph(20_000))
+    assert sat and (d.nodes, d.propagations) == (9_999, 10_001)
+    d.assert_logs_stay_linear()
+    # every clause of a satisfied formula is on the log, once
+    assert sorted(d.satisfied) == list(range(len(d.clauses)))

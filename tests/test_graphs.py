@@ -58,6 +58,53 @@ def test_edge_list_rejects_duplicates_in_either_orientation():
         graph_from_edge_list(3, [(0, 1), (1, 0)])
 
 
+def edge_list_outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except GraphError as exc:
+        return str(exc)
+
+
+def malformed_edge_list(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A few edges on up to 8 vertices, each endpoint sometimes out of
+    range (below 0 or at n and past it), repeated or mirrored edges, and
+    self-loops, so that faults of every kind come in every order."""
+    n = rng.randrange(-1, 9)
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randrange(0, 12)):
+        roll = rng.random()
+        if edges and roll < 0.2:
+            u, v = rng.choice(edges)
+            edges.append((v, u) if rng.random() < 0.5 else (u, v))
+        elif roll < 0.3:
+            u = rng.randrange(-1, n + 2)
+            edges.append((u, u))
+        else:
+            edges.append((rng.randrange(-2, n + 2), rng.randrange(-2, n + 2)))
+    return n, edges
+
+
+def test_edge_list_faults_are_named_as_the_reference_names_them():
+    rng = random.Random(32)
+    outcomes = set()
+    for _ in range(4000):
+        n, edges = malformed_edge_list(rng)
+        want = edge_list_outcome(oracles.reference_graph_from_edge_list, n, edges)
+        assert edge_list_outcome(graph_from_edge_list, n, edges) == want
+        assert edge_list_outcome(graph_from_edge_list, n, iter(edges)) == want
+        outcomes.add(want.split()[0] if isinstance(want, str) else "graph")
+    # every message and a built graph each came up
+    assert outcomes == {"graph", "edge", "self-loop", "duplicate", "vertex"}
+
+
+def test_a_star_with_200000_leaves_is_built_without_an_edge_set():
+    """The 200,001 rows are the most of it, about 112 bytes an edge at the
+    peak; a set of every edge as a new tuple took about 270."""
+    n = 200_001
+    edges = [(0, v) for v in range(1, n)]
+    assert traced_peak(lambda: graph_from_edge_list(n, edges)) < 150 * (n - 1)
+
+
 def test_adjacency_is_sorted_and_symmetric():
     g = graph_from_edge_list(4, [(2, 0), (3, 1), (1, 0)])
     assert g.adj == ((1, 2), (0, 3), (0,), (1,))
