@@ -258,10 +258,15 @@ def emit_graph6(g: Graph) -> str:
     """Encode as a one-line graph6 string (single-byte header, n <= 62)."""
     if g.n > _G6_MAX_N:
         raise Graph6Error(f"graph6 support is capped at n <= {_G6_MAX_N}, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
+    return _graph6_of_mask(g.n, bitmask_of_graph(g))
+
+
+def _graph6_of_mask(n: int, mask: int) -> str:
+    """The graph6 line of the n-vertex graph with edge mask `mask`."""
+    nbits = n * (n - 1) // 2
     padded = nbits + -nbits % 6
-    bits = format(bitmask_of_graph(g), f"0{padded}b")[::-1] if padded else ""
-    return chr(g.n + 63) + "".join(
+    bits = format(mask, f"0{padded}b")[::-1] if padded else ""
+    return chr(n + 63) + "".join(
         chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)
     )
 

@@ -17,6 +17,7 @@ external generator output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .coloring import (
@@ -28,9 +29,9 @@ from .coloring import (
 )
 from .errors import BudgetExhausted, CapExceeded, CrossCheckError, Graph6Error
 from .graphs import (
+    _G6_SLOTS,
     Graph,
-    emit_graph6,
-    graph_from_bitmask,
+    _graph6_of_mask,
     is_biconnected,
     is_connected,
     parse_graph6,
@@ -99,21 +100,72 @@ def _is_cut_vertex(adj: Sequence[int], everyone: int, u: int) -> bool:
     return reached != rest
 
 
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """The twin classes of the graph with neighbour bitsets adj, as bitsets.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}, whether they are
+    adjacent (true twins) or not (false twins).  The relation is an
+    equivalence, and swapping two twins is an automorphism, so every
+    permutation inside a class is one too.
+    """
+    classes = []
+    left = (1 << len(adj)) - 1
+    while left:
+        u = (left & -left).bit_length() - 1
+        members = 0
+        rest = left
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):
+                members |= bit
+        left ^= members
+        classes.append(members)
+    return classes
+
+
+def _prefixes(members: int) -> list[int]:
+    """The empty set and each set of the lowest members, by size."""
+    out = [0]
+    while members:
+        bit = members & -members
+        members ^= bit
+        out.append(out[-1] | bit)
+    return out
+
+
+def _neighbour_degrees(adj: Sequence[int], near: int) -> list[int]:
+    """The sorted degrees of the vertices in `near`."""
+    out = []
+    while near:
+        bit = near & -near
+        near ^= bit
+        out.append(adj[bit.bit_length() - 1].bit_count())
+    out.sort()
+    return out
+
+
 def generate_small(n: int) -> list[str]:
     """All connected graphs on n vertices up to isomorphism, as graph6 lines.
 
     Each graph is the edge mask least among its relabellings (see
     _least_mask), and the lines come in ascending mask order.  The graphs
-    of order k + 1 grow from those of order k: a new vertex k joins any
-    non-empty set of old vertices, and a child is kept only if no other
-    non-cut vertex has a lower degree than k.  This misses no graph, by
-    induction from the one graph of order 1: a connected graph H of order
-    k + 1 has a non-cut vertex w of least degree among its non-cut vertices,
-    and H - w is connected, so an isomorphism maps it onto a graph P of order
-    k.  The child that joins a new vertex to the images of w's neighbours
-    in P is H with w relabelled k, so k is a non-cut vertex of least degree
-    and the rule keeps the child.  The children are deduplicated by their
-    least masks.
+    of order k + 1 grow from those of order k: a new vertex k joins a
+    non-empty set `near` of old vertices.  Two cuts keep the children few.
+    First, `near` meets each twin class of the parent (see _twin_classes)
+    in its lowest members.  Second, a vertex's key is its degree and then
+    the sorted degrees of its neighbours, and a child is kept only if no
+    other non-cut vertex has a lower key than k.  This misses no graph, by
+    induction from the one graph of order 1.  A connected graph H of order
+    k + 1 has a non-cut vertex w whose key is least among its non-cut
+    vertices, and H - w is connected, so an isomorphism maps it onto a
+    graph P of order k.  Let N be the image of w's neighbours in P.  Some
+    permutation s inside P's twin classes, an automorphism of P, takes N to
+    the set that meets each class in its lowest members, and s(N) is tried.
+    The child that joins k to s(N) is H with w relabelled k, and keys do not
+    change under isomorphism, so k has a least key among the non-cut
+    vertices and the rule keeps the child.  The children are deduplicated
+    by their least masks.
     """
     if n > GENERATE_CAP:
         raise CapExceeded(
@@ -127,18 +179,34 @@ def generate_small(n: int) -> list[str]:
         everyone = (1 << k + 1) - 1
         grown = set()
         for mask in level:
-            adj = [sum(1 << u for u in row) for row in graph_from_bitmask(k, mask).adj]
-            for near in range(1, 1 << k):
+            adj = [0] * k
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i, j = _G6_SLOTS[bit.bit_length() - 1]
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            for choice in product(*map(_prefixes, _twin_classes(adj))):
+                near = sum(choice)
+                if not near:
+                    continue
                 child = [row | (near >> v & 1) << k for v, row in enumerate(adj)]
                 child.append(near)
                 degree = near.bit_count()
-                if all(
-                    row.bit_count() >= degree or _is_cut_vertex(child, everyone, u)
-                    for u, row in enumerate(child)
-                ):
+                key = _neighbour_degrees(child, near)
+                for u, row in enumerate(child[:k]):
+                    own = row.bit_count()
+                    if (
+                        own < degree
+                        or own == degree
+                        and _neighbour_degrees(child, row) < key
+                    ) and not _is_cut_vertex(child, everyone, u):
+                        break
+                else:
                     grown.add(_least_mask(k + 1, child))
         level = grown
-    return [emit_graph6(graph_from_bitmask(n, mask)) for mask in sorted(level)]
+    return [_graph6_of_mask(n, mask) for mask in sorted(level)]
 
 
 # -- survey ----------------------------------------------------------------------

@@ -239,9 +239,24 @@ MUTANTS = (
     Mutant(
         "the census drops a child whose new vertex ties for least degree",
         "crumby/survey.py",
-        "                    row.bit_count() >= degree or _is_cut_vertex(child, everyone, u)\n",
-        "                    row.bit_count() > degree or _is_cut_vertex(child, everyone, u)\n",
+        "                        own < degree\n",
+        "                        own <= degree\n",
         ("tests/test_survey.py::test_census_sizes",),
+    ),
+    Mutant(
+        "the tie-break drops a child whose key equals the new vertex's",
+        "crumby/survey.py",
+        "                        and _neighbour_degrees(child, row) < key\n",
+        "                        and _neighbour_degrees(child, row) <= key\n",
+        ("tests/test_survey.py::test_census_sizes",),
+    ),
+    Mutant(
+        "twin classes ignore adjacent twins",
+        "crumby/survey.py",
+        "            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):\n",
+        "            if not adj[u] ^ adj[bit.bit_length() - 1]:\n",
+        # the census comes out the same, only through more children
+        ("tests/test_survey.py::test_census_effort_is_pinned",),
     ),
     Mutant(
         "the tw2 recognizer offers again only at a step's first vertex",

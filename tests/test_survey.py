@@ -15,6 +15,7 @@ from crumby import (
     Status,
     SurveyFilters,
     bitmask_of_graph,
+    complete_bipartite,
     complete_graph,
     emit_graph6,
     generate_small,
@@ -29,7 +30,7 @@ from crumby import (
 from crumby.coloring import Coloring
 import crumby.survey
 from tests import oracles
-from tests.helpers import traced_peak
+from tests.helpers import cycle_graph, traced_peak
 
 
 EXPECTED_CENSUS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -148,6 +149,54 @@ def test_census_at_order_seven_holds_two_orders_at_a_time():
     for n in range(1, 7):
         generate_small(n)
     assert traced_peak(lambda: generate_small(7)) < 4 * 2**20
+
+
+def _twins(g: Graph, u: int, v: int) -> bool:
+    return set(g.adj[u]) - {v} == set(g.adj[v]) - {u}
+
+
+def test_twin_classes_are_automorphism_classes():
+    rng = random.Random(34)
+    graphs = [complete_bipartite(1, 3), cycle_graph(4), complete_graph(4), complete_bipartite(2, 3)]
+    graphs += [
+        graph_from_bitmask(n, rng.getrandbits(n * (n - 1) // 2))
+        for n in range(1, 8)
+        for _ in range(30)
+    ]
+    for g in graphs:
+        classes = crumby.survey._twin_classes(_adjacency(g))
+        members = [[v for v in range(g.n) if c >> v & 1] for c in classes]
+        assert sorted(v for vs in members for v in vs) == list(range(g.n)), g
+        for vs in members:
+            for u, v in combinations(vs, 2):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                assert relabel(g, swap) == g, (g, u, v)
+        for a, b in combinations(members, 2):
+            assert not any(_twins(g, u, v) for u in a for v in b), (g, a, b)
+    # K1,3's leaves and the two sides of K2,3 and C4 are false twins; K4 is one
+    # class of true twins
+    assert crumby.survey._twin_classes(_adjacency(complete_bipartite(1, 3))) == [0b1, 0b1110]
+    assert crumby.survey._twin_classes(_adjacency(cycle_graph(4))) == [0b101, 0b1010]
+    assert crumby.survey._twin_classes(_adjacency(complete_graph(4))) == [0b1111]
+    assert crumby.survey._twin_classes(_adjacency(complete_bipartite(2, 3))) == [0b11, 0b11100]
+
+
+def test_census_effort_is_pinned(monkeypatch):
+    # children canonicalised for order 7; without the twin classes and the
+    # neighbour-degree key (every non-empty set of old vertices, degree
+    # alone) it was 2,796
+    calls = 0
+    least_mask = crumby.survey._least_mask
+
+    def counted(n, adj):
+        nonlocal calls
+        calls += 1
+        return least_mask(n, adj)
+
+    monkeypatch.setattr(crumby.survey, "_least_mask", counted)
+    assert len(generate_small(7)) == 853
+    assert calls == 1305
 
 
 # -- the survey harness ------------------------------------------------------
