@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import CapExceeded, CertificateError, GraphError
-from .graphs import Graph, graph_from_edge_list
+from .graphs import Graph, _data_lines, graph_from_edge_list
 from .minorfree import (
     MINOR_PATTERN_CAP,
     elimination_width,
@@ -53,10 +53,7 @@ def emit_minor_witness(pattern: Graph, branch_sets: Sequence[frozenset[int]]) ->
 
 def _entries(text: str) -> list[tuple[str, str]]:
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         if ":" not in line:
             raise CertificateError(f"line {lineno}: expected 'key: value'")
         key, _, value = line.partition(":")

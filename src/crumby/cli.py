@@ -46,6 +46,7 @@ from .errors import BudgetExhausted, CertificateError, CrossCheckError
 from .gadgets import GADGETS
 from .graphs import (
     Graph,
+    _data_lines,
     complete_bipartite,
     complete_graph,
     cut_vertices,
@@ -75,10 +76,7 @@ def load_graph(spec: str) -> Graph:
     if not path.exists():
         raise ValueError(f"{spec!r} is neither a bundled gadget nor a file")
     text = path.read_text()
-    data = (
-        s for s in (line.strip() for line in text.splitlines())
-        if s and not s.startswith("#")
-    )
+    data = (line for _, line in _data_lines(text))
     first = next(data, None)
     if first is None:
         raise ValueError(f"{spec}: no graph data in file")

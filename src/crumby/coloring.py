@@ -615,12 +615,15 @@ class _Dpll:
                 raise AssertionError("unit clause without a free literal")
             self.propagations += 1
 
-    def _pure_literals(self) -> bool:
+    def _pure_literals(self) -> None:
         """Assign single-polarity and unconstrained variables; sound for both
         Sat and Unsat, applied once per decision level.  Each round reads the
         polarities of all free candidates before it assigns any of them, in
         ascending order; a variable is positive iff an unsatisfied clause
-        contains +var, so unconstrained ones default to false (Blue)."""
+        contains +var, so unconstrained ones default to false (Blue).  Every
+        clause that holds a pure literal's negation is already satisfied, so
+        _set assigns that literal alone and can neither empty a clause nor
+        leave a unit one: the pass cannot fail."""
         val, sat, occ, touched = self.val, self.sat, self.occ, self.touched
         while touched:
             candidates = sorted(set(touched))
@@ -641,12 +644,8 @@ class _Dpll:
                 else:
                     pure.append(var)
             for lit in pure:
-                if val[lit]:
-                    continue
                 self.propagations += 1
-                if not self._set(lit):
-                    return False
-        return True
+                self._set(lit)
 
     def dfs(self) -> bool:
         """Depth-first search on an explicit stack of open choices
@@ -664,9 +663,10 @@ class _Dpll:
         end = self.n + 1
         choices: list[tuple[int, int, int, int]] = []
         low = 1  # every variable below low is assigned
-        ok = self._pure_literals()
+        ok = True  # _set's verdict; the pure-literal pass cannot fail
         while True:
             if ok:
+                self._pure_literals()
                 while low < end and val[low]:
                     low += 1
                 if low == end:
@@ -697,7 +697,7 @@ class _Dpll:
                     f"dpll budget of {budget} nodes exhausted", nodes=self.nodes
                 )
             choices.append((lit, len(trail), len(satisfied), len(counted)))
-            ok = self._set(lit) and self._pure_literals()
+            ok = self._set(lit)
 
 
 def dpll_solve(g: Graph, budget: int | None = None) -> SolveResult:

@@ -314,5 +314,4 @@ GADGETS = {
     "R": build_R,
     "G18": build_G18,
     "G40": build_G40,
-    "G40-sp": build_G40_sp,
 }

@@ -199,20 +199,49 @@ def bitmask_of_graph(g: Graph) -> int:
     return mask
 
 
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """The twin classes of the graph with neighbour bitsets adj, as bitsets.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}, whether they are
+    adjacent (true twins) or not (false twins).  The relation is an
+    equivalence, and swapping two twins is an automorphism, so every
+    permutation inside a class is one too.  The census prunes its children
+    and has_minor orders its seeds by these classes.
+    """
+    classes = []
+    left = (1 << len(adj)) - 1
+    while left:
+        u = (left & -left).bit_length() - 1
+        members = 0
+        rest = left
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):
+                members |= bit
+        left ^= members
+        classes.append(members)
+    return classes
+
+
 # -- edge list text ----------------------------------------------------------
 
 EDGE_LIST_MAX_N = 1_000_000
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor
+    a '#' comment; edge lists, certificates and one-graph files read this."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; a header n above EDGE_LIST_MAX_N is refused with
     CapExceeded before anything is allocated for it."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+    rows = list(_data_lines(text))
     if not rows:
         raise GraphError("edge list text has no data lines")
     lineno, header = rows[0]

@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import BudgetExhausted, CapExceeded
-from .graphs import Graph, blocks, connected_components, is_biconnected
+from .graphs import Graph, _twin_classes, blocks, connected_components, is_biconnected
 
 MINOR_PATTERN_CAP = 6
 
@@ -232,19 +232,6 @@ def verify_minor_witness(
     return True, None
 
 
-def _interchange_classes(pattern: Graph) -> list[int]:
-    """class id per pattern vertex; u, v share a class iff swapping them is
-    an automorphism (N(u)-v == N(v)-u).  Used to prune equivalent seeds."""
-    cls = list(range(pattern.n))
-    for u in range(pattern.n):
-        for v in range(u + 1, pattern.n):
-            nu = set(pattern.adj[u]) - {v}
-            nv = set(pattern.adj[v]) - {u}
-            if nu == nv:
-                cls[v] = min(cls[v], cls[u])
-    return cls
-
-
 def _low_bit(mask: int) -> int:
     """Index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
@@ -258,7 +245,7 @@ def has_minor(
     Branch sets are grown one pattern vertex at a time by a fixed plan: seed
     the vertex, then join it to each earlier neighbor by routing a simple
     path through unassigned host vertices and splitting it between the two
-    sets.  Interchangeable pattern vertices get increasing seeds.  Paths are
+    sets.  Twin pattern vertices get increasing seeds.  Paths are
     routed in a loop, so the recursion depth is the plan length (at most 21
     steps) for any host.  A 2-connected pattern is searched for one block of
     the host at a time, in ascending block order, under one node count.
@@ -289,7 +276,10 @@ def has_minor(
     for i, pv in enumerate(porder):
         plan.append((i, None))
         plan.extend((i, j) for j in range(i) if pattern.has_edge(pv, porder[j]))
-    cls = _interchange_classes(pattern)
+    # swapping two twins is an automorphism of the pattern, so twins seed
+    # in increasing host order; cls[v] is v's twin class
+    twins = _twin_classes([sum(1 << u for u in row) for row in pattern.adj])
+    cls = [next(c for c in twins if c >> v & 1) for v in range(k)]
     adjm = [0] * g.n
     for v in range(g.n):
         for u in g.adj[v]:
@@ -314,7 +304,7 @@ def has_minor(
         i, j = plan[t]
         if j is None:
             # seed set i at a free host vertex above the lowest vertex of
-            # every earlier set of its interchange class
+            # every earlier set of its twin class
             if g.n - used.bit_count() < k - i:
                 return None
             lo = 0

@@ -32,6 +32,7 @@ from .graphs import (
     _G6_SLOTS,
     Graph,
     _graph6_of_mask,
+    _twin_classes,
     is_biconnected,
     is_connected,
     parse_graph6,
@@ -98,30 +99,6 @@ def _is_cut_vertex(adj: Sequence[int], everyone: int, u: int) -> bool:
         reached |= grown
         frontier |= grown
     return reached != rest
-
-
-def _twin_classes(adj: Sequence[int]) -> list[int]:
-    """The twin classes of the graph with neighbour bitsets adj, as bitsets.
-
-    u and v are twins when N(u) - {v} = N(v) - {u}, whether they are
-    adjacent (true twins) or not (false twins).  The relation is an
-    equivalence, and swapping two twins is an automorphism, so every
-    permutation inside a class is one too.
-    """
-    classes = []
-    left = (1 << len(adj)) - 1
-    while left:
-        u = (left & -left).bit_length() - 1
-        members = 0
-        rest = left
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):
-                members |= bit
-        left ^= members
-        classes.append(members)
-    return classes
 
 
 def _prefixes(members: int) -> list[int]:

@@ -252,11 +252,19 @@ MUTANTS = (
     ),
     Mutant(
         "twin classes ignore adjacent twins",
-        "crumby/survey.py",
+        "crumby/graphs.py",
         "            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):\n",
         "            if not adj[u] ^ adj[bit.bit_length() - 1]:\n",
         # the census comes out the same, only through more children
         ("tests/test_survey.py::test_census_effort_is_pinned",),
+    ),
+    Mutant(
+        "has_minor seeds ignore twin classes",
+        "crumby/minorfree.py",
+        "    cls = [next(c for c in twins if c >> v & 1) for v in range(k)]\n",
+        "    cls = [1 << v for v in range(k)]\n",
+        # 72 searches exhaust the budget, not 10, and witnesses differ
+        ("tests/test_minorfree.py::test_minor_search_outcomes_are_pinned_on_the_census",),
     ),
     Mutant(
         "the tw2 recognizer offers again only at a step's first vertex",
@@ -329,6 +337,16 @@ MUTANTS = (
         "                            at2.append((p3, p1, p4))\n",
         ("tests/test_coloring.py::"
          "test_the_search_p4_table_on_the_gadgets_and_past_the_census",),
+    ),
+    Mutant(
+        "a `#` line is read as data",
+        "crumby/graphs.py",
+        '        if line and not line.startswith("#"):\n',
+        "        if line:\n",
+        (
+            "tests/test_graphs.py::test_edge_list_text_allows_comments_and_blanks",
+            "tests/test_certs.py::test_comments_and_blank_lines_are_ignored",
+        ),
     ),
     Mutant(
         "an edge list's fault is reported as Graph finds it in the rows",

@@ -842,13 +842,12 @@ def test_verify_paper_formats_check_lines(capsys, monkeypatch):
 
 
 # sha256 of `gadget NAME --format edgelist`, then graph6, then dot stdout,
-# concatenated; G40 and G40-sp print the same graph with the same labels
+# concatenated
 GADGET_STDOUT_SHA256 = {
     "F": "e87f4c36bb33383f99f0e0e6a23316eddf6f3779094aa42c56b2a2cf85acdc10",
     "R": "4763b4130ac0aba53d742206a065650e49dc1800490cf5af07680bd18b6d655c",
     "G18": "2a5e34550d263ac38e0b926443c880ab835be35905e82e70528316d96ca6f55d",
     "G40": "ccfc9db3ff6bf47e91149fe4260ac140b1f1a1e5cbb989173853099971fdcfef",
-    "G40-sp": "ccfc9db3ff6bf47e91149fe4260ac140b1f1a1e5cbb989173853099971fdcfef",
 }
 
 

@@ -602,13 +602,25 @@ class _CheckedDpll(crumby.coloring._Dpll):
     many free literals each unsatisfied clause has, and which free variables
     are pure.  The pass reads only candidate variables, so a candidate set
     that missed one would show here; every undo in dfs is followed by _set
-    and a completed pass, so a clause state the undo left wrong shows too."""
+    and a completed pass, so a clause state the undo left wrong shows too.
+    Each pass must also assign its pure literals alone: one _set call, one
+    trail entry and one propagation each, and no free count lowered, as a
+    pure literal's negation occurs only in satisfied clauses."""
 
     passes = 0
+    sets = 0
 
-    def _pure_literals(self) -> bool:
-        if not super()._pure_literals():
-            return False
+    def _set(self, lit: int) -> bool:
+        self.sets += 1
+        return super()._set(lit)
+
+    def _pure_literals(self) -> None:
+        before = (self.sets, len(self.trail), self.propagations, len(self.counted))
+        super()._pure_literals()
+        assigned = self.sets - before[0]
+        assert len(self.trail) - before[1] == assigned, "a pure literal propagated"
+        assert self.propagations - before[2] == assigned
+        assert len(self.counted) == before[3], "a pure literal lowered a free count"
         val, sat, n_free = self.val, self.sat, self.n_free
         open_lits = set()
         for ci, clause in enumerate(self.clauses):
@@ -627,7 +639,6 @@ class _CheckedDpll(crumby.coloring._Dpll):
         ]
         assert not pure, f"free variables {pure} are pure after a completed pass"
         self.passes += 1
-        return True
 
 
 def checked_dpll(g, budget=None) -> _CheckedDpll:
@@ -696,15 +707,14 @@ class _UndoCheckedDpll(_LoggedDpll):
             self.trail[:], self.satisfied[:], self.counted[:],
         )
 
-    def _pure_literals(self) -> bool:
+    def _pure_literals(self) -> None:
         self.in_pass = True
         try:
-            ok = super()._pure_literals()
+            super()._pure_literals()
         finally:
             self.in_pass = False
         if self.root is None:
             self.root = self.state()
-        return ok
 
     def _set(self, lit: int) -> bool:
         if not self.in_pass:  # a decision of dfs

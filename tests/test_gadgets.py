@@ -151,7 +151,7 @@ def test_sp_edge_mismatch_reports_symmetric_difference(g40):
 
 
 def test_gadget_registry_contents():
-    assert set(GADGETS) == {"F", "R", "G18", "G40", "G40-sp"}
+    assert set(GADGETS) == {"F", "R", "G18", "G40"}
     for name, builder in GADGETS.items():
         lg = builder()
         assert is_connected(lg.graph)

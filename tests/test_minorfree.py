@@ -22,7 +22,7 @@ from crumby import (
     replay_reduction_trace,
     verify_minor_witness,
 )
-from crumby.certs import emit_elimination_order, emit_reduction_trace
+from crumby.certs import emit_elimination_order, emit_minor_witness, emit_reduction_trace
 from crumby.minorfree import MINOR_HOST_BITS_CAP
 from tests import oracles, strategies
 from tests.helpers import cycle_graph, path_graph, traced_peak
@@ -202,6 +202,34 @@ def test_tw2_routes_are_pinned_on_the_census(census_lines):
     assert (graphs, accepted_count) == (996, 321)
     assert traces.hexdigest()[:16] == CENSUS_TRACE_DIGEST
     assert orders.hexdigest()[:16] == CENSUS_ORDER_DIGEST
+
+
+# sha256 over has_minor(host, pattern, budget=2000) for every census graph
+# (n <= 7), then G18 and F, each against K4, K2,3, C4 and K1,3: the
+# witness's emit_minor_witness text, "no", or the nodes of an exhausted
+# budget; 16-hex prefix.  Pins which model the search returns, not only
+# whether it finds one.
+CENSUS_MINOR_DIGEST = "6b9c98833d4c97f5"
+
+
+def test_minor_search_outcomes_are_pinned_on_the_census(census_lines, g18, f_gadget):
+    patterns = (K4, complete_bipartite(2, 3), cycle_graph(4), complete_bipartite(1, 3))
+    hosts = [parse_graph6(line) for n in range(1, 8) for line in census_lines[n]]
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for g in hosts + [g18.graph, f_gadget.graph]:
+        for pattern in patterns:
+            try:
+                found, branch = has_minor(g, pattern, budget=2000)
+            except BudgetExhausted as exc:
+                text, outcome = f"{exc.nodes}\n", "exhausted"
+            else:
+                text = emit_minor_witness(pattern, branch) if found else "no\n"
+                outcome = "found" if found else "no"
+            digest.update(text.encode())
+            outcomes[outcome] += 1
+    assert outcomes == {"found": 3325, "no": 657, "exhausted": 10}
+    assert digest.hexdigest()[:16] == CENSUS_MINOR_DIGEST
 
 
 def test_tw2_routes_take_each_step_without_a_rescan(ladder):

@@ -164,7 +164,7 @@ def test_twin_classes_are_automorphism_classes():
         for _ in range(30)
     ]
     for g in graphs:
-        classes = crumby.survey._twin_classes(_adjacency(g))
+        classes = crumby.graphs._twin_classes(_adjacency(g))
         members = [[v for v in range(g.n) if c >> v & 1] for c in classes]
         assert sorted(v for vs in members for v in vs) == list(range(g.n)), g
         for vs in members:
@@ -176,10 +176,10 @@ def test_twin_classes_are_automorphism_classes():
             assert not any(_twins(g, u, v) for u in a for v in b), (g, a, b)
     # K1,3's leaves and the two sides of K2,3 and C4 are false twins; K4 is one
     # class of true twins
-    assert crumby.survey._twin_classes(_adjacency(complete_bipartite(1, 3))) == [0b1, 0b1110]
-    assert crumby.survey._twin_classes(_adjacency(cycle_graph(4))) == [0b101, 0b1010]
-    assert crumby.survey._twin_classes(_adjacency(complete_graph(4))) == [0b1111]
-    assert crumby.survey._twin_classes(_adjacency(complete_bipartite(2, 3))) == [0b11, 0b11100]
+    assert crumby.graphs._twin_classes(_adjacency(complete_bipartite(1, 3))) == [0b1, 0b1110]
+    assert crumby.graphs._twin_classes(_adjacency(cycle_graph(4))) == [0b101, 0b1010]
+    assert crumby.graphs._twin_classes(_adjacency(complete_graph(4))) == [0b1111]
+    assert crumby.graphs._twin_classes(_adjacency(complete_bipartite(2, 3))) == [0b11, 0b11100]
 
 
 def test_census_effort_is_pinned(monkeypatch):
