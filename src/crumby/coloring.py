@@ -381,9 +381,10 @@ class _GraphSearch:
         (vertex, trail mark, color), so depth is not bound by recursion.
         Each node runs a queue that starts with its choice, first in first
         out: a move to an unset vertex sets its color and appends the moves
-        that color forces, a move to a colored vertex must agree with it.
-        A conflict undoes open choices, latest first, up to one that still
-        has Blue to try.
+        that color forces.  A move to a colored vertex agrees with it, since
+        applying the first of two contradicting moves breaks a rule, so it
+        is skipped.  A conflict undoes open choices, latest first, up to one
+        that still has Blue to try.
 
         Setting w Red breaks (b) if no neighbor of w can be Red, and (c) if
         a P4 through w has its three other vertices Red; a P4 with two of
@@ -422,8 +423,6 @@ class _GraphSearch:
                     queue = [(v, color)]
                     for w, c in queue:
                         if assign[w] != unset_:
-                            if assign[w] != c:
-                                break
                             continue
                         assign[w] = c
                         trail.append(w)

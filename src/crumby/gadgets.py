@@ -133,7 +133,7 @@ def expand(expr: SpExpr) -> Graph:
                 walk(child, s, t)
         elif isinstance(node, Reverse):
             walk(node.child, t, s)
-        else:  # pragma: no cover
+        else:
             raise ExpansionError(f"unknown expression node {node!r}")
 
     try:

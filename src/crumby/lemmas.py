@@ -26,6 +26,7 @@ unsatisfiability proof for G18.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterator
 
 from .coloring import (
@@ -257,14 +258,11 @@ def verify_theorem1_composition() -> LemmaReport:
     )
     joined_ok = None
     pairs = 0
-    for c1 in s_red:
-        for c2 in s_red:
-            pairs += 1
-            joined = Coloring(c1.colors + c2.colors)
-            if verify_crumby_by_components(g18, joined):
-                joined_ok = joined
-                break
-        if joined_ok is not None:
+    for c1, c2 in product(s_red, repeat=2):
+        pairs += 1
+        joined = Coloring(c1.colors + c2.colors)
+        if verify_crumby_by_components(g18, joined):
+            joined_ok = joined
             break
     result = dpll_solve(g18)
     passed = (

@@ -251,6 +251,13 @@ MUTANTS = (
         ("tests/test_survey.py::test_census_sizes",),
     ),
     Mutant(
+        "the survey's connected filter is dropped",
+        "crumby/survey.py",
+        "        if self.connected and not is_connected(g):\n",
+        "        if False:\n",
+        ("tests/test_survey.py::test_filters_drop_out_of_scope_graphs",),
+    ),
+    Mutant(
         "twin classes ignore adjacent twins",
         "crumby/graphs.py",
         "            if not (adj[u] ^ adj[bit.bit_length() - 1]) & ~(bit | 1 << u):\n",
@@ -386,6 +393,13 @@ MUTANTS = (
         "    if kind not in kinds:\n",
         "    if False:\n",
         ("tests/test_cli.py::test_certificates_prove_only_their_own_claim",),
+    ),
+    Mutant(
+        "verify skips its verifier cross-check",
+        "crumby/cli.py",
+        "    if ok != (first is None):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_disagreeing_routes_are_an_error_not_an_answer",),
     ),
     Mutant(
         "an exhausted budget exits 1",

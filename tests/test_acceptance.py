@@ -48,13 +48,18 @@ from crumby import (
     verify_minor_witness,
     verify_theorem1_composition,
 )
-from crumby.checks import run_paper_checks
+from crumby.checks import _odd_cycle_valid, run_paper_checks
 from crumby.cli import main
+from crumby.errors import ExpansionError
 from crumby.gadgets import (
     F_AUTOMORPHISM,
     F_ELIMINATION_TABLE,
+    G40_EXPR,
+    Q_EXPR,
+    build_F_sp,
     drop_edge,
     g18_elimination_order,
+    rev,
 )
 
 
@@ -405,6 +410,31 @@ def test_each_graph_claim_fails_on_a_graph_one_edge_short(monkeypatch):
         "g18-unsat-exhaustive", "g18-unsat-backtracking", "g18-unsat-dpll",
         "g18-structure", "g18-elimination-order",
     ]
+
+
+def test_a_series_parallel_build_that_raises_fails_its_claim(monkeypatch):
+    """Each expression expanded with its terminals swapped no longer matches
+    its gadget; the build's error fails the claim and is its detail."""
+    monkeypatch.setattr("crumby.gadgets.Q_EXPR", rev(Q_EXPR))
+    monkeypatch.setattr("crumby.gadgets.G40_EXPR", rev(G40_EXPR))
+    messages = []
+    for build in (build_G40_sp, build_F_sp):
+        with pytest.raises(ExpansionError) as info:
+            build()
+        messages.append(str(info.value))
+    results = run_paper_checks(quick=True)
+    assert [(r.name, r.detail) for r in results if not r.ok] == [
+        ("g40-series-parallel", messages[0]),
+        ("f-series-parallel", messages[1]),
+    ]
+
+
+def test_an_odd_cycle_is_checked_for_its_shape():
+    k3 = complete_graph(3)
+    assert _odd_cycle_valid(k3, [0, 1, 2])
+    for cycle in ([], [0], [0, 1], [0, 1, 2, 0, 1]):
+        assert not _odd_cycle_valid(k3, cycle)
+    assert not _odd_cycle_valid(graph_from_edge_list(3, [(0, 1), (1, 2)]), [0, 1, 2])
 
 
 def test_full_claim_battery_exits_cleanly(capsys):

@@ -113,6 +113,29 @@ def test_parse_diagnostics():
             parse_certificate(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("type elimination-order\n", "line 1: expected 'key: value'"),
+        ("# nothing but a comment\n", "empty certificate"),
+        ("n: 3\ntype: elimination-order\n", "first entry must be 'type'"),
+        ("type: elimination-order\nn: 2\n",
+         "elimination-order needs exactly one n and one order"),
+        ("type: elimination-order\nn: 3\norder: 0 1\n", "order length disagrees with n"),
+        ("type: minor-witness\npattern-n: 2\npattern-edges: 01\n",
+         "pattern edge '01' must look like u-v"),
+        ("type: minor-witness\npattern-n: 2\npattern-edges: 0-1\nbranch-1: 1\n",
+         "minor-witness is missing branch-0"),
+    ],
+    ids=["key-value", "empty", "type-first", "exactly-one", "order-length", "u-v",
+         "missing-branch"],
+)
+def test_each_parse_message_is_exact(text, message):
+    with pytest.raises(CertificateError) as info:
+        parse_certificate(text)
+    assert str(info.value) == message
+
+
 def test_entries_require_key_value_shape():
     with pytest.raises(CertificateError):
         parse_certificate("type elimination-order\n")

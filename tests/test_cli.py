@@ -37,6 +37,7 @@ from crumby.certs import (
 from crumby.checks import CheckResult
 from crumby.cli import main
 from tests import oracles
+from tests.helpers import g40_unsat_near_misses
 
 
 def run(capsys, *argv):
@@ -83,12 +84,15 @@ _CAPPED_CLI = (
 
 
 def test_python_dash_m_runs_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "crumby", "gadget", "G18", "--format", "graph6"],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == emit_graph6(build_G18().graph)
+    # without its own __main__ guard, `python -m crumby.cli` would print
+    # nothing and exit 0
+    for module in ("crumby", "crumby.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "gadget", "G18", "--format", "graph6"],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.strip() == emit_graph6(build_G18().graph), module
 
 
 def test_every_source_file_parses_as_python_3_10():
@@ -102,6 +106,23 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(files) >= 33
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_oracles_import_only_what_they_do_not_check():
+    """tests/oracles.py is the naive side of every cross-check, so it may
+    take graphs, colorings and components from crumby but no routine that
+    it is meant to check."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "crumby":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "crumby")
+    assert names == {
+        "Coloring", "Graph", "GraphError", "connected_components",
+        "edge_bit_index", "graph_from_edge_list",
+    }
 
 
 # a child interpreter that runs three CLI calls, a sweep and the census, and
@@ -156,6 +177,36 @@ def test_a_graph6_file_with_two_graphs_is_refused(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(g6))
     assert code == 2 and out == ""
     assert "more than one graph6 line" in err and "crumby search" in err
+
+
+def test_input_refusals_are_named_exactly(tmp_path, capsys):
+    k2 = write_k2(tmp_path)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no graph here\n\n")
+    short = tmp_path / "short.txt"
+    short.write_text("R\n")
+    for argv, message in (
+        (["solve", str(empty)], f"{empty}: no graph data in file"),
+        (["search", k2, "--generate", "3"],
+         "give either an input file or --generate, not both"),
+        (["verify", k2, str(short)], "coloring has 1 entries for 2 vertices"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_disagreeing_routes_are_an_error_not_an_answer(tmp_path, capsys, monkeypatch):
+    """verify and check-tw2 each ask two independent routes; if they were to
+    disagree, the command answers neither way."""
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("R R\n")
+    monkeypatch.setattr("crumby.cli.verify_crumby_by_components", lambda g, c: False)
+    assert run(capsys, "verify", write_k2(tmp_path), str(coloring)) == (
+        2, "", "error: the direct verifier and the component verifier disagree\n"
+    )
+    monkeypatch.setattr("crumby.cli.find_elimination_order", lambda g: None)
+    assert run(capsys, "check-tw2", "G40") == (
+        2, "", "error: reduction recognizer and greedy elimination disagree\n"
+    )
 
 
 def test_missing_file_is_an_error(capsys):
@@ -291,12 +342,15 @@ def test_deep_search_never_reads_as_unsat(tmp_path, capsys, method):
     assert code == 0 and out.startswith("status: sat")
 
 
-def test_verify_accepts_a_solver_answer(tmp_path, capsys):
+def test_verify_accepts_a_solver_answer(tmp_path, capsys, monkeypatch):
     graph = write_k2(tmp_path)
     coloring = tmp_path / "c.txt"
     coloring.write_text("R R\n")
     code, out, _ = run(capsys, "verify", graph, str(coloring))
     assert code == 0 and "crumby: yes" in out
+    # `-` reads the coloring from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO("R R\n"))
+    assert run(capsys, "verify", graph, "-") == (0, "crumby: yes\n", "")
 
 
 def test_verify_lists_violations(tmp_path, capsys):
@@ -819,6 +873,22 @@ def test_search_of_a_stream_with_one_graph6_line_exits_0(tmp_path, capsys):
     assert code == 0 and "filtered-out=1" in out
 
 
+def test_search_lists_g40_and_its_near_misses_as_unsat(tmp_path, capsys, g40):
+    """survey_stream's Unsat path past EXHAUSTIVE_CAP, where DPLL alone
+    re-confirms backtracking: G40 and its nine Unsat single deletions."""
+    lines = [emit_graph6(h) for h in (g40.graph, *g40_unsat_near_misses(g40.graph))]
+    stream = tmp_path / "near-misses.g6"
+    stream.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "search", str(stream))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "filters: connected,subcubic,tw2",
+        "n=39 tested=4 sat=0 unsat=4",
+        "n=40 tested=6 sat=0 unsat=6",
+        "total tested=10 sat=0 unsat=10 filtered-out=0 skipped=0",
+    ] + [f"unsat-instance: {line}" for line in lines]
+
+
 def test_search_budget_keeps_the_report_and_exits_2(tmp_path, capsys):
     stream = tmp_path / "stream.g6"
     g18_line = emit_graph6(build_G18().graph)
@@ -858,12 +928,14 @@ GADGET_STDOUT_SHA256 = {
          "84dd58edacced6b3f9c437727d19ff4c818741f02fdebfeece52885ff31c43a2"),
         ([["lemmas", "--machine", "--verbose"]],
          "76bbe214a88f968ecc1b22fb8ccce8ca101485abeecf7410f6325b981b07d01f"),
+        ([["cnf", "G18"]],
+         "a46c7d9838c30a0b339baf5a200a4702ff8beb7a4367f6a3263a203b9735b0c5"),
     ] + [
         ([["gadget", name, "--format", fmt] for fmt in ("edgelist", "graph6", "dot")],
          digest)
         for name, digest in GADGET_STDOUT_SHA256.items()
     ],
-    ids=["verify-paper-quick", "lemmas-machine-verbose"]
+    ids=["verify-paper-quick", "lemmas-machine-verbose", "cnf-G18"]
     + [f"gadget-{name}" for name in GADGET_STDOUT_SHA256],
 )
 def test_stdout_is_pinned(capsys, commands, digest):
@@ -894,6 +966,8 @@ def test_exit_codes_match_independent_answers(tmp_path, capsys):
     README pairs with the command; 2 must never occur on valid input."""
     rng = random.Random(22)
     graph, coloring = tmp_path / "g.g6", tmp_path / "c.txt"
+    k23 = tmp_path / "k23.txt"
+    k23.write_text(emit_edge_list(complete_bipartite(2, 3)))
     seen = set()
     for g in _contract_graphs(22, 60):
         graph.write_text(emit_graph6(g) + "\n")
@@ -916,6 +990,7 @@ def test_exit_codes_match_independent_answers(tmp_path, capsys):
             ("check-bipartite",): oracles.naive_is_bipartite(g),
             ("check-minor", "--pattern", "K4"): find_elimination_order(g) is None,
             ("check-minor", "--pattern", "K23"): oracles.naive_has_k23_minor(g),
+            ("check-minor", "--pattern", str(k23)): oracles.naive_has_k23_minor(g),
         }
         for (command, *rest), answer in expected.items():
             code, _, err = run(capsys, command, str(graph), *rest)

@@ -26,6 +26,7 @@ from crumby import (
     exhaustive_solve,
     expand,
     graph_from_edge_list,
+    is_biconnected,
     parse_graph6,
     relabel,
     verify_crumby,
@@ -34,7 +35,15 @@ from crumby import (
 from crumby.coloring import violations
 import crumby.coloring
 from tests import oracles, strategies
-from tests.helpers import path_graph, traced_peak
+from tests.helpers import (
+    G40_UNSAT_EDGE_DELETIONS,
+    G40_UNSAT_VERTEX_DELETIONS,
+    g40_unsat_near_misses,
+    path_graph,
+    traced_peak,
+    without_edge,
+    without_vertex,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -384,6 +393,53 @@ def test_dpll_refutes_the_gadgets_within_their_natural_node_counts(g18, g40):
     # choice raises BudgetExhausted at once instead of running for ever
     assert dpll_solve(g18.graph, budget=122).status is Status.UNSAT
     assert dpll_solve(g40.graph, budget=5234).status is Status.UNSAT
+
+
+def test_solvers_agree_on_every_single_deletion_of_g40(g40):
+    """G40's near misses are Unsat graphs in the paper's own class, subcubic
+    and of treewidth at most 2, that are neither G18 nor G40.  Of the 94
+    graphs G40 less one edge or one vertex, the pinned nine are Unsat; and
+    no edge can be deleted so that G40 stays 2-connected and Unsat."""
+    g = g40.graph
+    unsat_edges, unsat_vertices, still_2_connected = [], [], []
+    for edge in g.edges():
+        h = without_edge(g, edge)
+        status = backtracking_solve(h).status
+        assert dpll_solve(h).status is status, edge
+        if status is Status.UNSAT:
+            unsat_edges.append(edge)
+        if is_biconnected(h):
+            still_2_connected.append(status)
+    for v in range(g.n):
+        h = without_vertex(g, v)
+        status = backtracking_solve(h).status
+        assert dpll_solve(h).status is status, v
+        if status is Status.UNSAT:
+            unsat_vertices.append(v)
+    assert tuple(unsat_edges) == G40_UNSAT_EDGE_DELETIONS
+    assert tuple(unsat_vertices) == G40_UNSAT_VERTEX_DELETIONS
+    assert still_2_connected == [Status.SAT] * 10
+
+
+def test_solvers_refute_g40s_near_misses_under_relabelling(g40):
+    rng = random.Random(36)
+    for h in g40_unsat_near_misses(g40.graph):
+        for _ in range(2):
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            moved = relabel(h, perm)
+            assert backtracking_solve(moved).status is Status.UNSAT
+            assert dpll_solve(moved).status is Status.UNSAT
+
+
+def test_a_unit_clause_without_a_free_literal_is_an_internal_error():
+    # a free count one too high: once x1 and x2 are false, (x1 | x2)
+    # reads as a unit clause that has no free literal left
+    d = crumby.coloring._Dpll(2, ((1, 2),), None)
+    d.n_free[0] += 1
+    assert d._set(-1)
+    with pytest.raises(AssertionError, match="^unit clause without a free literal$"):
+        d._set(-2)
 
 
 @pytest.mark.parametrize("budget", [0, 100])

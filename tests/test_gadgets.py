@@ -49,6 +49,29 @@ def test_parallel_duplicate_edge_is_rejected_with_context():
         expand(parallel(E, E))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: series(E), "Series needs at least 2 children"),
+        (lambda: parallel(E), "Parallel needs at least 2 children"),
+        (lambda: expand("E"), "unknown expression node 'E' in E"),
+        # the context names the whole expression, through every __str__
+        (lambda: expand(series(E, parallel(E, E))),
+         "duplicate edge 1-2 while expanding E (parallel edges are not allowed)"
+         " in (E*(E|E))"),
+        (lambda: expand(parallel(E, rev(E))),
+         "duplicate edge 0-1 while expanding E (parallel edges are not allowed)"
+         " in (E|rev(E))"),
+    ],
+    ids=["series-of-one", "parallel-of-one", "not-an-expression", "under-series",
+         "under-rev"],
+)
+def test_malformed_expressions_are_refused_by_name(build, message):
+    with pytest.raises(ExpansionError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_reverse_is_an_involution_up_to_expansion():
     expr = series(E, parallel(series(E, E), series(E, E, E)))
     assert expand(rev(rev(expr))) == expand(expr)

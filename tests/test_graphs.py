@@ -84,6 +84,13 @@ def malformed_edge_list(rng: random.Random) -> tuple[int, list[tuple[int, int]]]
     return n, edges
 
 
+def test_an_edge_that_is_not_a_pair_of_ints_keeps_its_own_error():
+    # no endpoint is out of range, a loop or a repeat, so the fault the
+    # rows met is raised as it is
+    with pytest.raises(TypeError, match="^list indices must be integers or slices, not float$"):
+        graph_from_edge_list(2, [(0, 1.0)])
+
+
 def test_edge_list_faults_are_named_as_the_reference_names_them():
     rng = random.Random(32)
     outcomes = set()
@@ -246,6 +253,8 @@ def test_relabel_roundtrip():
     perm = [3, 1, 0, 2]
     inverse = [perm.index(i) for i in range(4)]
     assert relabel(relabel(g, perm), inverse) == g
+    with pytest.raises(GraphError, match="^relabeling is not a permutation of the vertex set$"):
+        relabel(g, [3, 1, 1, 2])
 
 
 def test_induced_subgraph_of_k4_triangle():
@@ -358,6 +367,24 @@ def test_edge_list_text_allows_comments_and_blanks():
 def test_edge_list_text_rejects_bad_header():
     with pytest.raises(GraphError):
         parse_edge_list("3\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# no data\n\n", "edge list text has no data lines"),
+        ("3\n0 1\n", "line 1: header must be 'n m'"),
+        ("# n m\n3 one\n0 1\n", "line 2: header must be two integers"),
+        ("3 2\n0 1\n", "header promises 2 edges, found 1"),
+        ("3 1\n\n0 1 2\n", "line 3: edge line must be 'u v'"),
+        ("3 1\n0 x\n", "line 2: edge endpoints must be integers"),
+    ],
+    ids=["no-data", "header-shape", "header-ints", "edge-count", "edge-shape", "edge-ints"],
+)
+def test_edge_list_text_names_each_fault(text, message):
+    with pytest.raises(GraphError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
 
 
 def test_edge_list_header_is_capped():

@@ -27,7 +27,7 @@ from crumby import (
     verify_theorem1_composition,
 )
 from crumby.coloring import Color, violations
-from crumby.gadgets import F_AUTOMORPHISM
+from crumby.gadgets import F_AUTOMORPHISM, drop_edge
 from crumby.lemmas import all_lemma_reports, richness_witness
 from tests import oracles, strategies
 from tests.helpers import path_graph
@@ -321,6 +321,25 @@ def test_composition_fails_on_a_relabeled_g18(monkeypatch):
     report = verify_theorem1_composition()
     assert report.passed is False
     assert report.note.startswith("x-blue-feasible=0 x-red-feasible=4 joined-pairs=16")
+
+
+def test_composition_names_the_first_join_that_passes(monkeypatch):
+    # with every join passing, the first pair (the first x-red coloring
+    # joined to itself) is the counterexample, and the loop stops there
+    monkeypatch.setattr(crumby.lemmas, "verify_crumby_by_components", lambda g, c: True)
+    report = verify_theorem1_composition()
+    assert report.passed is False
+    assert report.counterexample.to_text() == " ".join(["R B R R B R B R R"] * 2)
+    assert report.note.startswith("x-blue-feasible=0 x-red-feasible=4 joined-pairs=1 ")
+
+
+def test_a_failed_report_names_its_counterexample(f_gadget):
+    report = verify_lemma1_i(drop_edge(f_gadget, "f", "h"))
+    assert report.human() == (
+        "lemma 1(i) [x-blue r=a]: FAIL (6 feasible colorings);"
+        " counterexample: B R B R R R B B B"
+    )
+    assert "counterexample=B R B R R R B B B" in report.machine_lines()
 
 
 def test_all_reports_pass_without_the_exhaustive_oracle():

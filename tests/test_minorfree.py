@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+import crumby.minorfree
 from crumby import (
     BudgetExhausted,
     CapExceeded,
@@ -277,6 +278,7 @@ def test_minor_witness_validation_diagnostics():
     cases = [
         ((frozenset({0}), frozenset({1}), frozenset()), "empty"),
         ((frozenset({0, 2}), frozenset({1}), frozenset({2})), "two branch sets"),
+        ((frozenset({0}), frozenset({1})), "witness has 2 branch sets for 3 vertices"),
     ]
     for witness, fragment in cases:
         ok, reason = verify_minor_witness(k3, k3, witness)
@@ -343,6 +345,14 @@ def test_minor_search_routes_long_chains_without_recursion():
     found, witness = has_minor(g, K4)
     assert found and verify_minor_witness(g, K4, witness)[0]
     assert [len(s) for s in witness] == [1501, 1, 1, 1]
+
+
+def test_a_bad_witness_from_the_search_is_an_internal_error(monkeypatch, f_gadget):
+    monkeypatch.setattr(
+        crumby.minorfree, "verify_minor_witness", lambda g, pattern, sets: (False, "forged")
+    )
+    with pytest.raises(AssertionError, match="^minor search produced a bad witness: forged$"):
+        has_minor(f_gadget.graph, complete_bipartite(2, 3))
 
 
 def test_minor_search_respects_budget(g18):

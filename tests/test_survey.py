@@ -218,15 +218,18 @@ def test_survey_counts_on_the_census():
 
 
 def test_unparsable_lines_are_recorded_not_fatal(g18):
-    report = survey_stream(["##bad##", emit_graph6(g18.graph)])
+    # blank lines are neither graphs nor faults
+    report = survey_stream(["##bad##", "", "  \n", emit_graph6(g18.graph)])
     assert report.tested == 1
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == 1
 
 
 def test_filters_drop_out_of_scope_graphs():
-    report = survey_stream([emit_graph6(complete_graph(4))])
-    assert report.tested == 0 and report.filtered_out == 1
+    # two disjoint edges are subcubic and of treewidth 1, but not connected
+    two_k2 = graph_from_edge_list(4, [(0, 1), (2, 3)])
+    report = survey_stream([emit_graph6(complete_graph(4)), emit_graph6(two_k2)])
+    assert report.tested == 0 and report.filtered_out == 2
 
 
 def test_filter_toggles():
@@ -342,16 +345,22 @@ def test_budget_exhaustion_leaves_the_line_undecided(g18):
 
 
 def test_disagreeing_solvers_abort_the_survey(monkeypatch, g18):
-    def lying_dpll(g, budget=None):
+    def lying(g, budget=None):
         return SolveResult(
             status=Status.SAT,
             coloring=Coloring.from_red_set(g.n, set()),
-            solver="dpll",
+            solver="lying",
             nodes=0,
             propagations=0,
             elapsed=0.0,
         )
 
-    monkeypatch.setattr(crumby.survey, "dpll_solve", lying_dpll)
-    with pytest.raises(CrossCheckError):
-        survey_stream([emit_graph6(g18.graph)])
+    line = emit_graph6(g18.graph)
+    for solve, says in (("dpll_solve", "dpll"), ("exhaustive_solve", "the exhaustive oracle")):
+        with monkeypatch.context() as patch:
+            patch.setattr(crumby.survey, solve, lying)
+            with pytest.raises(CrossCheckError) as info:
+                survey_stream([line])
+        assert str(info.value) == (
+            f"line 1 ({line}): backtracking says unsat, {says} says sat"
+        )
