@@ -63,7 +63,6 @@ from .graphs import (
     emit_edge_list,
     emit_graph6,
     enumerate_p4,
-    graph_from_bitmask,
     graph_from_edge_list,
     is_biconnected,
     is_bipartite,

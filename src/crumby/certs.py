@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import CapExceeded, CertificateError, GraphError
+from .errors import CertificateError, GraphError
 from .graphs import Graph, _data_lines, graph_from_edge_list
 from .minorfree import (
-    MINOR_PATTERN_CAP,
+    _check_pattern_cap,
     elimination_width,
     replay_reduction_trace,
     verify_minor_witness,
@@ -132,10 +132,7 @@ def parse_certificate(text: str) -> tuple[str, object]:
             trace.append((rule, tuple(_ints(args, "step"))))
         return kind, (_int(fields["n"], "n"), trace)
     pn = _int(fields["pattern-n"], "pattern-n")
-    if pn > MINOR_PATTERN_CAP:  # refused before anything is sized by it
-        raise CapExceeded(
-            f"minor patterns are capped at {MINOR_PATTERN_CAP} vertices, got {pn}"
-        )
+    _check_pattern_cap(pn)  # refused before anything is sized by it
     edges = []
     for tok in fields["pattern-edges"].split():
         u, sep, v = tok.partition("-")

@@ -182,16 +182,6 @@ def edge_bit_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def graph_from_bitmask(n: int, mask: int) -> Graph:
-    """The n-vertex graph of an edge mask; n is capped at graph6's 62."""
-    if n > _G6_MAX_N:
-        raise CapExceeded(f"bitmask graphs are capped at n <= {_G6_MAX_N}, got {n}")
-    nbits = n * (n - 1) // 2 if n > 0 else 0
-    if mask >> nbits:
-        raise GraphError(f"bitmask has bits beyond the {nbits} edge slots of n={n}")
-    return _graph_from_bits(n, format(mask, "b")[::-1])
-
-
 def bitmask_of_graph(g: Graph) -> int:
     mask = 0
     for u, v in g.edges():
@@ -327,12 +317,6 @@ def parse_graph6(line: str) -> Graph:
     bits = s[1:].translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    return _graph_from_bits(n, bits)
-
-
-def _graph_from_bits(n: int, bits: str) -> Graph:
-    """The n-vertex graph with an edge at each '1' of `bits`, whose k-th
-    character is edge slot k (see edge_bit_index)."""
     # slots run column by column, so every row is filled in ascending order;
     # a slot is one pair i < j, so no loop or duplicate edge can arise
     rows: list[list[int]] = [[] for _ in range(n)]

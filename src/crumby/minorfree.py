@@ -237,6 +237,14 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _check_pattern_cap(n: int) -> None:
+    """CapExceeded for a minor pattern on more than MINOR_PATTERN_CAP vertices."""
+    if n > MINOR_PATTERN_CAP:
+        raise CapExceeded(
+            f"minor patterns are capped at {MINOR_PATTERN_CAP} vertices, got {n}"
+        )
+
+
 def has_minor(
     g: Graph, pattern: Graph, budget: int | None = None
 ) -> tuple[bool, tuple[frozenset[int], ...] | None]:
@@ -253,11 +261,7 @@ def has_minor(
     MINOR_HOST_BITS_CAP refuses huge ones.  Returns (found, branch sets
     indexed by pattern vertex, or None).
     """
-    if pattern.n > MINOR_PATTERN_CAP:
-        raise CapExceeded(
-            f"minor patterns are capped at {MINOR_PATTERN_CAP} vertices,"
-            f" got {pattern.n}"
-        )
+    _check_pattern_cap(pattern.n)
     bits = 2 * g.n + sum(row[-1] + 1 for row in g.adj if row)
     if bits > MINOR_HOST_BITS_CAP:
         raise CapExceeded(
@@ -280,10 +284,7 @@ def has_minor(
     # in increasing host order; cls[v] is v's twin class
     twins = _twin_classes([sum(1 << u for u in row) for row in pattern.adj])
     cls = [next(c for c in twins if c >> v & 1) for v in range(k)]
-    adjm = [0] * g.n
-    for v in range(g.n):
-        for u in g.adj[v]:
-            adjm[v] |= 1 << u
+    adjm = [sum(1 << u for u in row) for row in g.adj]
     full = (1 << g.n) - 1
     nodes = 0
 

@@ -302,6 +302,16 @@ MUTANTS = (
          "test_sparse_inputs_are_refused_before_their_tables_are_built[star-argv0]",),
     ),
     Mutant(
+        "the minor-pattern cap refuses six vertices",
+        "crumby/minorfree.py",
+        "    if n > MINOR_PATTERN_CAP:\n",
+        "    if n >= MINOR_PATTERN_CAP:\n",
+        (
+            "tests/test_minorfree.py::test_minor_pattern_cap",
+            "tests/test_certs.py::test_minor_witness_pattern_cap",
+        ),
+    ),
+    Mutant(
         "has_minor builds its bitsets past the cap",
         "crumby/minorfree.py",
         "    if bits > MINOR_HOST_BITS_CAP:\n",

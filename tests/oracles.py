@@ -165,6 +165,12 @@ def naive_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def graph_of_mask(n: int, mask: int) -> Graph:
+    """The graph of an edge bitmask, its slots walked column by column."""
+    slots = [(i, j) for j in range(1, n) for i in range(j)]
+    return graph_from_edge_list(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+
+
 def naive_orbit_min(n: int, mask: int) -> int:
     """Least edge bitmask of K_n over all n! relabellings of mask."""
     edges = [(a, b) for b in range(n) for a in range(b) if mask >> edge_bit_index(a, b) & 1]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from crumby import (
     Coloring,
     Graph,
-    graph_from_bitmask,
     graph_from_edge_list,
     is_connected,
     parallel,
@@ -14,6 +13,7 @@ from crumby import (
     series,
 )
 from crumby.gadgets import E, EdgeLeaf, Parallel, Reverse
+from tests.oracles import graph_of_mask
 
 
 @st.composite
@@ -21,7 +21,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     """Uniform-ish random graph: a bitmask over the upper triangle."""
     n = draw(st.integers(min_n, max_n))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
-    return graph_from_bitmask(n, mask)
+    return graph_of_mask(n, mask)
 
 
 @st.composite

@@ -31,7 +31,6 @@ from crumby import (
     elimination_width,
     encode_cnf,
     exhaustive_solve,
-    graph_from_bitmask,
     graph_from_edge_list,
     has_minor,
     is_biconnected,
@@ -61,6 +60,7 @@ from crumby.gadgets import (
     g18_elimination_order,
     rev,
 )
+from tests import oracles
 
 
 def record(number: int, name: str, ok: bool, detail: str) -> None:
@@ -332,7 +332,7 @@ def test_criterion_10b_verifier_pair_on_random_inputs():
     for _ in range(pairs):
         n = rng.randint(1, 10)
         mask = rng.getrandbits(n * (n - 1) // 2)
-        g = graph_from_bitmask(n, mask)
+        g = oracles.graph_of_mask(n, mask)
         c = Coloring.from_red_set(n, {v for v in range(n) if rng.getrandbits(1)})
         assert verify_crumby(g, c) == verify_crumby_by_components(g, c)
     record(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from crumby import (
+    CapExceeded,
     CertificateError,
     complete_bipartite,
     complete_graph,
@@ -17,6 +18,7 @@ from crumby.certs import (
     parse_certificate,
     validate_certificate,
 )
+from tests.helpers import cycle_graph
 
 
 def test_elimination_order_round_trip(g18):
@@ -69,6 +71,21 @@ def test_minor_witness_round_trip(f_gadget):
     assert parsed_witness == witness
     ok, detail = validate_certificate(f_gadget.graph, parsed)
     assert ok, detail
+
+
+def test_minor_witness_pattern_cap():
+    """A six-vertex pattern parses and validates; seven is refused before
+    anything is sized by it, with the message the search gives."""
+    c8 = cycle_graph(8)
+    text = emit_minor_witness(cycle_graph(6), has_minor(c8, cycle_graph(6))[1])
+    ok, detail = validate_certificate(c8, parse_certificate(text))
+    assert ok, detail
+    with pytest.raises(CapExceeded) as search:
+        has_minor(c8, cycle_graph(7))
+    with pytest.raises(CapExceeded) as parse:
+        parse_certificate(text.replace("pattern-n: 6", "pattern-n: 7"))
+    assert str(parse.value) == str(search.value)
+    assert str(search.value) == "minor patterns are capped at 6 vertices, got 7"
 
 
 def test_minor_witness_validation_fails_on_k4(f_gadget):

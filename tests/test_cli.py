@@ -125,6 +125,107 @@ def test_the_oracles_import_only_what_they_do_not_check():
     }
 
 
+def _crumby_call_graph() -> dict[str, set[str]]:
+    """Each module-level function and class of crumby, cli left out, with
+    the crumby functions and classes its body names.  A class counts as one
+    node with all of its methods.  A name resolves through the module's own
+    definitions and its relative imports, and `x.f` resolves to the class
+    that defines f when only one class does (so `self.f` does too).  Names
+    bound as parameters are skipped."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(crumby.__file__).parent.glob("*.py")
+        if path.stem not in ("cli", "__main__")
+    }
+    scope: dict[str, dict[str, str]] = {}
+    defs: dict[str, tuple[str, ast.AST]] = {}
+    owners: dict[str, set[str]] = {}
+    for mod, tree in trees.items():
+        names = scope[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{mod}.{node.name}"
+                defs[f"{mod}.{node.name}"] = mod, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        owners.setdefault(item.name, set()).add(f"{mod}.{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+
+    def resolve(name: str) -> str | None:
+        while name not in defs:  # follow re-exports to the definition
+            mod, _, local = name.partition(".")
+            name = scope.get(mod, {}).get(local)
+            if name is None:
+                return None
+        return name
+
+    calls = {}
+    for name, (mod, node) in defs.items():
+        params = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in scope[mod] and n.id not in params:
+                out.add(resolve(scope[mod][n.id]))
+            elif isinstance(n, ast.Attribute) and len(owners.get(n.attr, ())) == 1:
+                out |= owners[n.attr]
+        calls[name] = out - {None, name}
+    return calls
+
+
+def _closure(calls: dict[str, set[str]], roots: tuple[str, ...]) -> set[str]:
+    seen, todo = set(roots), list(roots)
+    while todo:
+        new = calls[todo.pop()] - seen
+        seen |= new
+        todo.extend(new)
+    return seen
+
+
+# the deliberately redundant routes, as pairs of root sets, and what each
+# pair may share: graphs, colorings and errors, and for the solvers the
+# result record, its final verify_crumby check and the P4 walk under its cap
+_ROUTE_BASE = {
+    "graphs.Graph", "graphs._symmetric", "graphs._has_entry",
+    "coloring.Coloring", "coloring.Color",
+    *(f"errors.{name}" for name in dir(crumby.errors) if name[0].isupper()),
+}
+_SOLVER_SHARED = _ROUTE_BASE | {
+    "coloring.SolveResult", "coloring.Status", "coloring._result",
+    "coloring.verify_crumby", "coloring.violations",
+    "graphs._check_p4_cap", "graphs._walk_p4",
+}
+_SOLVERS = (
+    ("coloring.exhaustive_solve",), ("coloring.backtracking_solve",), ("coloring.dpll_solve",)
+)
+_ROUTE_PAIRS = [(a, b, _SOLVER_SHARED) for a, b in combinations(_SOLVERS, 2)] + [
+    (("coloring.verify_crumby",), ("coloring.verify_crumby_by_components",), _ROUTE_BASE),
+    (
+        ("minorfree.recognize_tw2", "minorfree.replay_reduction_trace"),
+        ("minorfree.find_elimination_order", "minorfree.elimination_steps"),
+        _ROUTE_BASE,
+    ),
+    (("graphs.is_biconnected", "graphs.cut_vertices"), ("graphs.connected_components",),
+     _ROUTE_BASE),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second, allowed",
+    _ROUTE_PAIRS,
+    ids=["exhaustive-backtracking", "exhaustive-dpll", "backtracking-dpll", "verifiers",
+         "tw2", "biconnectivity"],
+)
+def test_redundant_routes_share_only_listed_code(first, second, allowed):
+    calls = _crumby_call_graph()
+    # the resolver follows calls across modules and through helpers
+    assert {"coloring.violations", "graphs._walk_p4"} <= _closure(calls, _SOLVERS[1])
+    shared = _closure(calls, first) & _closure(calls, second)
+    assert shared <= allowed, sorted(shared - allowed)
+
+
 # a child interpreter that runs three CLI calls, a sweep and the census, and
 # prints whether numpy was loaded after each: the package is stdlib-only
 _NUMPY_PROBE = (

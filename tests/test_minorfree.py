@@ -386,7 +386,11 @@ def test_triangle_minor_exactly_when_there_is_a_cycle(g):
 
 
 def test_minor_pattern_cap(f_gadget):
-    with pytest.raises(CapExceeded, match="6"):
+    # six vertices are searched, seven are refused
+    c6, c8 = cycle_graph(6), cycle_graph(8)
+    found, witness = has_minor(c8, c6)
+    assert found and verify_minor_witness(c8, c6, witness)[0]
+    with pytest.raises(CapExceeded, match="^minor patterns are capped at 6 vertices, got 7$"):
         has_minor(f_gadget.graph, complete_graph(7))
 
 

@@ -20,7 +20,6 @@ from crumby import (
     emit_graph6,
     generate_small,
     graph_from_edge_list,
-    graph_from_bitmask,
     is_connected,
     parse_graph6,
     recognize_tw2,
@@ -85,7 +84,7 @@ def test_census_lines_are_canonical_and_unique(census_lines):
 def test_census_is_exhaustive_at_order_four(census):
     # every connected 4-vertex graph must match one of the six classes
     for mask in range(1 << 6):
-        g = graph_from_bitmask(4, mask)
+        g = oracles.graph_of_mask(4, mask)
         if not is_connected(g):
             continue
         assert any(oracles.naive_isomorphic(g, rep) for rep in census[4])
@@ -103,7 +102,7 @@ def test_census_holds_every_connected_orbit_minimum_at_order_five(census):
     minima = {
         oracles.naive_orbit_min(5, mask)
         for mask in range(1 << 10)
-        if is_connected(graph_from_bitmask(5, mask))
+        if is_connected(oracles.graph_of_mask(5, mask))
     }
     assert minima == reps
 
@@ -113,7 +112,7 @@ def _adjacency(g: Graph) -> list[int]:
 
 
 def _least_mask_of(n: int, mask: int) -> int:
-    return crumby.survey._least_mask(n, _adjacency(graph_from_bitmask(n, mask)))
+    return crumby.survey._least_mask(n, _adjacency(oracles.graph_of_mask(n, mask)))
 
 
 def test_least_mask_is_the_naive_orbit_minimum():
@@ -159,7 +158,7 @@ def test_twin_classes_are_automorphism_classes():
     rng = random.Random(34)
     graphs = [complete_bipartite(1, 3), cycle_graph(4), complete_graph(4), complete_bipartite(2, 3)]
     graphs += [
-        graph_from_bitmask(n, rng.getrandbits(n * (n - 1) // 2))
+        oracles.graph_of_mask(n, rng.getrandbits(n * (n - 1) // 2))
         for n in range(1, 8)
         for _ in range(30)
     ]
